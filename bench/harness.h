@@ -165,8 +165,9 @@ inline UpscaleResult RunUpscale(cluster::ClusterConfig config, int functions,
     for (int f = 0; f < functions; ++f) {
       cluster.ScaleTo(StrFormat("fn-%04d", f), per_function);
     }
-    // Coarser predicate polling for very large runs (the poll itself
-    // walks the API-server store).
+    // Coarser predicate polling for very large runs. The poll is O(1),
+    // but E2E is quantized to the tick, and the recorded numbers were
+    // taken at these ticks.
     const Duration tick = total_pods >= 5000 ? Milliseconds(100)
                                              : Milliseconds(5);
     result.converged = cluster.RunUntil(

@@ -56,9 +56,40 @@ Status ApiServer::RunAdmission(AdmissionOp op,
   return OkStatus();
 }
 
+std::ranges::subrange<ApiServer::Store::const_iterator> ApiServer::KindRange(
+    const std::string& kind) const {
+  // '0' is the character after '/': the first key past the prefix.
+  return {store_.lower_bound(kind + "/"), store_.lower_bound(kind + "0")};
+}
+
+model::ApiObject ApiServer::Commit(Store::iterator it,
+                                   std::optional<model::ApiObject> obj) {
+  if (!obj) {
+    if (commit_observer_) commit_observer_(&it->second, nullptr);
+    model::ApiObject removed = std::move(it->second);
+    store_.erase(it);
+    removed.resource_version = ++revision_;
+    Broadcast(WatchEventType::kDeleted, removed);
+    return removed;
+  }
+  obj->resource_version = ++revision_;
+  WatchEventType type = WatchEventType::kModified;
+  if (it == store_.end()) {
+    type = WatchEventType::kAdded;
+    it = store_.emplace(obj->Key(), std::move(*obj)).first;
+    if (commit_observer_) commit_observer_(nullptr, &it->second);
+  } else {
+    if (commit_observer_) commit_observer_(&it->second, &*obj);
+    it->second = std::move(*obj);
+  }
+  Broadcast(type, it->second);
+  return it->second;
+}
+
 void ApiServer::Broadcast(WatchEventType type, const model::ApiObject& obj) {
-  for (const auto& [id, watcher] : watchers_) {
-    if (watcher.kind != obj.kind) continue;
+  auto bucket = watchers_.find(obj.kind);
+  if (bucket == watchers_.end()) return;
+  for (const auto& [id, watcher] : bucket->second) {
     if (watcher.filter && !watcher.filter(obj)) continue;
     // Copy per watcher; delivery is ordered because events scheduled at
     // equal times fire in scheduling order.
@@ -211,13 +242,18 @@ void ApiServer::Crash() {
   apf_.Reset();
   // Watch streams die; subscribers that registered a break handler
   // learn after the delivery latency and must re-list on reconnect.
-  for (auto& [id, watcher] : watchers_) {
-    (void)id;
-    if (!watcher.on_break) continue;
-    engine_.ScheduleAfter(cost_.watch_delivery_latency,
-                          [cb = watcher.on_break] { cb(); });
+  // Breaks are scheduled in global WatchId order, across kind buckets.
+  std::map<WatchId, WatchBreakCallback> breaks;
+  for (auto& [kind, bucket] : watchers_) {
+    for (auto& [id, watcher] : bucket) {
+      if (watcher.on_break) breaks.emplace(id, std::move(watcher.on_break));
+    }
   }
   watchers_.clear();
+  for (auto& [id, on_break] : breaks) {
+    engine_.ScheduleAfter(cost_.watch_delivery_latency,
+                          [cb = std::move(on_break)] { cb(); });
+  }
 }
 
 void ApiServer::Restart() {
@@ -256,12 +292,9 @@ void ApiServer::HandleCreate(
           Crash();
           return {UnavailableError("surprise shutdown at persist"), {}};
         }
-        obj.resource_version = ++revision_;
-        auto [ins, ok] = store_.emplace(key, std::move(obj));
-        (void)ok;
-        Broadcast(WatchEventType::kAdded, ins->second);
+        model::ApiObject committed = Commit(it, std::move(obj));
         if (persist_fault_.Tick()) Crash();  // committed, unacknowledged
-        return {OkStatus(), ins->second};
+        return {OkStatus(), std::move(committed)};
       },
       [done = std::move(done)](CommitResult r) {
         if (r.status.ok()) {
@@ -300,11 +333,9 @@ void ApiServer::HandleUpdate(
           Crash();
           return {UnavailableError("surprise shutdown at persist"), {}};
         }
-        obj.resource_version = ++revision_;
-        it->second = std::move(obj);
-        Broadcast(WatchEventType::kModified, it->second);
+        model::ApiObject committed = Commit(it, std::move(obj));
         if (persist_fault_.Tick()) Crash();  // committed, unacknowledged
-        return {OkStatus(), it->second};
+        return {OkStatus(), std::move(committed)};
       },
       [done = std::move(done)](CommitResult r) {
         if (r.status.ok()) {
@@ -333,10 +364,7 @@ void ApiServer::HandleDelete(const std::string& flow,
           Crash();
           return {UnavailableError("surprise shutdown at persist"), {}};
         }
-        model::ApiObject removed = std::move(it->second);
-        store_.erase(it);
-        removed.resource_version = ++revision_;
-        Broadcast(WatchEventType::kDeleted, removed);
+        model::ApiObject removed = Commit(it, std::nullopt);
         if (persist_fault_.Tick()) Crash();  // committed, unacknowledged
         return {OkStatus(), std::move(removed)};
       },
@@ -383,8 +411,8 @@ void ApiServer::HandleListAt(
   // Response size is the whole collection — the expensive part of a
   // relist, which is why informers avoid them.
   std::size_t response_bytes = 64;
-  for (const auto& [key, obj] : store_) {
-    if (obj.kind == kind) response_bytes += obj.SerializedSize();
+  for (const auto& [key, obj] : KindRange(kind)) {
+    response_bytes += obj.SerializedSize();
   }
   // Snapshot at commit time (server-side), deliver after response
   // latency; the snapshot is shared between the two closures.
@@ -393,8 +421,8 @@ void ApiServer::HandleListAt(
   Serve(
       flow, kind.size() + 64, response_bytes, /*is_write=*/false,
       [this, kind, snapshot, at_revision]() -> CommitResult {
-        for (const auto& [key, obj] : store_) {
-          if (obj.kind == kind) snapshot->push_back(obj);
+        for (const auto& [key, obj] : KindRange(kind)) {
+          snapshot->push_back(obj);
         }
         *at_revision = revision_;
         return {OkStatus(), {}};
@@ -418,12 +446,16 @@ WatchId ApiServer::Watch(const std::string& kind,
                          LaneId lane) {
   if (!up_) return 0;  // nothing to connect to; caller retries
   const WatchId id = next_watch_id_++;
-  watchers_[id] = Watcher{kind, std::move(filter), std::move(cb),
-                          std::move(on_break), lane};
+  watchers_[kind].emplace(id, Watcher{std::move(filter), std::move(cb),
+                                      std::move(on_break), lane});
   return id;
 }
 
-void ApiServer::Unwatch(WatchId id) { watchers_.erase(id); }
+void ApiServer::Unwatch(WatchId id) {
+  for (auto& [kind, bucket] : watchers_) {
+    if (bucket.erase(id) != 0) return;
+  }
+}
 
 const model::ApiObject* ApiServer::Peek(const std::string& kind,
                                         const std::string& name) const {
@@ -434,33 +466,23 @@ const model::ApiObject* ApiServer::Peek(const std::string& kind,
 std::vector<const model::ApiObject*> ApiServer::PeekAll(
     const std::string& kind) const {
   std::vector<const model::ApiObject*> out;
-  for (const auto& [key, obj] : store_) {
-    if (obj.kind == kind) out.push_back(&obj);
-  }
+  for (const auto& [key, obj] : KindRange(kind)) out.push_back(&obj);
   return out;
 }
 
 std::map<std::string, std::uint64_t> ApiServer::VersionMap(
     const std::string& kind) const {
   std::map<std::string, std::uint64_t> out;
-  for (const auto& [key, obj] : store_) {
-    if (obj.kind == kind) out.emplace(key, obj.resource_version);
+  // The range is key-sorted, so hinting at end() makes each insert O(1).
+  for (const auto& [key, obj] : KindRange(kind)) {
+    out.emplace_hint(out.end(), key, obj.resource_version);
   }
   return out;
 }
 
 void ApiServer::SeedObject(model::ApiObject obj) {
-  obj.resource_version = ++revision_;
-  const std::string key = obj.Key();
-  auto it = store_.find(key);
-  if (it == store_.end()) {
-    auto [ins, ok] = store_.emplace(key, std::move(obj));
-    (void)ok;
-    Broadcast(WatchEventType::kAdded, ins->second);
-  } else {
-    it->second = std::move(obj);
-    Broadcast(WatchEventType::kModified, it->second);
-  }
+  auto it = store_.find(obj.Key());
+  Commit(it, std::move(obj));
 }
 
 }  // namespace kd::apiserver

@@ -22,6 +22,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -50,6 +52,14 @@ using WatchCallback = std::function<void(const WatchEvent&)>;
 // subscriber must re-Watch (and re-list) after the server returns.
 using WatchBreakCallback = std::function<void()>;
 using WatchId = std::uint64_t;
+
+// Synchronous store-commit observer: sees every committed mutation of
+// the store (creates, updates, deletes, seeds) just before its watch
+// fan-out. `before` is null for creates, `after` null for deletes. It
+// runs inside the commit, schedules nothing and costs no simulated
+// time — the seam for host-side derived state (Cluster's ready counts).
+using CommitObserver = std::function<void(const model::ApiObject* before,
+                                          const model::ApiObject* after)>;
 
 enum class AdmissionOp { kCreate, kUpdate, kDelete };
 
@@ -173,6 +183,11 @@ class KD_LANE_OWNED(apiserver) ApiServer {
     admission_hooks_.push_back(std::move(hook));
   }
 
+  // --- commit observer (one slot; replaces any previous observer) -------
+  void SetCommitObserver(CommitObserver observer) {
+    commit_observer_ = std::move(observer);
+  }
+
   // --- direct store access (tests/benches; charges nothing) -----------
   const model::ApiObject* Peek(const std::string& kind,
                                const std::string& name) const;
@@ -222,24 +237,42 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   Status RunAdmission(AdmissionOp op, const model::ApiObject* existing,
                       const model::ApiObject* incoming) const;
 
+  using Store = std::map<std::string, model::ApiObject>;  // key -> object
+
+  // The objects of `kind`: keys are "Kind/name" and the store is
+  // sorted, so one kind is the contiguous key range prefixed "Kind/"
+  // (the ObjectCache::List idiom) — O(log store + kind population).
+  std::ranges::subrange<Store::const_iterator> KindRange(
+      const std::string& kind) const;
+
+  // The one write path into the store (create, update, delete, seed):
+  // stamps the next revision, shows the change to the commit observer,
+  // then broadcasts it. `it` is the key's current entry (store_.end()
+  // to create); `obj` is its new state, nullopt to delete it. Returns
+  // the committed object — for a delete, the removed object stamped
+  // with the delete's revision.
+  model::ApiObject Commit(Store::iterator it,
+                          std::optional<model::ApiObject> obj);
   void Broadcast(WatchEventType type, const model::ApiObject& obj);
 
   sim::Engine& engine_;
   CostModel cost_;
-  std::map<std::string, model::ApiObject> store_;  // key -> object
+  Store store_;
   std::uint64_t revision_ = 0;
+  CommitObserver commit_observer_;  // may be null
 
   std::vector<Time> worker_free_;  // min element = next available worker
   Time etcd_free_ = 0;
 
   struct Watcher {
-    std::string kind;
     std::function<bool(const model::ApiObject&)> filter;  // may be null
     WatchCallback cb;
     WatchBreakCallback on_break;  // may be null
     LaneId lane = kNoLane;  // deliveries execute in this lane's group
   };
-  std::map<WatchId, Watcher> watchers_;
+  // Bucketed by kind, so a write visits only its own kind's watchers;
+  // within a bucket, WatchId order is delivery order.
+  std::map<std::string, std::map<WatchId, Watcher>> watchers_;
   WatchId next_watch_id_ = 1;
 
   // --- fault-domain state ---------------------------------------------

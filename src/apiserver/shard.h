@@ -139,6 +139,13 @@ class KD_LANE_OWNED(apiserver) ControlPlane {
     shards_.back()->AddAdmissionHook(std::move(hook));
   }
 
+  // --- commit observer ----------------------------------------------
+  // Installed on every shard: together they see every commit of the
+  // plane (per shard in commit order).
+  void SetCommitObserver(const CommitObserver& observer) {
+    for (ApiServer* s : shards_) s->SetCommitObserver(observer);
+  }
+
   // --- direct store access (tests/benches; charges nothing) ---------
   const model::ApiObject* Peek(const std::string& kind,
                                const std::string& name) const {

@@ -46,6 +46,10 @@ Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
   network_ = std::make_unique<net::Network>(engine_);
   control_plane_ = std::make_unique<apiserver::ControlPlane>(
       engine_, config_.cost, config_.num_shards);
+  control_plane_->SetCommitObserver(
+      [this](const ApiObject* before, const ApiObject* after) {
+        OnStoreCommit(before, after);
+      });
   env_ = std::make_unique<runtime::Env>(runtime::Env{
       engine_, *network_, *control_plane_, config_.cost, metrics_});
 
@@ -213,23 +217,24 @@ void Cluster::ScaleTo(const std::string& function_name,
   autoscaler_->ScaleTo(function_name, replicas);
 }
 
-std::size_t Cluster::ReadyPodCount(const std::string& function_name) const {
-  std::size_t n = 0;
-  for (const ApiObject* pod : control_plane_->PeekAll(model::kKindPod)) {
-    if (model::GetLabel(*pod, "app") == function_name &&
-        model::GetPodPhase(*pod) == model::PodPhase::kRunning) {
-      ++n;
-    }
+void Cluster::OnStoreCommit(const ApiObject* before, const ApiObject* after) {
+  const auto running = [](const ApiObject* obj) {
+    return obj != nullptr && obj->kind == model::kKindPod &&
+           model::GetPodPhase(*obj) == model::PodPhase::kRunning;
+  };
+  if (running(before)) {
+    --ready_total_;
+    --ready_by_app_[model::GetLabel(*before, "app")];
   }
-  return n;
+  if (running(after)) {
+    ++ready_total_;
+    ++ready_by_app_[model::GetLabel(*after, "app")];
+  }
 }
 
-std::size_t Cluster::TotalReadyPods() const {
-  std::size_t n = 0;
-  for (const ApiObject* pod : control_plane_->PeekAll(model::kKindPod)) {
-    if (model::GetPodPhase(*pod) == model::PodPhase::kRunning) ++n;
-  }
-  return n;
+std::size_t Cluster::ReadyPodCount(const std::string& function_name) const {
+  auto it = ready_by_app_.find(function_name);
+  return it == ready_by_app_.end() ? 0 : it->second;
 }
 
 std::vector<std::string> Cluster::ReadyPodAddresses(

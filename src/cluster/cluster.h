@@ -14,6 +14,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -132,9 +133,10 @@ class Cluster {
   void ScaleTo(const std::string& function_name, std::int64_t replicas);
 
   // What the downstream data plane sees: Running pods of `function`
-  // published in the API server.
+  // published in the API server. Counted at store commit time, so
+  // neither call scans the store.
   std::size_t ReadyPodCount(const std::string& function_name) const;
-  std::size_t TotalReadyPods() const;
+  std::size_t TotalReadyPods() const { return ready_total_; }
   std::vector<std::string> ReadyPodAddresses(
       const std::string& function_name) const;
 
@@ -183,6 +185,10 @@ class Cluster {
   // round-robin groups 1..G, and the lookahead is derived as the
   // minimum cross-group seam latency of this cluster's cost model.
   void ConfigureParallelLanes();
+  // The control plane's commit observer: keeps the Running-pod counts
+  // behind ReadyPodCount/TotalReadyPods in step with the store.
+  void OnStoreCommit(const model::ApiObject* before,
+                     const model::ApiObject* after);
 
   sim::Engine& engine_;
   ClusterConfig config_;
@@ -197,6 +203,9 @@ class Cluster {
   std::unique_ptr<controllers::EndpointsController> endpoints_controller_;
   std::unique_ptr<controllers::KubeProxy> kube_proxy_;
   std::vector<std::unique_ptr<controllers::Kubelet>> kubelets_;
+  // Running pods in the store: per `app` label, and in total.
+  std::map<std::string, std::size_t> ready_by_app_;
+  std::size_t ready_total_ = 0;
 };
 
 }  // namespace kd::cluster

@@ -33,7 +33,7 @@ Scheduler::Scheduler(runtime::Env& env, Mode mode, SchedulerOptions options)
     (void)key;
     (void)before;
     if (after == nullptr || after->kind != kKindNode) return;
-    NodeState& state = nodes_[after->name];
+    NodeState& state = TrackNode(after->name);
     state.cpu_capacity = model::GetCpuMilli(*after);
     // A committed invalid mark newer than our own last Node write means
     // the Kubelet WILL drain when it observes it — either we restarted
@@ -65,15 +65,11 @@ Scheduler::Scheduler(runtime::Env& env, Mode mode, SchedulerOptions options)
                                      const ApiObject* after) {
     if (before != nullptr && before->kind == kKindPod) {
       const std::string node = model::GetNodeName(*before);
-      if (!node.empty()) {
-        nodes_[node].cpu_allocated -= model::GetCpuMilli(*before);
-      }
+      if (!node.empty()) TrackNode(node, -model::GetCpuMilli(*before));
     }
     if (after != nullptr && after->kind == kKindPod) {
       const std::string node = model::GetNodeName(*after);
-      if (!node.empty()) {
-        nodes_[node].cpu_allocated += model::GetCpuMilli(*after);
-      }
+      if (!node.empty()) TrackNode(node, model::GetCpuMilli(*after));
       // Unassigned pending pods need scheduling.
       if (model::GetNodeName(*after).empty() &&
           model::GetPodPhase(*after) == model::PodPhase::kPending) {
@@ -134,11 +130,12 @@ Scheduler::Scheduler(runtime::Env& env, Mode mode, SchedulerOptions options)
     }
     pending_preemptions_.clear();
     nodes_.clear();
+    by_allocation_.clear();
   });
 }
 
 void Scheduler::EnsureKubeletLink(const std::string& node_name) {
-  nodes_[node_name];  // capacity entry exists even before the link
+  TrackNode(node_name);  // capacity entry exists even before the link
   runtime::ControllerHarness::DownstreamSpec spec;
   spec.peer = Addresses::Kubelet(node_name);
   spec.cache = &pod_cache_;
@@ -160,7 +157,7 @@ void Scheduler::EnsureKubeletLink(const std::string& node_name) {
         if (harness_.upstream()) harness_.upstream()->SendSoftInvalidate(delta);
       };
   spec.callbacks.on_connect_failed = [this, node_name] {
-    NodeState& s = nodes_[node_name];
+    NodeState& s = TrackNode(node_name);
     ++s.consecutive_failures;
     if (options_.cancel_after_failures > 0 && !s.cancelled &&
         s.consecutive_failures >= options_.cancel_after_failures) {
@@ -170,19 +167,49 @@ void Scheduler::EnsureKubeletLink(const std::string& node_name) {
   harness_.EnsureDownstream(node_name, std::move(spec));
 }
 
-std::int64_t Scheduler::AllocatedCpuOn(const std::string& node_name) const {
+Scheduler::NodeState& Scheduler::TrackNode(const std::string& name,
+                                           std::int64_t cpu_delta) {
+  auto [it, created] = nodes_.try_emplace(name);
+  NodeState& state = it->second;
+  if (created) by_allocation_.emplace(0, name);
+  if (cpu_delta != 0) {
+    auto entry = by_allocation_.extract({state.cpu_allocated, name});
+    state.cpu_allocated += cpu_delta;
+    entry.value().first = state.cpu_allocated;
+    by_allocation_.insert(std::move(entry));
+  }
+  return state;
+}
+
+const Scheduler::NodeState* Scheduler::FindNode(
+    const std::string& node_name) const {
   auto it = nodes_.find(node_name);
-  return it == nodes_.end() ? 0 : it->second.cpu_allocated;
+  return it == nodes_.end() ? nullptr : &it->second;
+}
+
+std::int64_t Scheduler::AllocatedCpuOn(const std::string& node_name) const {
+  const NodeState* state = FindNode(node_name);
+  return state == nullptr ? 0 : state->cpu_allocated;
+}
+
+std::int64_t Scheduler::CpuCapacityOf(const std::string& node_name) const {
+  const NodeState* state = FindNode(node_name);
+  return state == nullptr ? 0 : state->cpu_capacity;
 }
 
 bool Scheduler::IsNodeDraining(const std::string& node_name) const {
-  auto it = nodes_.find(node_name);
-  return it != nodes_.end() && it->second.draining;
+  const NodeState* state = FindNode(node_name);
+  return state != nullptr && state->draining;
+}
+
+bool Scheduler::IsNodeCancelled(const std::string& node_name) const {
+  const NodeState* state = FindNode(node_name);
+  return state != nullptr && state->cancelled;
 }
 
 void Scheduler::OnReclaimNotice(const std::string& node_name,
                                 std::int64_t reclaim_at_ms) {
-  NodeState& state = nodes_[node_name];
+  NodeState& state = TrackNode(node_name);
   if (reclaim_at_ms == state.reclaim_at_ms) return;
   state.reclaim_at_ms = reclaim_at_ms;
   if (reclaim_at_ms == 0) {
@@ -198,7 +225,7 @@ void Scheduler::OnReclaimNotice(const std::string& node_name,
 }
 
 void Scheduler::DrainNode(const std::string& node_name) {
-  NodeState& state = nodes_[node_name];
+  NodeState& state = TrackNode(node_name);
   if (state.cancelled) return;  // pods already assumed terminated
   std::vector<std::string> victims;
   for (const ApiObject* pod : pod_cache_.List(kKindPod)) {
@@ -306,7 +333,7 @@ void Scheduler::OnKubeletRemove(const std::string& node_name,
 void Scheduler::OnKubeletReady(const std::string& node_name,
                                const kubedirect::ChangeSet& changes) {
   // The harness already re-evaluated the §4.2 gate for this link.
-  NodeState& state = nodes_[node_name];
+  NodeState& state = TrackNode(node_name);
   state.consecutive_failures = 0;
   if (state.cancelled) {
     // The node is reachable again: lift the invalid mark (the node
@@ -358,26 +385,22 @@ void Scheduler::ResolvePreemption(const std::string& pod_key, Status status) {
   done(status);
 }
 
-std::string Scheduler::PickNode(const ApiObject& pod, Duration& scan_cost) {
-  const std::int64_t cpu = model::GetCpuMilli(pod);
-  scan_cost = env_.cost.scheduler_per_node_scan *
-              static_cast<Duration>(std::max<std::size_t>(nodes_.size(), 1));
-  const NodeState* best = nullptr;
-  const std::string* best_name = nullptr;
-  for (const auto& [name, state] : nodes_) {
+std::string Scheduler::PickNode(std::int64_t cpu_milli) const {
+  // The index is ordered by (allocation, name): the first node that
+  // passes the checks is the least-allocated feasible one, ties to the
+  // lowest name — the choice a full scan over nodes_ would make.
+  for (const auto& [allocated, name] : by_allocation_) {
+    const NodeState& state = nodes_.at(name);
     if (state.cancelled || state.draining || state.cpu_capacity <= 0) continue;
     // Kd mode: never bind toward a Kubelet whose link is down or mid
     // handshake — the binding would be invisible to the in-flight
     // version comparison and the pod would strand until the next
     // failure. (K8s mode has no links; bindings go via the API.)
     if (mode_ == Mode::kKd && !harness_.DownstreamReady(name)) continue;
-    if (state.cpu_allocated + cpu > state.cpu_capacity) continue;
-    if (best == nullptr || state.cpu_allocated < best->cpu_allocated) {
-      best = &state;
-      best_name = &name;
-    }
+    if (allocated + cpu_milli > state.cpu_capacity) continue;
+    return name;
   }
-  return best_name == nullptr ? "" : *best_name;
+  return "";
 }
 
 Duration Scheduler::Reconcile(const std::string& pod_key) {
@@ -388,8 +411,12 @@ Duration Scheduler::Reconcile(const std::string& pod_key) {
   if (harness_.tombstones().Has(pod_key)) return 0;
 
   env_.metrics.MarkStart("scheduler", env_.engine.now());
-  Duration scan_cost = 0;
-  const std::string node = PickNode(*pod, scan_cost);
+  // Simulated time charges a scan of every known node (the Fig. 11
+  // M-scalability effect), whatever the host-side index visits.
+  const Duration scan_cost =
+      env_.cost.scheduler_per_node_scan *
+      static_cast<Duration>(std::max<std::size_t>(nodes_.size(), 1));
+  const std::string node = PickNode(model::GetCpuMilli(*pod));
   const Duration cost = scan_cost + env_.cost.scheduler_per_pod;
   if (node.empty()) {
     // No feasible node: retry under the assumption capacity frees up.
@@ -482,7 +509,7 @@ void Scheduler::Preempt(const std::string& pod_key,
 }
 
 void Scheduler::CancelNode(const std::string& node_name) {
-  NodeState& state = nodes_[node_name];
+  NodeState& state = TrackNode(node_name);
   if (state.cancelled) return;
   state.cancelled = true;
   // An unreachable node no longer blocks the downstream-first gate.
@@ -496,7 +523,7 @@ void Scheduler::CancelNode(const std::string& node_name) {
     harness_.api().Update(std::move(updated),
                           [this, node_name](StatusOr<ApiObject> result) {
                             if (harness_.crashed() || !result.ok()) return;
-                            nodes_[node_name].last_node_write_rv =
+                            TrackNode(node_name).last_node_write_rv =
                                 result->resource_version;
                           });
   }
@@ -517,7 +544,7 @@ void Scheduler::CancelNode(const std::string& node_name) {
 }
 
 void Scheduler::UncancelNode(const std::string& node_name) {
-  NodeState& state = nodes_[node_name];
+  NodeState& state = TrackNode(node_name);
   if (!state.cancelled || state.uncancel_inflight) return;
   const ApiObject* node =
       node_cache_.Get(ApiObject::MakeKey(kKindNode, node_name));
@@ -539,7 +566,7 @@ void Scheduler::UncancelNode(const std::string& node_name) {
       std::move(updated),
       [this, node_name](StatusOr<ApiObject> result) {
         if (harness_.crashed()) return;
-        NodeState& s = nodes_[node_name];
+        NodeState& s = TrackNode(node_name);
         s.uncancel_inflight = false;
         if (!s.cancelled) return;  // re-cancelled while in flight
         if (result.ok()) {

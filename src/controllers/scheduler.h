@@ -1,10 +1,13 @@
 // The Scheduler — step ④ of the critical path (Fig. 1).
 //
-// Assigns Pending pods to nodes with a least-allocated-CPU policy whose
-// cost grows linearly with the node count (the Fig. 11 M-scalability
-// effect). Sits mid-chain in the hierarchical cache: server towards the
-// ReplicaSet controller, one client per Kubelet (the harness's dynamic
-// downstream fan-out).
+// Assigns Pending pods to nodes with a least-allocated-CPU policy. Its
+// simulated cost grows linearly with the node count (CostModel's
+// scheduler_per_node_scan per known node — the Fig. 11 M-scalability
+// effect); its host cost does not: an index ordered by (allocation,
+// name) hands PickNode the least-allocated candidates first, so a pick
+// is O(log M) whenever the emptiest node is feasible. Sits mid-chain in
+// the hierarchical cache: server towards the ReplicaSet controller, one
+// client per Kubelet (the harness's dynamic downstream fan-out).
 //
 // Termination duties (§4.3):
 //   - forwards Tombstones towards the owning Kubelet (async downscale);
@@ -21,6 +24,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/lane.h"
@@ -55,11 +59,20 @@ class KD_LANE_OWNED(scheduler) Scheduler {
   // automatically after repeated connect failures).
   void CancelNode(const std::string& node_name);
 
-  // Observability.
+  // Where a pod requesting `cpu_milli` would be placed now: the
+  // least-allocated node that is not cancelled or draining, has a ready
+  // Kubelet link (Kd mode) and fits the pod; ties go to the lowest node
+  // name. "" if no node fits.
+  std::string PickNode(std::int64_t cpu_milli) const;
+
+  // Observability (unknown nodes read as 0 / false).
   std::int64_t AllocatedCpuOn(const std::string& node_name) const;
+  std::int64_t CpuCapacityOf(const std::string& node_name) const;
   // True while the node carries a reclaim notice: excluded from
   // placement, pods draining toward other nodes (scenario engine).
   bool IsNodeDraining(const std::string& node_name) const;
+  // True while the Scheduler has cancelled the node (§4.3).
+  bool IsNodeCancelled(const std::string& node_name) const;
   const runtime::ObjectCache& pod_cache() const { return pod_cache_; }
   bool KubeletLinkReady(const std::string& node_name) const {
     return harness_.DownstreamReady(node_name);
@@ -85,6 +98,12 @@ class KD_LANE_OWNED(scheduler) Scheduler {
     std::uint64_t last_node_write_rv = 0;
   };
 
+  // The only way into nodes_: creates a node's entry (and its index
+  // key) on first use and applies `cpu_delta` to its allocation,
+  // keeping by_allocation_ in step.
+  NodeState& TrackNode(const std::string& name, std::int64_t cpu_delta = 0);
+  const NodeState* FindNode(const std::string& node_name) const;
+
   Duration Reconcile(const std::string& pod_key);
   // Reverses CancelNode once the node is reachable again. The node
   // resumes taking pods only after the cleared invalid mark COMMITS to
@@ -100,8 +119,6 @@ class KD_LANE_OWNED(scheduler) Scheduler {
   void OnReclaimNotice(const std::string& node_name,
                        std::int64_t reclaim_at_ms);
   void DrainNode(const std::string& node_name);
-  // Picks the least-allocated feasible node; returns "" if none fit.
-  std::string PickNode(const model::ApiObject& pod, Duration& scan_cost);
   void EnsureKubeletLink(const std::string& node_name);
   void OnPodMessage(const kubedirect::KdMessage& msg);
   void OnTombstone(const std::string& pod_key);
@@ -122,6 +139,10 @@ class KD_LANE_OWNED(scheduler) Scheduler {
   // Per-node scheduling state (capacity, allocation, cancellation).
   // The per-Kubelet HierarchyClients live in the harness fan-out.
   std::map<std::string, NodeState> nodes_;
+  // One (cpu_allocated, name) key per entry of nodes_, maintained by
+  // TrackNode: PickNode walks it from the least-allocated end. Keyed
+  // by value, not by NodeState* (kdlint R3).
+  std::set<std::pair<std::int64_t, std::string>> by_allocation_;
   // Pods whose Upsert is between arrival and cache insertion (the
   // kd_materialize window); tombstones for them are deferred, not
   // answered as unknown.

@@ -21,7 +21,10 @@
 //                   irreversible);
 //   EndpointsConvergence — the KubeProxy routing table (fed by the
 //                   Endpoints controller) equals the Running pod IPs
-//                   once the system quiesces.
+//                   once the system quiesces;
+//   ReadyCounts   — the Cluster's commit-time Running-pod counts
+//                   (TotalReadyPods, ReadyPodCount) equal a recount of
+//                   the API server's pods after every action.
 //
 // The action set covers the whole chain, including crash/restart of
 // the Endpoints controller and KubeProxy and partition/heal of their
@@ -457,6 +460,22 @@ class ModelWalk {
     ASSERT_EQ(static_cast<std::int64_t>(gateway_->total_invocations()),
               static_cast<std::int64_t>(gateway_->records().size()) +
                   gateway_->Demand("fn"));
+    CheckReadyCounts();
+  }
+
+  // ReadyCounts: the O(1) counts the commit observer keeps equal a
+  // brute-force recount of the store, whatever crashed, blipped or
+  // partitioned in between.
+  void CheckReadyCounts() {
+    std::size_t running = 0;
+    std::size_t running_fn = 0;
+    for (const ApiObject* pod : cluster_->apiserver().PeekAll(kKindPod)) {
+      if (model::GetPodPhase(*pod) != model::PodPhase::kRunning) continue;
+      ++running;
+      if (model::GetLabel(*pod, "app") == "fn") ++running_fn;
+    }
+    ASSERT_EQ(cluster_->TotalReadyPods(), running);
+    ASSERT_EQ(cluster_->ReadyPodCount("fn"), running_fn);
   }
 
   void CloseAndCheckConvergence() {
@@ -498,6 +517,7 @@ class ModelWalk {
     }
     ASSERT_TRUE(settled) << "did not stay converged: want " << desired_
                          << " got " << cluster_->ReadyPodCount("fn");
+    CheckReadyCounts();
 
     const auto& sched_cache = cluster_->scheduler().pod_cache();
     const auto& rs_cache = cluster_->replicaset_controller().pod_cache();
