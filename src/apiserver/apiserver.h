@@ -35,7 +35,6 @@
 #include "common/status.h"
 #include "model/objects.h"
 #include "sim/engine.h"
-#include "sim/seam_lock.h"
 
 namespace kd::apiserver {
 
@@ -141,11 +140,7 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   // matched against the last state, which carried the field.
   // `on_break` (optional) fires when the server crashes and the stream
   // dies with it. `lane` (optional) is the subscriber's lane: event
-  // deliveries execute there — required for parallel lane execution
-  // when the subscriber's lane group differs from the server's.
-  // Registration itself must happen outside parallel epochs or from
-  // the server's own group (boot-phase wiring and fault-path re-arms
-  // both qualify).
+  // deliveries execute there (sim/lane_checker.h).
   WatchId Watch(const std::string& kind,
                 std::function<bool(const model::ApiObject&)> filter,
                 WatchCallback cb, WatchBreakCallback on_break = nullptr,
@@ -205,9 +200,9 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   sim::Engine& engine() { return engine_; }
   const ApfQueue& apf() const { return apf_; }
 
-  // Lane-checker/parallel seam: the server's own lane. Client uplinks
+  // Lane-checker seam: the server's own lane. Client uplinks
   // ScheduleSeam onto it so every Handle*/commit runs in the server's
-  // lane group.
+  // lane.
   void SetLane(LaneId lane) { lane_ = lane; }
   LaneId lane() const { return lane_; }
 
@@ -268,7 +263,7 @@ class KD_LANE_OWNED(apiserver) ApiServer {
     std::function<bool(const model::ApiObject&)> filter;  // may be null
     WatchCallback cb;
     WatchBreakCallback on_break;  // may be null
-    LaneId lane = kNoLane;  // deliveries execute in this lane's group
+    LaneId lane = kNoLane;  // deliveries execute in this lane
   };
   // Bucketed by kind, so a write visits only its own kind's watchers;
   // within a bucket, WatchId order is delivery order.
@@ -282,10 +277,7 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   std::uint64_t epoch_ = 0;
   std::uint64_t next_request_id_ = 1;
   // In-flight requests (arrival .. response delivery), failed in id
-  // order on Crash(). The lock: responses execute in the requesting
-  // client's lane group (parallel mode), so the erase races the
-  // server-group emplace; keyed insert/erase on distinct ids commute.
-  sim::SeamLock pending_mu_;
+  // order on Crash().
   std::map<std::uint64_t, std::shared_ptr<RespondFn>> pending_;
   Time outage_started_at_ = 0;
   Duration outage_total_ = 0;

@@ -127,9 +127,8 @@ class KD_LANE_SEAM ApiClient {
  private:
   // Applies rate limit + client serialization + uplink latency, then
   // runs `send` (which must invoke a handler of `target`). The uplink
-  // is a sanctioned seam: `send` executes in the target server's lane
-  // group, so every Handle*/commit touches server state from exactly
-  // one group.
+  // is a sanctioned seam: `send` executes in the target server's lane,
+  // so every Handle*/commit touches server state from that lane only.
   void Dispatch(ApiServer* target, std::size_t request_bytes,
                 std::function<void()> send);
 

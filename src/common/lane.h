@@ -1,15 +1,15 @@
-// Lane-ownership model for the parallel-simulation roadmap (item 2).
+// Lane-ownership model: one owner per piece of component state, and
+// explicit seams between owners.
 //
-// A *lane* is the unit of future event-parallelism: one component's
-// event stream plus the mutable state only that stream may touch.
-// Before `sim::Engine` can be partitioned into per-component lanes
-// (conservative-lookahead PDES), every piece of component state must
-// have a declared owner, and every cross-lane effect must provably
-// route through a sanctioned seam (net::, the hierarchy channel,
-// ApiClient, the watch hub). kdlint rules R7/R8 enforce that model
-// statically from these annotations; the runtime counterpart is
-// sim::LaneChecker (src/sim/lane_checker.h). See LINT.md and
-// DESIGN.md §7 for the full ownership map.
+// A *lane* is one component's event stream plus the mutable state only
+// that stream may touch. Every piece of component state has a declared
+// owner, and every cross-lane effect routes through a sanctioned seam
+// (net::, the hierarchy channel, ApiClient, the watch hub). So a
+// component's state changes only in its own events, and a crash or
+// restart of one component loses only state it owned. kdlint rules
+// R7/R8 check the model statically from these annotations;
+// sim::LaneChecker (src/sim/lane_checker.h) checks it at run time, per
+// instance. See LINT.md and DESIGN.md §7 for the full ownership map.
 //
 // Usage:
 //

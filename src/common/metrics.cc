@@ -14,9 +14,9 @@ void Sample::EnsureSorted() const {
 
 double Sample::Sum() const {
   // Summed in sorted order so the result is a function of the multiset
-  // of samples, not of arrival order — parallel lane execution may
-  // interleave same-epoch Adds differently across thread counts, and
-  // floating-point addition is not associative.
+  // of samples, not of arrival order (floating-point addition is not
+  // associative). The benches' printed means and totals were recorded
+  // with this order; summing in arrival order would move them.
   EnsureSorted();
   return std::accumulate(values_.begin(), values_.end(), 0.0);
 }
@@ -63,25 +63,21 @@ std::vector<std::pair<double, double>> Sample::Cdf(int points) const {
 
 const Sample& MetricsRecorder::GetSample(const std::string& name) const {
   static const Sample kEmpty;
-  sim::SeamLockGuard lock(mu_);
   auto it = samples_.find(name);
   return it == samples_.end() ? kEmpty : it->second;
 }
 
 void MetricsRecorder::MarkStart(const std::string& name, Time t) {
-  sim::SeamLockGuard lock(mu_);
   auto& span = spans_[name];
   if (span.first_start < 0 || t < span.first_start) span.first_start = t;
 }
 
 void MetricsRecorder::MarkStop(const std::string& name, Time t) {
-  sim::SeamLockGuard lock(mu_);
   auto& span = spans_[name];
   if (t > span.last_stop) span.last_stop = t;
 }
 
 Duration MetricsRecorder::GetSpan(const std::string& name) const {
-  sim::SeamLockGuard lock(mu_);
   auto it = spans_.find(name);
   if (it == spans_.end()) return 0;
   const Span& span = it->second;
@@ -90,19 +86,16 @@ Duration MetricsRecorder::GetSpan(const std::string& name) const {
 }
 
 Time MetricsRecorder::GetFirstStart(const std::string& name) const {
-  sim::SeamLockGuard lock(mu_);
   auto it = spans_.find(name);
   return it == spans_.end() ? -1 : it->second.first_start;
 }
 
 Time MetricsRecorder::GetLastStop(const std::string& name) const {
-  sim::SeamLockGuard lock(mu_);
   auto it = spans_.find(name);
   return it == spans_.end() ? -1 : it->second.last_stop;
 }
 
 void MetricsRecorder::Clear() {
-  sim::SeamLockGuard lock(mu_);
   counters_.clear();
   samples_.clear();
   busy_.clear();

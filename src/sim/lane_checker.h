@@ -7,10 +7,11 @@
 // node-0001's event never touches node-0002's tables — because both
 // instances share one type. This checker closes that gap at run time:
 //
-//   - every event carries the lane of the context that scheduled it
-//     (Engine tags the slot at ScheduleAt and restores the lane before
-//     the closure fires), so lane membership flows through arbitrary
-//     closure chains for free;
+//   - every event carries the lane of the context that scheduled it,
+//     or the receiving lane when scheduled with ScheduleSeamAt/After
+//     (Engine tags the slot and restores the lane before the closure
+//     fires), so lane membership flows through arbitrary closure
+//     chains for free;
 //   - seams re-scope: a conduit that legitimately crosses lanes (net
 //     delivery, the informer merge, the control-loop dispatch, the
 //     harness lifecycle) opens a LaneScope for the *receiving* side
@@ -29,23 +30,10 @@
 // schedules events, never reads wall-clock state, and when disabled
 // costs one predicted branch per touch — enabling it must not (and
 // does not) change a run's event-trace fingerprint.
-//
-// PARALLEL MODE: when the engine runs lane groups on worker threads
-// the checker doubles as the parallel debug oracle. The current-event
-// context is thread-local, so each worker carries its own lane. The
-// same-virtual-time shadow map stays serial-only (its epoch clearing
-// is inherently single-threaded); what parallel mode keeps is the
-// per-touch ownership-breach check — wrong-lane touch of owned state —
-// which is deterministic regardless of worker interleaving because it
-// consults only the toucher's own context. With abort_on_conflict set
-// (the KD_LANES>1 debug default, wired by the cluster) a breach prints
-// both provenances and aborts the process at the first violating
-// touch.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,34 +54,16 @@ class LaneChecker {
   void Enable(bool on = true) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
-  // Skip the shadow-overlap tracking (worker threads can't share the
-  // epoch-scoped shadow map); keep the ownership-breach check, which
-  // is per-touch and thread-safe.
-  void SetParallelMode(bool on) { parallel_mode_ = on; }
-  bool parallel_mode() const { return parallel_mode_; }
+  // The lane of the executing event (or of the seam scope inside it).
+  LaneId current_lane() const { return ctx_.lane; }
+  void SetCurrentLane(LaneId lane) { ctx_.lane = lane; }
 
-  // Abort the process (after printing the conflict with both
-  // provenances) on the first wrong-lane touch. The parallel debug
-  // oracle: a breach under KD_LANES>1 is a real data race in flight.
-  void set_abort_on_conflict(bool on) { abort_on_conflict_ = on; }
-  bool abort_on_conflict() const { return abort_on_conflict_; }
-
-  // Current-event context is thread-local: each parallel worker (and
-  // the serial engine, trivially) tracks its own executing lane.
-  LaneId current_lane() const { return t_ctx.lane; }
-  void SetCurrentLane(LaneId lane) { t_ctx.lane = lane; }
-
-  // Called by the serial engine as each event fires: restores the
-  // event's lane and, when the virtual clock advanced, starts a new
-  // epoch (clears the shadow map — conflicts are only meaningful
-  // between events that would run concurrently in a parallel engine,
-  // i.e. at the same virtual time).
+  // Called by the engine as each event fires: restores the event's
+  // lane and, when the virtual clock advanced, starts a new epoch
+  // (clears the shadow map). Overlap conflicts are only tracked
+  // between events at the same virtual time: no seam latency orders
+  // them, only the sequence tie-break does.
   void BeginEvent(Time time, std::uint64_t seq, LaneId lane);
-
-  // Called by parallel workers: sets the thread's event context
-  // without touching the (serial-only) shadow map. seq is unknown
-  // until the barrier replay, so provenance reports time + lane only.
-  void BeginEventParallel(Time time, LaneId lane);
 
   // Reports one access to instrumented state. `site` identifies the
   // object (its address), `site_name` labels it in reports, `owner` is
@@ -130,7 +100,6 @@ class LaneChecker {
     Time time = 0;
     std::uint64_t seq = 0;
   };
-  static thread_local EventCtx t_ctx;
 
   struct TouchRec {
     LaneId lane;
@@ -140,19 +109,14 @@ class LaneChecker {
   };
 
   std::string FormatConflict(const Conflict& c) const;
-  void Record(Conflict c);
 
   bool enabled_ = false;
-  bool parallel_mode_ = false;
-  bool abort_on_conflict_ = false;
+  EventCtx ctx_;
   Time epoch_time_ = 0;
   std::vector<std::string> names_{"<none>"};  // index 0 = kNoLane
   std::map<std::string, LaneId> by_name_;
-  // (object address, key) -> first touch this epoch. Serial-only.
+  // (object address, key) -> first touch this epoch.
   std::map<std::pair<const void*, std::string>, TouchRec> shadow_;
-  // Guards the conflict log: the only checker state parallel workers
-  // mutate, and only on the (rare) conflict path.
-  mutable std::mutex mu_;
   std::vector<Conflict> conflicts_;
   std::uint64_t total_conflicts_ = 0;
 };

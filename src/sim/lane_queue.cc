@@ -19,11 +19,8 @@ void LaneQueue::AppendToWheel(Time t, std::uint64_t seq,
 }
 
 void LaneQueue::Arm(std::uint32_t index, Time t, std::uint64_t seq) {
-  Slot& slot = SlotAt(index);
-  assert(slot.armed);
-  assert(!slot.queued);
+  assert(SlotAt(index).armed);
   assert(t >= now_);
-  slot.queued = true;
   if (t - now_ < static_cast<Time>(kWheelSize)) {
     AppendToWheel(t, seq, index);
   } else {
@@ -184,7 +181,6 @@ bool LaneQueue::PopDue(Time limit, Fired& out) {
       out.seq = e.seq;
       out.generation = slot.generation;
       slot.armed = false;
-      slot.queued = false;
       ++slot.generation;
       assert(live_events_ > 0);
       --live_events_;

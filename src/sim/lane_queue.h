@@ -1,19 +1,14 @@
-// One event queue: a slot/generation arena plus a two-tier timing
-// structure. The serial Engine owns exactly one of these; the parallel
-// engine owns one per lane group and executes them concurrently
-// between barrier epochs (see sim/parallel.h).
+// The Engine's event queue: a slot/generation arena plus a two-tier
+// timing structure. Each slot also carries the lane tags the lane
+// checker reads (sim/lane_checker.h).
 //
-// The data structure is the one PR 1 built (and the file comment in
-// engine.h documents): closures stored in place in 64-byte slots that
-// live in address-stable chunks, a timing wheel covering the next 8192
-// ticks with an occupancy bitmap, and a 4-ary overflow min-heap whose
-// entries migrate into the wheel exactly when the advancing clock
-// brings them inside the horizon. Fire order is exactly sorted
-// (time, seq) for whatever seq values the caller arms events with —
-// the queue does not assign sequence numbers itself. That split is
-// what the parallel engine exploits: during an epoch it executes
-// events against tentative orderings and lets the barrier replay
-// assign the globally-serial seq to each spawn (sim/parallel.h).
+// The data structure (which the file comment in engine.h documents):
+// closures stored in place in 64-byte slots that live in
+// address-stable chunks, a timing wheel covering the next 8192 ticks
+// with an occupancy bitmap, and a 4-ary overflow min-heap whose entries
+// migrate into the wheel exactly when the advancing clock brings them
+// inside the horizon. Fire order is exactly sorted (time, seq) for the
+// seq values the caller arms events with; the Engine assigns them.
 #pragma once
 
 #include <cassert>
@@ -58,11 +53,6 @@ class LaneQueue {
     LaneId lane = kNoLane;    // lane the event executes in
     LaneId origin = kNoLane;  // lane of the scheduling context
     bool armed = false;
-    // True while a queue entry (wheel/heap) references the slot. An
-    // armed slot without one is a parallel-epoch spawn the barrier
-    // replay has not inserted yet; Cancel uses the flag to keep the
-    // live-event count exact (only queued events were counted).
-    bool queued = false;
   };
 
   // A fired event, handed back for the caller to invoke: the slot is
@@ -123,7 +113,6 @@ class LaneQueue {
       slot.destroy = [](void* c) { delete *static_cast<Fn**>(c); };
     }
     slot.armed = true;
-    slot.queued = false;
   }
 
   static void DestroyClosure(Slot& slot) {
@@ -148,8 +137,8 @@ class LaneQueue {
   // the caller-assigned sequence number. t must be >= now().
   void Arm(std::uint32_t index, Time t, std::uint64_t seq);
 
-  // Disarms a cancelled event that held a queue entry (drops the
-  // live-event count; the entry itself skims lazily).
+  // Accounts for a cancelled (disarmed) event: drops the live-event
+  // count; its queue entry skims lazily.
   void NoteCancelledQueued() {
     assert(live_events_ > 0);
     --live_events_;

@@ -48,11 +48,8 @@ std::string Hex(std::uint64_t v) {
   return StrFormat("%016llx", static_cast<unsigned long long>(v));
 }
 
-// Golden fingerprints of the serial engine, per shard count. Shard
-// counts without entries keep only the run-twice check, and so do
-// parallel-lane runs (KD_LANES > 1): there the S=1 etcd-persist@4 crash
-// trace diverges from the serial one (ROADMAP item 2 removes that
-// engine).
+// Golden fingerprints per shard count. Shard counts without entries
+// keep only the run-twice check.
 struct Golden {
   int shards;
   const char* trace;
@@ -72,7 +69,6 @@ constexpr Golden kGolden[] = {
 };
 
 void ExpectGoldenFingerprint(const std::string& trace, std::uint64_t actual) {
-  if (cluster::DefaultLaneGroups() > 1) return;
   const int shards = cluster::DefaultNumShards();
   bool pinned = false;
   for (const Golden& golden : kGolden) {

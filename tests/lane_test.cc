@@ -57,8 +57,8 @@ TEST(LaneCheckerTest, CrossLaneTouchReportsBothProvenances) {
   cache.BindLane(&checker, alpha, "alpha.cache");
 
   // Two events at the same virtual time: the owner writes first, then
-  // a beta-lane event touches the same key — in a parallel engine
-  // these would race.
+  // a beta-lane event touches the same key — only the sequence
+  // tie-break orders them.
   {
     sim::LaneScope scope(checker, alpha);
     engine.ScheduleAt(5, [&cache] { cache.Upsert(MakeObject("Pod", "p", 1)); });
@@ -126,6 +126,48 @@ TEST(LaneCheckerTest, EventsInheritTheSchedulingContextsLane) {
   EXPECT_EQ(c.actual, alpha);  // inherited through two hops
   EXPECT_EQ(c.time, 6);
   EXPECT_EQ(c.prev_lane, kNoLane);  // plain breach, no same-epoch race
+}
+
+TEST(LaneCheckerTest, SeamScheduleRunsInTargetLaneInScheduleOrder) {
+  sim::Engine engine;
+  sim::LaneChecker& checker = engine.lane_checker();
+  checker.Enable();
+  const LaneId alpha = checker.RegisterLane("alpha");
+  const LaneId beta = checker.RegisterLane("beta");
+
+  runtime::ObjectCache alpha_cache;
+  alpha_cache.BindLane(&checker, alpha, "alpha.cache");
+  runtime::ObjectCache beta_cache;
+  beta_cache.BindLane(&checker, beta, "beta.cache");
+
+  // An alpha event hands work to beta through ScheduleSeamAt, between
+  // two plain ScheduleAt calls for the same virtual time.
+  std::string order;
+  LaneId origin = kNoLane;
+  {
+    sim::LaneScope scope(checker, alpha);
+    engine.ScheduleAt(1, [&] {
+      engine.ScheduleAt(4, [&order] { order += "a"; });
+      engine.ScheduleSeamAt(beta, 4, [&] {
+        order += "s";
+        origin = engine.seam_origin_lane();
+        beta_cache.Upsert(MakeObject("Pod", "mine", 1));     // clean
+        alpha_cache.Upsert(MakeObject("Pod", "theirs", 1));  // breach
+      });
+      engine.ScheduleAt(4, [&order] { order += "c"; });
+    });
+  }
+  engine.Run();
+
+  EXPECT_EQ(order, "asc");  // seam and plain events keep schedule order
+  EXPECT_EQ(origin, alpha);
+  EXPECT_EQ(engine.seam_origin_lane(), kNoLane);  // outside any event
+  ASSERT_EQ(checker.total_conflicts(), 1u);
+  const sim::LaneChecker::Conflict& c = checker.conflicts()[0];
+  EXPECT_EQ(c.site, "alpha.cache");
+  EXPECT_EQ(c.owner, alpha);
+  EXPECT_EQ(c.actual, beta);  // the seam event runs in its target lane
+  EXPECT_EQ(c.time, 4);
 }
 
 TEST(LaneCheckerTest, DriverTouchesOutsideAnyLaneAreExempt) {

@@ -431,28 +431,32 @@ class ModelWalk {
     // NoPlacementOntoDraining: once the Scheduler marks a node
     // draining, the set of pods it binds there only shrinks — fresh
     // capacity goes elsewhere. Baselines reset on scheduler restarts
-    // (the mark is re-learned from the node informer).
+    // (the mark is re-learned from the node informer). A pod the
+    // Scheduler's cache showed on the node at an earlier step is not a
+    // new placement when it reappears: a restarted Scheduler or
+    // kubelet re-adopts it (§4.2). Pod names are never reused and a
+    // binding never changes, so this cannot excuse a fresh placement.
+    std::map<std::string, std::set<std::string>> bound;
+    for (const ApiObject* pod :
+         cluster_->scheduler().pod_cache().List(kKindPod)) {
+      bound[model::GetNodeName(*pod)].insert(pod->Key());
+    }
     for (int k = 0; k < kNodes; ++k) {
       const std::string node = Cluster::NodeName(k);
-      if (!cluster_->scheduler().IsNodeDraining(node)) {
+      std::set<std::string>& on_node = bound[node];
+      std::set<std::string>& seen = ever_bound_[node];
+      if (cluster_->scheduler().IsNodeDraining(node)) {
+        // The first draining step takes the current binding as baseline.
+        auto it = drain_baseline_.try_emplace(node, on_node).first;
+        for (const std::string& key : on_node) {
+          ASSERT_TRUE(it->second.count(key) || seen.count(key))
+              << key << " newly placed onto draining node " << node;
+        }
+        it->second = on_node;
+      } else {
         drain_baseline_.erase(node);
-        continue;
       }
-      std::set<std::string> on_node;
-      for (const ApiObject* pod :
-           cluster_->scheduler().pod_cache().List(kKindPod)) {
-        if (model::GetNodeName(*pod) == node) on_node.insert(pod->Key());
-      }
-      auto it = drain_baseline_.find(node);
-      if (it == drain_baseline_.end()) {
-        drain_baseline_.emplace(node, std::move(on_node));
-        continue;
-      }
-      for (const std::string& key : on_node) {
-        ASSERT_TRUE(it->second.count(key))
-            << key << " newly placed onto draining node " << node;
-      }
-      it->second = std::move(on_node);
+      seen.insert(on_node.begin(), on_node.end());
     }
     // NoLostInvocations, at every step: everything ever issued is
     // completed or still pending (executing + queued). Reclaim
@@ -588,10 +592,12 @@ class ModelWalk {
   int desired_ = 0;
   int upgrade_cursor_ = 0;
   bool api_seam_armed_ = false;
-  // Nodes carrying an unexpired reclamation mark, and per draining
-  // node the pod set the Scheduler last had bound there (shrink-only).
+  // Nodes carrying an unexpired reclamation mark; per draining node
+  // the pod set the Scheduler last had bound there (shrink-only); and
+  // per node every pod the Scheduler's cache ever showed bound there.
   std::set<std::string> reclaim_marked_;
   std::map<std::string, std::set<std::string>> drain_baseline_;
+  std::map<std::string, std::set<std::string>> ever_bound_;
   std::set<std::pair<std::string, std::string>> partitioned_;
   std::set<std::string> ever_published_;
   std::set<std::string> ever_deleted_;
@@ -604,14 +610,21 @@ TEST_P(ModelWalkTest, RandomWalkConvergesAndStaysSafe) {
   walk.Run(/*steps=*/40);
 }
 
-// Seed matrix: 1..20 by default; PROPERTY_SEEDS overrides it with
-// either a range ("1-200") or a comma list ("7,13,42") — used by CI
-// soaks and to replay a single failing seed locally.
+// Seed matrix: 1..20 by default, plus regression seeds whose walks
+// re-adopt pods onto a draining node (a Scheduler restart mid-drain,
+// or a kubelet crash before its unpublish delete lands) and once
+// tripped a too-strict NoPlacementOntoDraining. PROPERTY_SEEDS
+// overrides it with either a range ("1-200") or a comma list
+// ("7,13,42") — used by CI soaks and to replay a single failing seed
+// locally.
 std::vector<std::uint64_t> SeedMatrix() {
   std::vector<std::uint64_t> seeds;
   const char* spec = std::getenv("PROPERTY_SEEDS");
   if (spec == nullptr || *spec == '\0') {
     for (std::uint64_t s = 1; s <= 20; ++s) seeds.push_back(s);
+    for (std::uint64_t s : {129u, 136u, 559u, 637u, 654u, 737u, 844u}) {
+      seeds.push_back(s);
+    }
     return seeds;
   }
   const std::string text(spec);

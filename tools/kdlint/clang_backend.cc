@@ -445,10 +445,9 @@ CXChildVisitResult Visit(CXCursor cursor, CXCursor, CXClientData data) {
     if (hit) {
       ctx->Add(LineOf(cursor), "R9",
                "raw threading primitive '" + bare +
-                   "' - parallelism is the engine's job (src/sim); "
-                   "product code runs single-lane between barrier "
-                   "epochs and must use sim::SeamLock for the "
-                   "sanctioned commutative seams");
+                   "' - the simulator is single-threaded; byte-identical "
+                   "traces depend on one thread firing every event "
+                   "in (time, seq) order");
     }
   }
 

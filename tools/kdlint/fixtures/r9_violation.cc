@@ -1,5 +1,5 @@
 // kdlint fixture: R9 must fire on raw threading primitives (threads,
-// locks, atomics — the engine owns all parallelism) and stay quiet on
+// locks, atomics — the simulator is single-threaded) and stay quiet on
 // member accesses that merely share a name. Lines asserted exactly by
 // tests/kdlint_test.cc.
 #include <atomic>

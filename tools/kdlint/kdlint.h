@@ -18,8 +18,8 @@
 //   R8  no raw pointer/reference to another lane's KD_LANE_OWNED state
 //       stored as a member or captured into a scheduled closure
 //   R9  no raw threading primitives (std::thread/mutex/atomics)
-//       outside src/sim — the engine owns all parallelism; product
-//       code uses sim::SeamLock for sanctioned commutative seams
+//       anywhere in src/, the engine included — the simulator is
+//       single-threaded, and its byte-identical traces depend on it
 //
 // R7/R8 read the ownership model declared in src/common/lane.h; the
 // driver harvests every KD_LANE_OWNED/KD_LANE_SEAM annotation across

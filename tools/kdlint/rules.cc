@@ -65,14 +65,12 @@ const std::set<std::string>& ScheduleEntryPoints() {
   return kSet;
 }
 
-// R9: raw threading primitives. Parallel execution is the engine's
-// job (src/sim, PARALLEL MODE): product code runs single-lane between
-// barrier epochs, so a thread, lock, or atomic of its own would race
-// the deterministic schedule the engine replays. The sanctioned
-// wrapper for the few commutative cross-lane seams is sim::SeamLock
-// (src/sim/seam_lock.h). `thread` and `atomic` are common enough
-// words that only their std-qualified / template forms are flagged
-// (see RunR9).
+// R9: raw threading primitives, anywhere in src/ (the engine
+// included). The simulator is single-threaded: byte-identical traces
+// depend on one thread firing every event in (time, seq) order, so a
+// thread, lock, or atomic has no sanctioned place. `thread` and
+// `atomic` are common enough words that only their std-qualified /
+// template forms are flagged (see RunR9).
 const std::set<std::string>& BannedThreadingIdents() {
   static const std::set<std::string> kSet = {
       "jthread",          "mutex",
@@ -450,8 +448,8 @@ void RunR6(const std::string& path, const Tokens& t,
   }
 }
 
-// R9 over one token stream: no raw threading primitives outside the
-// engine. Most of the banned names (mutex, lock_guard, once_flag...)
+// R9 over one token stream: no raw threading primitives. Most of the
+// banned names (mutex, lock_guard, once_flag...)
 // are unambiguous; `thread` and `atomic` are ordinary words, so they
 // are flagged only as `std::thread` / `std::atomic` / `atomic<...>`.
 // Member accesses (`seam.mutex()`) name somebody else's API and stay
@@ -474,10 +472,9 @@ void RunR9(const std::string& path, const Tokens& t,
     }
     out.push_back({path, t[i].line, "R9",
                    "raw threading primitive '" + id +
-                       "' - parallelism is the engine's job (src/sim); "
-                       "product code runs single-lane between barrier "
-                       "epochs and must use sim::SeamLock for the "
-                       "sanctioned commutative seams",
+                       "' - the simulator is single-threaded; byte-identical "
+                       "traces depend on one thread firing every event "
+                       "in (time, seq) order",
                    false,
                    ""});
   }
@@ -500,7 +497,7 @@ void RunR9(const std::string& path, const Tokens& t,
 //   R8: a raw pointer/reference member of a foreign-owned type, or a
 //       foreign handle mentioned inside a closure passed to
 //       Schedule*, stores cross-lane reach across events — the escape
-//       that would defeat any future lane barrier.
+//       that lets a later event touch foreign state outside any seam.
 // Instance granularity (this kubelet vs. that kubelet) is the runtime
 // lane checker's job (src/sim/lane_checker.h); the static pass proves
 // inter-component isolation.
@@ -852,7 +849,6 @@ bool RuleAppliesTo(const Options& opts, const std::string& rule,
   };
   if (!under("src/")) return false;       // tests/bench own their idioms
   if (rule == "R1") return !under("src/sim/");  // the engine owns time
-  if (rule == "R9") return !under("src/sim/");  // ...and all threads
   if (rule == "R5") return under("src/controllers/") || under("src/faas/");
   // The router itself is the one place allowed to do shard arithmetic.
   if (rule == "R6") return !under("src/apiserver/");
@@ -1009,7 +1005,7 @@ std::string ToSarif(const std::vector<Finding>& findings) {
       {"R6", "shard routing goes through ShardRouter"},
       {"R7", "events may only reach state owned by their lane"},
       {"R8", "no raw cross-lane handles stored or captured across events"},
-      {"R9", "no raw threading primitives outside the engine (src/sim)"},
+      {"R9", "no raw threading primitives: the simulator is single-threaded"},
   };
   std::string out;
   out += "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",";
