@@ -1,5 +1,7 @@
 #include "controllers/endpoints_controller.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/strings.h"
 #include "model/objects.h"
@@ -10,6 +12,24 @@ using model::ApiObject;
 using model::kKindEndpoints;
 using model::kKindPod;
 using model::kKindService;
+
+namespace {
+
+// Where `ip` sits, or would be inserted, in a sorted address array, and
+// whether it is there.
+std::pair<std::size_t, bool> Locate(const model::Value& list,
+                                    const std::string& ip) {
+  const model::Value::Array& addrs = list.array();
+  auto it = std::lower_bound(
+      addrs.begin(), addrs.end(), ip,
+      [](const model::Value& a, const std::string& b) {
+        return a.as_string() < b;
+      });
+  return {static_cast<std::size_t>(it - addrs.begin()),
+          it != addrs.end() && it->as_string() == ip};
+}
+
+}  // namespace
 
 EndpointsController::EndpointsController(runtime::Env& env, Mode mode)
     : env_(env),
@@ -72,8 +92,9 @@ EndpointsController::EndpointsController(runtime::Env& env, Mode mode)
 }
 
 void EndpointsController::AcceptDirectStream(net::ConnHandlePtr conn) {
-  conn->set_on_message([this](std::string payload) {
-    if (!harness_.crashed()) OnDirectMessage(payload);
+  conn->set_on_message([this](net::Payload payload) {
+    std::shared_ptr<const std::string> text = payload.body<std::string>();
+    if (text != nullptr && !harness_.crashed()) OnDirectMessage(*text);
   });
   net::ConnHandle* raw = conn.get();
   conn->set_on_disconnect([this, raw] {
@@ -90,11 +111,11 @@ void EndpointsController::AcceptDirectStream(net::ConnHandlePtr conn) {
   direct_conns_.push_back(std::move(conn));
 }
 
-void EndpointsController::OnDirectMessage(const std::string& payload) {
-  const std::vector<std::string> parts = StrSplit(payload, ' ');
+void EndpointsController::OnDirectMessage(const std::string& text) {
+  const std::vector<std::string> parts = StrSplit(text, ' ');
   if (parts.empty()) return;
   auto withdraw = [this](const std::string& service, const std::string& ip) {
-    if (addresses_[service].erase(ip) > 0) {
+    if (RemoveAddress(service, ip)) {
       harness_.loop().EnqueueAfter(service,
                                    env_.cost.kd_endpoint_stream_latency);
     }
@@ -105,7 +126,7 @@ void EndpointsController::OnDirectMessage(const std::string& payload) {
     const std::string& service = parts[3];
     const std::string& ip = parts[4];
     direct_eps_[node][pod_key] = {service, ip};
-    if (addresses_[service].insert(ip).second) {
+    if (AddAddress(service, ip)) {
       harness_.loop().EnqueueAfter(service,
                                    env_.cost.kd_endpoint_stream_latency);
     }
@@ -143,17 +164,25 @@ void EndpointsController::OnPodChange(const ApiObject* before,
   bool changed = false;
   std::string service;
   const std::string prev_ip = ready_ip(before);
-  if (!prev_ip.empty()) {
-    service = service_of(before);
-    if (!service.empty() && addresses_[service].erase(prev_ip) > 0) {
-      changed = true;
-    }
-  }
   const std::string next_ip = ready_ip(after);
-  if (!next_ip.empty()) {
+  if (!prev_ip.empty() && prev_ip == next_ip &&
+      service_of(before) == service_of(after)) {
+    // Still ready at the same Service and IP: the remove + add this
+    // update stands for leaves the list as it was (the add restores an
+    // address a direct-stream withdrawal took out), and it publishes
+    // like any other change.
     service = service_of(after);
-    if (!service.empty() && addresses_[service].insert(next_ip).second) {
-      changed = true;
+    if (service.empty()) return;
+    AddAddress(service, next_ip);
+    changed = true;
+  } else {
+    if (!prev_ip.empty()) {
+      service = service_of(before);
+      if (!service.empty() && RemoveAddress(service, prev_ip)) changed = true;
+    }
+    if (!next_ip.empty()) {
+      service = service_of(after);
+      if (!service.empty() && AddAddress(service, next_ip)) changed = true;
     }
   }
   if (!changed || service.empty()) return;
@@ -166,18 +195,42 @@ void EndpointsController::OnPodChange(const ApiObject* before,
   harness_.loop().EnqueueAfter(service, window);
 }
 
+bool EndpointsController::AddAddress(const std::string& service,
+                                     const std::string& ip) {
+  auto it = addresses_.find(service);
+  if (it == addresses_.end()) {
+    it = addresses_.emplace(service, model::Value::MakeArray()).first;
+  }
+  const auto [at, present] = Locate(it->second, ip);
+  if (present) return false;
+  it->second.InsertAt(at, ip);
+  return true;
+}
+
+bool EndpointsController::RemoveAddress(const std::string& service,
+                                        const std::string& ip) {
+  auto it = addresses_.find(service);
+  if (it == addresses_.end()) return false;
+  const auto [at, present] = Locate(it->second, ip);
+  if (!present) return false;
+  it->second.EraseAt(at);
+  return true;
+}
+
+model::Value EndpointsController::ListFor(const std::string& service) const {
+  auto it = addresses_.find(service);
+  return it == addresses_.end() ? model::Value::MakeArray() : it->second;
+}
+
 std::vector<std::string> EndpointsController::AddressesFor(
     const std::string& service) const {
-  auto it = addresses_.find(service);
-  if (it == addresses_.end()) return {};
-  return std::vector<std::string>(it->second.begin(), it->second.end());
+  return model::AddressStrings(ListFor(service));
 }
 
 Duration EndpointsController::Reconcile(const std::string& service_name) {
   const ApiObject* svc =
       cache_.Get(ApiObject::MakeKey(kKindService, service_name));
   if (svc == nullptr) return 0;
-  std::vector<std::string> addrs = AddressesFor(service_name);
 
   env_.metrics.MarkStart("endpoints", env_.engine.now());
   if (mode_ == Mode::kKd) {
@@ -185,21 +238,20 @@ Duration EndpointsController::Reconcile(const std::string& service_name) {
     if (downstream == nullptr || !downstream->ready()) {
       return 0;  // re-sent on_ready
     }
+    model::Value list = ListFor(service_name);
     auto sent = last_sent_.find(service_name);
-    if (sent != last_sent_.end() && sent->second == addrs) return 0;
+    if (sent != last_sent_.end() && sent->second == list) return 0;
     kubedirect::KdMessage msg;
     msg.obj_key = ApiObject::MakeKey(kKindEndpoints, service_name);
-    model::Value list = model::Value::MakeArray();
-    for (const std::string& a : addrs) list.push_back(a);
-    msg.attrs.emplace("spec.addresses",
-                      kubedirect::KdValue::Literal(std::move(list)));
+    msg.attrs.emplace("spec.addresses", kubedirect::KdValue::Literal(list));
     downstream->SendUpsert(msg);
-    last_sent_[service_name] = std::move(addrs);
+    last_sent_[service_name] = std::move(list);
     env_.metrics.MarkStop("endpoints", env_.engine.now());
     return 0;
   }
 
   // K8s path: one Endpoints object write per batch window.
+  const std::vector<std::string> addrs = AddressesFor(service_name);
   const ApiObject* existing =
       cache_.Get(ApiObject::MakeKey(kKindEndpoints, service_name));
   if (existing != nullptr && model::GetEndpointsAddresses(*existing) == addrs) {

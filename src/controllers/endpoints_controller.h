@@ -13,13 +13,18 @@
 //         over a level-triggered ("__none__") KubeDirect link at
 //         sub-millisecond latency, no API write.
 //
-// Either way the Gateway consumes real Endpoints state, not a
+// Each Service's ready addresses live in one sorted copy-on-write
+// array that the pod handlers edit in place. A Kd publish sends that
+// array by handle: the upsert, last_sent_ and KubeProxy's table share
+// it, and the wire is still charged for the whole list. The next edit
+// detaches a private copy, so a sent list never changes under its
+// readers. Either way the Gateway consumes real Endpoints state, not a
 // simulation shortcut.
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/lane.h"
@@ -58,19 +63,26 @@ class KD_LANE_OWNED(endpoints) EndpointsController {
   // routing fresh through an API outage. Idempotent against the
   // informer-fed path (both mutate the same address sets).
   void AcceptDirectStream(net::ConnHandlePtr conn);
-  void OnDirectMessage(const std::string& payload);
+  void OnDirectMessage(const std::string& text);
+  // Edit `service`'s sorted list; true when the list changed.
+  bool AddAddress(const std::string& service, const std::string& ip);
+  bool RemoveAddress(const std::string& service, const std::string& ip);
+  // `service`'s list by handle (an empty array when it has none).
+  model::Value ListFor(const std::string& service) const;
 
   runtime::Env& env_;
   Mode mode_;
   runtime::ControllerHarness harness_;
   runtime::ObjectCache cache_;  // Services + Pods (+ Endpoints in K8s)
 
-  // service -> ready pod IPs, maintained incrementally by the pod
-  // change handler (reconcile publishes, it never re-scans pods).
-  std::map<std::string, std::set<std::string>> addresses_;
-  // Kd: last address list streamed per service (level-triggered resend
-  // after link resets).
-  std::map<std::string, std::vector<std::string>> last_sent_;
+  // service -> sorted array of ready pod IPs, maintained incrementally
+  // by the pod change handlers (reconcile publishes, it never re-scans
+  // pods).
+  std::map<std::string, model::Value> addresses_;
+  // Kd: the list handle last streamed per service (level-triggered
+  // resend after link resets). Equal to addresses_'s entry, usually
+  // by sharing it, when there is nothing new to send.
+  std::map<std::string, model::Value> last_sent_;
 
   // Direct-stream bookkeeping: node -> pod key -> (service, ip). A
   // node's entries are dropped wholesale on its "reset" (new kubelet

@@ -24,7 +24,7 @@ KubeProxy::KubeProxy(runtime::Env& env, Mode mode)
                                     const ApiObject* after) {
     (void)key;
     if (after != nullptr && after->kind == kKindEndpoints) {
-      table_[after->name] = model::GetEndpointsAddresses(*after);
+      table_[after->name] = after->spec["addresses"];
       Publish(after->name);
     } else if (before != nullptr && after == nullptr &&
                before->kind == kKindEndpoints) {
@@ -44,15 +44,7 @@ KubeProxy::KubeProxy(runtime::Env& env, Mode mode)
     const std::string service = msg.obj_key.substr(slash + 1);
     auto it = msg.attrs.find("spec.addresses");
     if (it == msg.attrs.end() || it->second.is_pointer()) return;
-    const model::Value& list = it->second.literal();
-    std::vector<std::string> addrs;
-    if (list.is_array()) {
-      addrs.reserve(list.size());
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        addrs.push_back(list.at(i).as_string());
-      }
-    }
-    table_[service] = std::move(addrs);
+    table_[service] = it->second.literal();
     Publish(service);
   };
   harness_.ServeUpstream(std::move(upstream));
@@ -63,14 +55,13 @@ KubeProxy::KubeProxy(runtime::Env& env, Mode mode)
 std::vector<std::string> KubeProxy::AddressesFor(
     const std::string& service) const {
   auto it = table_.find(service);
-  return it == table_.end() ? std::vector<std::string>{} : it->second;
+  return it == table_.end() ? std::vector<std::string>{}
+                            : model::AddressStrings(it->second);
 }
 
 void KubeProxy::Publish(const std::string& service) {
   if (!sink_) return;
-  auto it = table_.find(service);
-  sink_(service,
-        it == table_.end() ? std::vector<std::string>{} : it->second);
+  sink_(service, AddressesFor(service));
 }
 
 }  // namespace kd::controllers

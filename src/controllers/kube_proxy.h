@@ -8,9 +8,12 @@
 //         Endpoints controller streams directly (level-triggered
 //         "__none__" link, no API server on the path).
 //
-// The sink fires with the full current list whenever a Service's
-// addresses change — the same contract faas::Backend::EndpointSink
-// exposes, so the Gateway is transport-agnostic.
+// The table keeps each received list as the array Value it arrived as
+// (in Kd mode, shared with the sender); strings are only built for a
+// reader. The sink fires with the full current list whenever a
+// Service's addresses change — the same contract
+// faas::Backend::EndpointSink exposes, so the Gateway is
+// transport-agnostic.
 #pragma once
 
 #include <functional>
@@ -52,7 +55,8 @@ class KD_LANE_OWNED(kubeproxy) KubeProxy {
   runtime::ObjectCache ep_cache_;  // K8s: Endpoints (informer)
 
   Sink sink_;
-  std::map<std::string, std::vector<std::string>> table_;
+  // service -> address array (Endpoints spec.addresses shape).
+  std::map<std::string, model::Value> table_;
 };
 
 }  // namespace kd::controllers

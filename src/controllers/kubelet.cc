@@ -498,10 +498,11 @@ void Kubelet::EnsureEndpointStream() {
         });
         // Level-triggered resync: the receiver drops whatever it knew
         // from our previous incarnation, then learns the current set.
-        (void)ep_stream_->Send("reset " + node_name_);
+        (void)ep_stream_->Send(net::Payload::Text("reset " + node_name_));
         for (const auto& [key, entry] : ep_announced_) {
-          (void)ep_stream_->Send("up " + node_name_ + " " + key + " " +
-                                 entry.first + " " + entry.second);
+          (void)ep_stream_->Send(net::Payload::Text(
+              "up " + node_name_ + " " + key + " " + entry.first + " " +
+              entry.second));
         }
       });
 }
@@ -513,8 +514,8 @@ void Kubelet::AnnounceEndpointUp(const ApiObject& pod) {
   if (service.empty() || ip.empty()) return;
   ep_announced_[pod.Key()] = {service, ip};
   if (ep_stream_ != nullptr && ep_stream_->connected()) {
-    (void)ep_stream_->Send("up " + node_name_ + " " + pod.Key() + " " +
-                           service + " " + ip);
+    (void)ep_stream_->Send(net::Payload::Text(
+        "up " + node_name_ + " " + pod.Key() + " " + service + " " + ip));
     return;
   }
   EnsureEndpointStream();  // resync-on-connect delivers it
@@ -524,7 +525,8 @@ void Kubelet::AnnounceEndpointDown(const std::string& pod_key) {
   if (!DirectEndpointsEnabled()) return;
   if (ep_announced_.erase(pod_key) == 0) return;
   if (ep_stream_ != nullptr && ep_stream_->connected()) {
-    (void)ep_stream_->Send("down " + node_name_ + " " + pod_key);
+    (void)ep_stream_->Send(
+        net::Payload::Text("down " + node_name_ + " " + pod_key));
     return;
   }
   EnsureEndpointStream();

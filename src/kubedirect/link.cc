@@ -1,6 +1,6 @@
 #include "kubedirect/link.h"
 
-#include "common/logging.h"
+#include "common/check.h"
 
 namespace kd::kubedirect {
 
@@ -14,8 +14,8 @@ void KdLink::Bind(std::function<void(WireMessage)> on_message,
   on_message_ = std::move(on_message);
   on_disconnect_ = std::move(on_disconnect);
   auto weak = weak_from_this();
-  conn_->set_on_message([weak](std::string payload) {
-    if (auto self = weak.lock()) self->OnPayload(std::move(payload));
+  conn_->set_on_message([weak](net::Payload payload) {
+    if (auto self = weak.lock()) self->OnPayload(payload);
   });
   conn_->set_on_disconnect([weak] {
     auto self = weak.lock();
@@ -62,21 +62,21 @@ void KdLink::Flush() {
     pending_.clear();
     return;
   }
-  std::string payload = SerializeBatch(pending_);
+  const std::size_t bytes = SerializedBatchSize(pending_);
   messages_sent_ += pending_.size();
-  bytes_sent_ += payload.size();
+  bytes_sent_ += bytes;
   if (metrics_) {
     metrics_->Count("kd_messages_sent",
                     static_cast<std::int64_t>(pending_.size()));
-    metrics_->Count("kd_bytes_sent",
-                    static_cast<std::int64_t>(payload.size()));
+    metrics_->Count("kd_bytes_sent", static_cast<std::int64_t>(bytes));
   }
-  pending_.clear();
+  net::Payload payload = net::Payload::Of(std::move(pending_), bytes);
+  pending_.clear();  // moved-from: empty it for the next batch
   // Sender-side serialization: CPU work, so consecutive batches queue
   // behind each other — negligible for pointer-compressed messages,
   // the dominant cost in the full-object ablation (Fig. 14).
   const Duration ser = static_cast<Duration>(
-      static_cast<double>(payload.size()) * cost_.serialize_ns_per_byte);
+      static_cast<double>(bytes) * cost_.serialize_ns_per_byte);
   if (ser <= 0) {
     conn_->Send(std::move(payload)).ok();  // failure == in-flight drop
     return;
@@ -91,19 +91,15 @@ void KdLink::Flush() {
   });
 }
 
-void KdLink::OnPayload(std::string payload) {
-  StatusOr<std::vector<WireMessage>> batch = ParseBatch(payload);
-  if (!batch.ok()) {
-    KD_LOG(kWarning, "kdlink") << "dropping malformed batch: "
-                               << batch.status().ToString();
-    return;
-  }
+void KdLink::OnPayload(const net::Payload& payload) {
+  std::shared_ptr<const Batch> batch = payload.body<Batch>();
+  KD_CHECK(batch != nullptr, "KdLink received a payload that is not a batch");
   // Receiver-side deserialization, amortized per message in the batch.
   const Duration deser = static_cast<Duration>(
-      static_cast<double>(payload.size()) * cost_.serialize_ns_per_byte /
+      static_cast<double>(payload.bytes()) * cost_.serialize_ns_per_byte /
       static_cast<double>(std::max<std::size_t>(batch->size(), 1)));
-  for (auto& msg : *batch) {
-    inbound_.push_back({std::move(msg), deser});
+  for (std::size_t i = 0; i < batch->size(); ++i) {
+    inbound_.push_back({batch, i, deser});
   }
   if (!delivering_) DeliverNext();
 }
@@ -115,7 +111,7 @@ void KdLink::DeliverNext() {
   }
   delivering_ = true;
   auto weak = weak_from_this();
-  const Duration cost = cost_.kd_message_process + inbound_.front().second;
+  const Duration cost = cost_.kd_message_process + inbound_.front().deser;
   engine_.ScheduleAfter(cost, [weak] {
     auto self = weak.lock();
     if (!self || self->closed_) return;
@@ -123,9 +119,9 @@ void KdLink::DeliverNext() {
       self->delivering_ = false;
       return;
     }
-    WireMessage msg = std::move(self->inbound_.front().first);
+    const Inbound next = std::move(self->inbound_.front());
     self->inbound_.pop_front();
-    if (self->on_message_) self->on_message_(msg);
+    if (self->on_message_) self->on_message_((*next.batch)[next.index]);
     self->DeliverNext();
   });
 }

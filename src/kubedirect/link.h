@@ -4,9 +4,13 @@
 //
 // Outbound messages accumulate into a batch that flushes when it
 // reaches cost.kd_batch messages or when the batch window elapses;
-// handshake traffic flushes immediately. Inbound batches are unpacked
-// and delivered one message at a time, each charged the per-message
-// processing cost, in FIFO order.
+// handshake traffic flushes immediately. A flush hands the batch
+// itself to the connection as the payload body, charged at
+// SerializedBatchSize() — the exact length SerializeBatch() would
+// produce — so the wire costs what the JSON frame would, but nothing
+// is encoded or parsed. The receiver delivers the sender's messages
+// one at a time, each charged the per-message processing cost plus its
+// share of the batch's deserialization, in FIFO order.
 #pragma once
 
 #include <algorithm>
@@ -49,9 +53,11 @@ class KD_LANE_SEAM KdLink : public std::enable_shared_from_this<KdLink> {
   std::uint64_t bytes_sent() const { return bytes_sent_; }
 
  private:
+  using Batch = std::vector<WireMessage>;
+
   void Flush();
   void ScheduleFlush();
-  void OnPayload(std::string payload);
+  void OnPayload(const net::Payload& payload);
   void DeliverNext();
 
   sim::Engine& engine_;
@@ -62,14 +68,20 @@ class KD_LANE_SEAM KdLink : public std::enable_shared_from_this<KdLink> {
   std::function<void(WireMessage)> on_message_;
   std::function<void()> on_disconnect_;
 
-  std::vector<WireMessage> pending_;
+  Batch pending_;
   bool flush_scheduled_ = false;
   std::uint64_t flush_generation_ = 0;
   Time egress_free_ = 0;  // sender-side serialization pipeline
 
   // Inbound processing pipeline: one message at a time, each paying
-  // kd_message_process plus its amortized deserialization share.
-  std::deque<std::pair<WireMessage, Duration>> inbound_;
+  // kd_message_process plus its amortized deserialization share. An
+  // entry names its message by position in the received batch.
+  struct Inbound {
+    std::shared_ptr<const Batch> batch;
+    std::size_t index;
+    Duration deser;
+  };
+  std::deque<Inbound> inbound_;
   bool delivering_ = false;
   bool closed_ = false;
 

@@ -85,6 +85,104 @@ StatusOr<KdMessage> DecodeKdMessage(const model::Value& v) {
   return msg;
 }
 
+// A compact-JSON rendering's byte length and its '"'/'\' count.
+struct JsonCost {
+  std::size_t size = 0;
+  std::size_t escapes = 0;
+
+  JsonCost& operator+=(const JsonCost& other) {
+    size += other.size;
+    escapes += other.escapes;
+    return *this;
+  }
+};
+
+JsonCost StringCost(const std::string& s) {
+  return {model::JsonStringSize(s), model::JsonStringEscapes(s)};
+}
+
+JsonCost ValueCost(const model::Value& v) {
+  return {v.SerializedSize(), v.SerializedEscapes()};
+}
+
+// Brackets or braces plus the commas between `n` members.
+JsonCost Container(std::size_t n) { return {2 + (n > 0 ? n - 1 : 0), 0}; }
+
+// `"k":` for a one-letter key.
+constexpr JsonCost kTagKey{4, 2};
+
+// Mirrors EncodeKdMessage: {"a":{path:{"p":"key#path"}|{"v":lit}},"o":key}.
+JsonCost KdMessageCost(const KdMessage& msg) {
+  JsonCost attrs = Container(msg.attrs.size());
+  for (const auto& [path, value] : msg.attrs) {
+    attrs += StringCost(path);
+    attrs.size += 1;  // colon
+    attrs += Container(1);
+    attrs += kTagKey;
+    if (value.is_pointer()) {
+      // One string: the two quoted parts lose a pair of quotes and
+      // gain the '#'.
+      const JsonCost key = StringCost(value.pointer().obj_key);
+      const JsonCost attr = StringCost(value.pointer().attr_path);
+      attrs.size += key.size + attr.size - 1;
+      attrs.escapes += key.escapes + attr.escapes - 2;
+    } else {
+      attrs += ValueCost(value.literal());
+    }
+  }
+  JsonCost out = Container(2);
+  out += kTagKey;
+  out += attrs;
+  out += kTagKey;
+  out += StringCost(msg.obj_key);
+  return out;
+}
+
+// Mirrors WireMessage::Serialize: {section,"t":"<tag>"} with exactly
+// one section besides the tag.
+JsonCost WireCost(const WireMessage& msg) {
+  JsonCost section;
+  switch (msg.type) {
+    case WireMessage::Type::kUpsert:
+    case WireMessage::Type::kSoftInvalidate:
+      section = KdMessageCost(msg.message);
+      break;
+    case WireMessage::Type::kRemove:
+    case WireMessage::Type::kTombstone:
+    case WireMessage::Type::kAck:
+      section = StringCost(msg.key);
+      break;
+    case WireMessage::Type::kStateVersions:
+      section = Container(msg.versions.size());
+      for (const auto& [k, hash] : msg.versions) {
+        section += StringCost(k);
+        section.size += 1 + model::JsonIntSize(static_cast<std::int64_t>(hash));
+      }
+      break;
+    case WireMessage::Type::kStateRequest:
+      section = Container(msg.keys.size());
+      for (const auto& k : msg.keys) section += StringCost(k);
+      break;
+    case WireMessage::Type::kStateSnapshot:
+      // Each object travels as its JSON text inside a JSON string:
+      // every '"' and '\' in that text gains a backslash, and both
+      // bytes of each such pair count as escapes one level up.
+      section = Container(msg.objects.size());
+      for (const auto& obj : msg.objects) {
+        const std::size_t escapes = obj.SerializedEscapes();
+        section.size += 2 + obj.SerializedSize() + escapes;
+        section.escapes += 2 + 2 * escapes;
+      }
+      break;
+  }
+  JsonCost out = Container(2);
+  out += kTagKey;
+  out += section;
+  out += kTagKey;
+  out += {3, 2};  // the quoted one-letter type tag
+  return out;
+}
+
 }  // namespace
 
 const char* WireMessageTypeName(WireMessage::Type type) {
@@ -137,6 +235,8 @@ std::string WireMessage::Serialize() const {
   }
   return out.Serialize();
 }
+
+std::size_t WireMessage::SerializedSize() const { return WireCost(*this).size; }
 
 StatusOr<WireMessage> WireMessage::Parse(const std::string& text) {
   StatusOr<model::Value> parsed = model::Value::Parse(text);
@@ -197,6 +297,15 @@ StatusOr<std::vector<WireMessage>> ParseBatch(const std::string& text) {
     out.push_back(std::move(*msg));
   }
   return out;
+}
+
+std::size_t SerializedBatchSize(const std::vector<WireMessage>& batch) {
+  std::size_t n = Container(batch.size()).size;
+  for (const auto& msg : batch) {
+    const JsonCost cost = WireCost(msg);
+    n += 2 + cost.size + cost.escapes;
+  }
+  return n;
 }
 
 KdMessage PodCreateMessage(const model::ApiObject& pod,

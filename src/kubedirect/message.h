@@ -86,16 +86,25 @@ struct WireMessage {
 
   std::string Serialize() const;
   static StatusOr<WireMessage> Parse(const std::string& text);
-  std::size_t SerializedSize() const { return Serialize().size(); }
+  // Byte length of Serialize(), summed from the memoized Value sizes
+  // without producing the text.
+  std::size_t SerializedSize() const;
 };
 
 const char* WireMessageTypeName(WireMessage::Type type);
 
 // A batch of wire messages framed as one network send (§3.2
 // "KubeDirect can further reduce the message passing overhead by
-// batching messages").
+// batching messages"): a JSON array of the messages' JSON texts, each
+// encoded as a JSON string. KdLink hands batches over in-process and
+// never runs this codec; it stays as the reference the tests hold
+// SerializedBatchSize and the hand-off to.
 std::string SerializeBatch(const std::vector<WireMessage>& batch);
 StatusOr<std::vector<WireMessage>> ParseBatch(const std::string& text);
+// SerializeBatch(batch).size(), computed: the brackets and commas,
+// then per message its SerializedSize(), the 2 quotes around it and
+// one escape byte per '"' or '\' in its text.
+std::size_t SerializedBatchSize(const std::vector<WireMessage>& batch);
 
 // --- message construction helpers -------------------------------------
 

@@ -43,6 +43,13 @@ std::size_t ApiObject::SerializedSize() const {
          status.SerializedSize();
 }
 
+std::size_t ApiObject::SerializedEscapes() const {
+  // The quotes of the six keys (12), then the components.
+  return 12 + JsonStringEscapes(kind) + JsonStringEscapes(name) +
+         metadata.SerializedEscapes() + spec.SerializedEscapes() +
+         status.SerializedEscapes();
+}
+
 StatusOr<ApiObject> ApiObject::Parse(const std::string& text) {
   StatusOr<Value> root = Value::Parse(text);
   if (!root.ok()) return root.status();
@@ -420,13 +427,13 @@ void SetEndpointsAddresses(ApiObject& endpoints,
 }
 
 std::vector<std::string> GetEndpointsAddresses(const ApiObject& endpoints) {
+  return AddressStrings(endpoints.spec["addresses"]);
+}
+
+std::vector<std::string> AddressStrings(const Value& addresses) {
   std::vector<std::string> out;
-  const Value* addrs = endpoints.spec.FindPath("addresses");
-  if (addrs == nullptr || !addrs->is_array()) return out;
-  out.reserve(addrs->size());
-  for (std::size_t i = 0; i < addrs->size(); ++i) {
-    out.push_back(addrs->at(i).as_string());
-  }
+  out.reserve(addresses.array().size());
+  for (const Value& a : addresses.array()) out.push_back(a.as_string());
   return out;
 }
 

@@ -57,6 +57,9 @@ struct ApiObject {
   // metadata/spec/status subtrees answer from their memoized sizes
   // instead of re-serializing ~17 KB per simulated network message.
   std::size_t SerializedSize() const;
+  // Number of '"' and '\' bytes in Serialize(), summed the same way
+  // (Value::SerializedEscapes).
+  std::size_t SerializedEscapes() const;
 
   // Version tag for the handshake's first-round exchange: any unique
   // number identifying the content (§4.2 — "they can be any unique
@@ -165,6 +168,9 @@ ApiObject MakeEndpoints(const std::string& service_name,
 void SetEndpointsAddresses(ApiObject& endpoints,
                            const std::vector<std::string>& addresses);
 std::vector<std::string> GetEndpointsAddresses(const ApiObject& endpoints);
+// The strings of an address array; a non-string entry reads as "" and
+// a non-array as no addresses.
+std::vector<std::string> AddressStrings(const Value& addresses);
 // A Service selecting pods labelled app=<name> (one Service per FaaS
 // function; the name doubles as the selector).
 ApiObject MakeService(const std::string& name);

@@ -14,10 +14,15 @@ const Value::Array kEmptyArray;
 const Value::Object kEmptyObject;
 }  // namespace
 
-Value::Data& Value::MutableData() {
+Value::Data& Value::Detach() {
   if (data_.use_count() > 1) data_ = std::make_shared<Data>(*data_);
-  data_->cached_size = 0;
   return *data_;
+}
+
+Value::Data& Value::MutableData() {
+  Data& data = Detach();
+  data.cached_size = 0;
+  return data;
 }
 
 Value::Data& Value::MutableDataAs(Type t) {
@@ -50,18 +55,39 @@ const Value& Value::at(std::size_t i) const {
 
 Value& Value::at(std::size_t i) {
   // Defensive like the const overload: out-of-range (or non-array)
-  // access yields a scratch null whose writes are discarded, instead of
-  // indexing past the end.
+  // access yields a throwaway null whose writes are discarded, instead
+  // of indexing past the end.
   if (!is_array() || i >= data_->array.size()) {
-    static thread_local Value scratch;
-    scratch = Value();
-    return scratch;
+    static Value discard;
+    discard = Value();
+    return discard;
   }
   return MutableData().array[i];
 }
 
-void Value::push_back(Value v) {
-  MutableDataAs(Type::kArray).array.push_back(std::move(v));
+void Value::push_back(Value v) { InsertAt(size(), std::move(v)); }
+
+void Value::InsertAt(std::size_t i, Value v) {
+  Data& data = is_array() ? Detach() : MutableDataAs(Type::kArray);
+  Array& arr = data.array;
+  if (i > arr.size()) i = arr.size();
+  if (data.cached_size != 0) {
+    data.cached_size += v.SerializedSize() + (arr.empty() ? 0 : 1);  // comma
+    data.cached_escapes += v.SerializedEscapes();
+  }
+  arr.insert(arr.begin() + static_cast<std::ptrdiff_t>(i), std::move(v));
+}
+
+void Value::EraseAt(std::size_t i) {
+  if (!is_array() || i >= data_->array.size()) return;
+  Data& data = Detach();
+  Array& arr = data.array;
+  if (data.cached_size != 0) {
+    const Value& gone = arr[i];
+    data.cached_size -= gone.SerializedSize() + (arr.size() > 1 ? 1 : 0);
+    data.cached_escapes -= gone.SerializedEscapes();
+  }
+  arr.erase(arr.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 const Value::Array& Value::array() const {
@@ -178,23 +204,40 @@ void EscapeInto(const std::string& s, std::string& out) {
   out += '"';
 }
 
-// Byte length EscapeInto would produce, without producing it.
-std::size_t EscapedJsonSize(const std::string& s) {
-  std::size_t n = 2;  // quotes
+// What EscapeInto renders for `s`, without rendering it: the byte
+// length, and how many of those bytes are '"' or '\' (the two quotes,
+// both bytes of an escaped '"' or '\', the backslash of every other
+// escape).
+struct JsonMeasure {
+  std::size_t size;
+  std::size_t escapes;
+};
+
+JsonMeasure MeasureString(const std::string& s) {
+  JsonMeasure m{2, 2};  // quotes
   for (char c : s) {
     switch (c) {
       case '"':
       case '\\':
+        m.size += 2;
+        m.escapes += 2;
+        break;
       case '\n':
       case '\t':
       case '\r':
-        n += 2;
+        m.size += 2;
+        m.escapes += 1;
         break;
       default:
-        n += static_cast<unsigned char>(c) < 0x20 ? 6 : 1;
+        if (static_cast<unsigned char>(c) < 0x20) {
+          m.size += 6;
+          m.escapes += 1;
+        } else {
+          m.size += 1;
+        }
     }
   }
-  return n;
+  return m;
 }
 
 std::size_t IntJsonSize(std::int64_t v) {
@@ -280,30 +323,57 @@ std::size_t Value::SerializedSize() const {
     case Type::kDouble:
       return DoubleJsonSize(double_);
     case Type::kString:
-      if (data_->cached_size == 0) {
-        data_->cached_size = EscapedJsonSize(data_->string);
-      }
-      return data_->cached_size;
     case Type::kArray:
-      if (data_->cached_size == 0) {
-        std::size_t n = 2;  // brackets
-        if (!data_->array.empty()) n += data_->array.size() - 1;  // commas
-        for (const Value& v : data_->array) n += v.SerializedSize();
-        data_->cached_size = n;
-      }
-      return data_->cached_size;
     case Type::kObject:
-      if (data_->cached_size == 0) {
-        std::size_t n = 2;  // braces
-        if (!data_->object.empty()) n += data_->object.size() - 1;  // commas
-        for (const auto& [k, v] : data_->object) {
-          n += EscapedJsonSize(k) + 1 + v.SerializedSize();  // key : value
-        }
-        data_->cached_size = n;
-      }
+      if (data_->cached_size == 0) Measure();
       return data_->cached_size;
   }
   return 0;
+}
+
+std::size_t Value::SerializedEscapes() const {
+  if (data_ == nullptr) return 0;  // scalars render with neither byte
+  if (data_->cached_size == 0) Measure();
+  return data_->cached_escapes;
+}
+
+void Value::Measure() const {
+  Data& data = *data_;
+  switch (type_) {
+    case Type::kString: {
+      const JsonMeasure m = MeasureString(data.string);
+      data.cached_size = m.size;
+      data.cached_escapes = m.escapes;
+      return;
+    }
+    case Type::kArray: {
+      std::size_t n = 2;  // brackets
+      if (!data.array.empty()) n += data.array.size() - 1;  // commas
+      std::size_t escapes = 0;
+      for (const Value& v : data.array) {
+        n += v.SerializedSize();
+        escapes += v.SerializedEscapes();
+      }
+      data.cached_size = n;
+      data.cached_escapes = escapes;
+      return;
+    }
+    case Type::kObject: {
+      std::size_t n = 2;  // braces
+      if (!data.object.empty()) n += data.object.size() - 1;  // commas
+      std::size_t escapes = 0;
+      for (const auto& [k, v] : data.object) {
+        const JsonMeasure key = MeasureString(k);
+        n += key.size + 1 + v.SerializedSize();  // key : value
+        escapes += key.escapes + v.SerializedEscapes();
+      }
+      data.cached_size = n;
+      data.cached_escapes = escapes;
+      return;
+    }
+    default:
+      return;
+  }
 }
 
 namespace {
@@ -482,7 +552,12 @@ StatusOr<Value> Value::Parse(const std::string& text) {
   return Parser(text).Parse();
 }
 
-std::size_t JsonStringSize(const std::string& s) { return EscapedJsonSize(s); }
+std::size_t JsonStringSize(const std::string& s) {
+  return MeasureString(s).size;
+}
+std::size_t JsonStringEscapes(const std::string& s) {
+  return MeasureString(s).escapes;
+}
 std::size_t JsonIntSize(std::int64_t v) { return IntJsonSize(v); }
 
 std::uint64_t Value::Hash() const {

@@ -19,9 +19,12 @@
 // bumps until somebody writes.
 //
 // Every payload node also memoizes its compact-JSON byte length
-// (SerializedSize), because byte accounting runs on every simulated
-// network message. All mutation routes through MutableData(), which
-// both detaches and invalidates the cache. One caveat follows from
+// (SerializedSize) and the number of '"' and '\' bytes in that
+// rendering (SerializedEscapes), because byte accounting runs on every
+// simulated network message. All mutation routes through
+// MutableData(), which both detaches and invalidates the caches; only
+// the array InsertAt/EraseAt (and push_back) carry them forward,
+// adjusted by the element's own. One caveat follows from
 // that: the cache of an *ancestor* is invalidated when the path to the
 // child is traversed through the mutable accessors (`v["a"]["b"] = x`),
 // so do not hold a `Value&` into a tree across an ancestor's
@@ -114,6 +117,12 @@ class Value {
   const Value& at(std::size_t i) const;
   Value& at(std::size_t i);
   void push_back(Value v);
+  // Inserts `v` before position `i` (clamped to size()), converting a
+  // non-array into an empty array first. Removes element `i` when in
+  // range. Both keep this array's memoized size and escape count,
+  // adjusted by the element's, instead of dropping them.
+  void InsertAt(std::size_t i, Value v);
+  void EraseAt(std::size_t i);
   const Array& array() const;
   // Mutable view: detaches. Do not hold across an ancestor's
   // SerializedSize() (see header comment).
@@ -148,6 +157,10 @@ class Value {
   // Memoized per payload node; every mutation invalidates the caches
   // along the mutated path.
   std::size_t SerializedSize() const;
+  // Number of '"' and '\' bytes in Serialize() — what encoding that
+  // text once more as a JSON string adds (Serialize() emits no raw
+  // control bytes). Memoized beside SerializedSize().
+  std::size_t SerializedEscapes() const;
   static StatusOr<Value> Parse(const std::string& text);
 
   // FNV-1a over the serialized form; the "any unique number" version
@@ -167,8 +180,9 @@ class Value {
  private:
   // Shared payload node. Exactly one of the three members is active,
   // selected by the owning Value's type_. cached_size memoizes the
-  // subtree's compact-JSON length; 0 means "not computed" (no JSON
-  // rendering is ever empty, so 0 is never a valid length).
+  // subtree's compact-JSON length and cached_escapes its '"'/'\'
+  // count; cached_size 0 means neither is computed (no JSON rendering
+  // is ever empty, so 0 is never a valid length).
   struct Data {
     explicit Data(std::string s) : string(std::move(s)) {}
     explicit Data(Array a) : array(std::move(a)) {}
@@ -179,16 +193,21 @@ class Value {
     Array array;
     Object object;
     mutable std::size_t cached_size = 0;
+    mutable std::size_t cached_escapes = 0;
   };
 
-  // Detach-on-write: clones the payload node if shared and invalidates
-  // its size cache. Callers of mutable accessors reach their node
-  // through the mutable path, so ancestors invalidate transitively.
+  // Clones the payload node if shared, keeping its caches.
+  Data& Detach();
+  // Detach-on-write: Detach() and invalidate the caches. Callers of
+  // mutable accessors reach their node through the mutable path, so
+  // ancestors invalidate transitively.
   Data& MutableData();
   // Converts to `t` (resetting the payload) unless already of type `t`;
   // then detaches. Backbone of the inserting accessors.
   Data& MutableDataAs(Type t);
 
+  // Fills cached_size and cached_escapes (string/array/object only).
+  void Measure() const;
   void SerializeTo(std::string& out) const;
   static void DiffInto(const std::string& prefix, const Value& before,
                        const Value& after,
@@ -202,9 +221,11 @@ class Value {
 };
 
 // Byte lengths of the compact-JSON renderings of a string (quoted and
-// escaped) and an integer — the primitives composite objects use to sum
-// their wire size without serializing (see ApiObject::SerializedSize).
+// escaped) and an integer, and the '"'/'\' count of the string's — the
+// primitives composite objects use to sum their wire size without
+// serializing (see ApiObject::SerializedSize).
 std::size_t JsonStringSize(const std::string& s);
+std::size_t JsonStringEscapes(const std::string& s);
 std::size_t JsonIntSize(std::int64_t v);
 
 }  // namespace kd::model

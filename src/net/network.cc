@@ -27,15 +27,15 @@ class Connection : public std::enable_shared_from_this<Connection> {
   bool open() const { return open_; }
   const std::string& address(int side) const { return sides_[side].address; }
 
-  Status Send(int from_side, std::string payload) {
+  Status Send(int from_side, Payload payload) {
     if (!open_ || sides_[from_side].closed_seen) {
       return UnavailableError("connection closed");
     }
-    network_.AccountSend(payload.size());
+    network_.AccountSend(payload);
     const NetworkConfig& cfg = network_.config();
     Duration wire = cfg.latency;
     if (cfg.bytes_per_second > 0) {
-      wire += SecondsF(static_cast<double>(payload.size()) /
+      wire += SecondsF(static_cast<double>(payload.bytes()) /
                        cfg.bytes_per_second);
     }
     sim::Engine& engine = network_.engine();
@@ -70,7 +70,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
     return OkStatus();
   }
 
-  void SetOnMessage(int side, std::function<void(std::string)> cb) {
+  void SetOnMessage(int side, std::function<void(Payload)> cb) {
     sides_[side].on_message = std::move(cb);
   }
   void SetOnDisconnect(int side, std::function<void()> cb) {
@@ -127,7 +127,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   struct Side {
     std::string address;
-    std::function<void(std::string)> on_message;
+    std::function<void(Payload)> on_message;
     std::function<void()> on_disconnect;
     bool closed_seen = false;
     Time next_delivery_time = 0;
@@ -152,10 +152,10 @@ const std::string& ConnHandle::local_address() const {
 const std::string& ConnHandle::peer_address() const {
   return conn_->address(1 - side_);
 }
-Status ConnHandle::Send(std::string payload) {
+Status ConnHandle::Send(Payload payload) {
   return conn_->Send(side_, std::move(payload));
 }
-void ConnHandle::set_on_message(std::function<void(std::string)> cb) {
+void ConnHandle::set_on_message(std::function<void(Payload)> cb) {
   conn_->SetOnMessage(side_, std::move(cb));
 }
 void ConnHandle::set_on_disconnect(std::function<void()> cb) {

@@ -9,10 +9,13 @@
 //   - reconnection is an explicit higher-level act (the handshake
 //     protocol of §4.2), not something the transport does silently.
 //
-// Latency and bandwidth are charged per message so the benches can
-// account for the 64 B KubeDirect messages vs 17 KB full API objects.
-// Failure injection (partitions, endpoint crashes) is first class: the
-// property tests drive it from a seeded RNG.
+// A message is a Payload: an immutable body shared in-process between
+// sender and receiver, plus the byte count its encoding would occupy
+// on a real wire. Nothing is serialized on the way; latency, bandwidth
+// and the byte accounting are charged from that count, so the benches
+// still account for the 64 B KubeDirect messages vs 17 KB full API
+// objects. Failure injection (partitions, endpoint crashes) is first
+// class: the property tests drive it from a seeded RNG.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +24,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <typeinfo>
 #include <utility>
 
 #include "common/lane.h"
@@ -33,6 +37,43 @@ namespace kd::net {
 
 class Endpoint;
 class Connection;
+
+// What a Connection carries. The body is shared, never copied or
+// encoded: the receiver reads the very object the sender built.
+// `bytes` is the sender's exact statement of what that body would
+// occupy on the wire; the network charges latency, bandwidth and
+// total_bytes() from it alone.
+class Payload {
+ public:
+  Payload() = default;
+
+  template <typename T>
+  static Payload Of(T body, std::size_t bytes) {
+    Payload p;
+    p.body_ = std::make_shared<const T>(std::move(body));
+    p.type_ = &typeid(T);
+    p.bytes_ = bytes;
+    return p;
+  }
+  // Plain text, charged at its length.
+  static Payload Text(std::string text) {
+    const std::size_t bytes = text.size();
+    return Of(std::move(text), bytes);
+  }
+
+  // The body as a T; null when it holds another type.
+  template <typename T>
+  std::shared_ptr<const T> body() const {
+    if (type_ == nullptr || *type_ != typeid(T)) return nullptr;
+    return std::static_pointer_cast<const T>(body_);
+  }
+  std::size_t bytes() const { return bytes_; }
+
+ private:
+  std::shared_ptr<const void> body_;
+  const std::type_info* type_ = nullptr;
+  std::size_t bytes_ = 0;
+};
 
 // One side's view of an established bidirectional connection.
 class KD_LANE_SEAM ConnHandle {
@@ -47,10 +88,10 @@ class KD_LANE_SEAM ConnHandle {
   // kUnavailable when the connection is already closed. The message may
   // still be lost if the connection closes before delivery — exactly
   // the TLA+ "inflight dropped on disconnect" semantics.
-  Status Send(std::string payload);
+  Status Send(Payload payload);
 
   // Delivery callback; invoked in FIFO order per direction.
-  void set_on_message(std::function<void(std::string)> cb);
+  void set_on_message(std::function<void(Payload)> cb);
   // Invoked once when the connection transitions to closed (from either
   // side or from a partition).
   void set_on_disconnect(std::function<void()> cb);
@@ -115,13 +156,22 @@ class KD_LANE_SEAM Network {
   std::uint64_t total_messages() const { return total_messages_; }
   std::uint64_t total_bytes() const { return total_bytes_; }
 
+  // Test hook: sees every payload a connection accepts for sending,
+  // synchronously inside Send. It must not schedule or send; unset
+  // outside tests.
+  using SendObserver = std::function<void(const Payload&)>;
+  void set_send_observer(SendObserver observer) {
+    send_observer_ = std::move(observer);
+  }
+
  private:
   friend class Connection;
   friend class Endpoint;
 
-  void AccountSend(std::size_t bytes) {
+  void AccountSend(const Payload& payload) {
     ++total_messages_;
-    total_bytes_ += bytes;
+    total_bytes_ += payload.bytes();
+    if (send_observer_) send_observer_(payload);
   }
 
   sim::Engine& engine_;
@@ -133,6 +183,7 @@ class KD_LANE_SEAM Network {
   MetricsRecorder metrics_;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
+  SendObserver send_observer_;
 };
 
 // A named attachment point: listens for connections and initiates them.

@@ -37,8 +37,8 @@ ControllerHarness::ControllerHarness(Env& env, Mode mode, Options options)
 }
 
 ControllerHarness::~ControllerHarness() {
-  for (auto& [id, client] : dynamic_downstreams_) {
-    if (client) client->Stop();
+  for (auto& [id, link] : dynamic_downstreams_) {
+    if (link.client) link.client->Stop();
   }
   if (static_downstream_) static_downstream_->Stop();
   if (upstream_) upstream_->Stop();
@@ -352,11 +352,12 @@ void ControllerHarness::Crash() {
   // peers detect the loss via keepalive timeout — then tear down the
   // link objects locally.
   env_.network.CrashEndpoint(endpoint_.address());
-  for (auto& [id, client] : dynamic_downstreams_) {
-    if (client) client->Stop();
+  for (auto& [id, link] : dynamic_downstreams_) {
+    if (link.client) link.client->Stop();
   }
   dynamic_downstreams_.clear();
   downstream_exempt_.clear();
+  unsettled_downstreams_ = 0;
   if (static_downstream_) {
     static_downstream_->Stop();
     static_downstream_.reset();
@@ -370,36 +371,44 @@ void ControllerHarness::Crash() {
 
 void ControllerHarness::EnsureDownstream(const std::string& id,
                                          DownstreamSpec spec) {
-  auto& slot = dynamic_downstreams_[id];
-  if (slot) return;
+  DynamicDownstream& slot = dynamic_downstreams_[id];
+  if (slot.client) return;
   // The gate re-evaluates whenever a fan-out link completes its
   // handshake; policy logic runs after (Listen is synchronous, so the
   // relative order is unobservable).
   auto user_ready = spec.callbacks.on_ready;
   spec.callbacks.on_ready =
-      [this, user_ready](const kubedirect::ChangeSet& changes) {
+      [this, id, user_ready](const kubedirect::ChangeSet& changes) {
+        RecountDownstream(id);
         MaybeStartUpstream();
         if (user_ready) user_ready(changes);
       };
-  slot = MakeClient(std::move(spec));
-  slot->Start();
+  auto user_down = spec.callbacks.on_down;
+  spec.callbacks.on_down = [this, id, user_down] {
+    RecountDownstream(id);
+    if (user_down) user_down();
+  };
+  slot.client = MakeClient(std::move(spec));
+  RecountDownstream(id);
+  slot.client->Start();
 }
 
 kubedirect::HierarchyClient* ControllerHarness::downstream(
     const std::string& id) {
   auto it = dynamic_downstreams_.find(id);
-  return it == dynamic_downstreams_.end() ? nullptr : it->second.get();
+  return it == dynamic_downstreams_.end() ? nullptr : it->second.client.get();
 }
 
 bool ControllerHarness::DownstreamReady(const std::string& id) const {
   auto it = dynamic_downstreams_.find(id);
-  return it != dynamic_downstreams_.end() && it->second != nullptr &&
-         it->second->ready();
+  return it != dynamic_downstreams_.end() && it->second.client != nullptr &&
+         it->second.client->ready();
 }
 
 void ControllerHarness::SetDownstreamExempt(const std::string& id,
                                             bool exempt) {
   downstream_exempt_[id] = exempt;
+  RecountDownstream(id);
 }
 
 bool ControllerHarness::DownstreamExempt(const std::string& id) const {
@@ -407,13 +416,18 @@ bool ControllerHarness::DownstreamExempt(const std::string& id) const {
   return it != downstream_exempt_.end() && it->second;
 }
 
-bool ControllerHarness::DownstreamsSettled() const {
-  if (!baseline_synced_) return false;
-  for (const auto& [id, client] : dynamic_downstreams_) {
-    if (DownstreamExempt(id)) continue;
-    if (!client || !client->ready()) return false;
+void ControllerHarness::RecountDownstream(const std::string& id) {
+  auto it = dynamic_downstreams_.find(id);
+  if (it == dynamic_downstreams_.end()) return;
+  DynamicDownstream& link = it->second;
+  const bool unsettled = !DownstreamExempt(id) && !DownstreamReady(id);
+  if (unsettled == link.unsettled) return;
+  link.unsettled = unsettled;
+  if (unsettled) {
+    ++unsettled_downstreams_;
+  } else {
+    --unsettled_downstreams_;
   }
-  return true;
 }
 
 void ControllerHarness::MaybeStartUpstream() {

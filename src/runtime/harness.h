@@ -136,8 +136,11 @@ class KD_LANE_SEAM ControllerHarness {
   void SetDownstreamExempt(const std::string& id, bool exempt);
   bool DownstreamExempt(const std::string& id) const;
   // True once the baseline is synced and every non-exempt dynamic
-  // downstream link is ready.
-  bool DownstreamsSettled() const;
+  // downstream link is ready. O(1): a count of the links that are
+  // neither, kept as links go ready or down and flags change.
+  bool DownstreamsSettled() const {
+    return baseline_synced_ && unsettled_downstreams_ == 0;
+  }
   // Starts the downstream_first upstream iff settled (idempotent).
   void MaybeStartUpstream();
   // Policy signal that the downstream set is fully known (e.g. the
@@ -217,6 +220,9 @@ class KD_LANE_SEAM ControllerHarness {
            (when == When::kK8sOnly ? mode_ == Mode::kK8s : mode_ == Mode::kKd);
   }
   std::unique_ptr<kubedirect::HierarchyClient> MakeClient(DownstreamSpec spec);
+  // Re-derives whether link `id` counts as unsettled after its
+  // readiness or exemption may have changed.
+  void RecountDownstream(const std::string& id);
   void OnStaticLinkReady(const kubedirect::ChangeSet& changes);
   void OnStaticLinkDown();
 
@@ -252,9 +258,13 @@ class KD_LANE_SEAM ControllerHarness {
 
   std::unique_ptr<kubedirect::HierarchyServer> upstream_;
   std::unique_ptr<kubedirect::HierarchyClient> static_downstream_;
-  std::map<std::string, std::unique_ptr<kubedirect::HierarchyClient>>
-      dynamic_downstreams_;
+  struct DynamicDownstream {
+    std::unique_ptr<kubedirect::HierarchyClient> client;
+    bool unsettled = false;  // counted in unsettled_downstreams_
+  };
+  std::map<std::string, DynamicDownstream> dynamic_downstreams_;
   std::map<std::string, bool> downstream_exempt_;
+  std::size_t unsettled_downstreams_ = 0;
 
   std::vector<std::string> deferred_keys_;
   std::unordered_set<std::string> deferred_set_;

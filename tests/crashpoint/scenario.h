@@ -24,12 +24,14 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/fault_point.h"
 #include "common/strings.h"
 #include "model/objects.h"
+#include "net/network.h"
 #include "sim/engine.h"
 
 namespace kd::crashpoint {
@@ -87,8 +89,10 @@ struct ScenarioResult {
 class Scenario {
  public:
   // `trace` (optional): records the engine's full (time, seq) event
-  // trace — the determinism tests fingerprint it.
-  explicit Scenario(Victim victim, std::string* trace = nullptr)
+  // trace — the determinism tests fingerprint it. `observer`
+  // (optional): the network's send observer, installed before boot.
+  explicit Scenario(Victim victim, std::string* trace = nullptr,
+                    net::Network::SendObserver observer = nullptr)
       : victim_(victim) {
     if (trace != nullptr) {
       engine_.set_trace_hook([trace](Time t, std::uint64_t seq,
@@ -105,6 +109,7 @@ class Scenario {
     // keeps the single-server plane (and its golden fingerprints).
     if (victim == Victim::kShardApiserver) config.num_shards = 4;
     cluster_ = std::make_unique<cluster::Cluster>(engine_, std::move(config));
+    cluster_->network().set_send_observer(std::move(observer));
   }
 
   // Arms the victim's seam at `index` (kNoFault: dry run), then runs
@@ -348,10 +353,12 @@ class Scenario {
   int restarts_ = 0;
 };
 
-// Runs one (victim, index) scenario; `trace` as in Scenario's ctor.
-inline ScenarioResult RunScenario(Victim victim, std::uint64_t index,
-                                  std::string* trace = nullptr) {
-  Scenario scenario(victim, trace);
+// Runs one (victim, index) scenario; `trace` and `observer` as in
+// Scenario's ctor.
+inline ScenarioResult RunScenario(
+    Victim victim, std::uint64_t index, std::string* trace = nullptr,
+    net::Network::SendObserver observer = nullptr) {
+  Scenario scenario(victim, trace, std::move(observer));
   return scenario.Run(index);
 }
 

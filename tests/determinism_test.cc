@@ -24,13 +24,10 @@
 #include <memory>
 #include <string>
 
-#include "cluster/cluster.h"
 #include "common/strings.h"
 #include "crashpoint/scenario.h"
-#include "faas/backend.h"
-#include "faas/platform.h"
+#include "golden_walks.h"
 #include "sim/engine.h"
-#include "trace/azure.h"
 
 namespace kd {
 namespace {
@@ -82,80 +79,9 @@ void ExpectGoldenFingerprint(const std::string& trace, std::uint64_t actual) {
   if (pinned) ADD_FAILURE() << "no golden fingerprint for " << trace;
 }
 
-void AttachRecorder(sim::Engine& engine, std::string& trace) {
-  engine.set_trace_hook([&trace](Time t, std::uint64_t seq, sim::EventId) {
-    trace += StrFormat("%lld %llu\n", static_cast<long long>(t),
-                       static_cast<unsigned long long>(seq));
-  });
-}
-
-// A short but full-fidelity Kd cluster scenario: boot, register two
-// functions, scale both up, let one converge, then scale one down.
-// Exercises informers, watch fan-out, schedulers, kubelets, network
-// timers (schedule+cancel churn) — every event source in the tree.
-std::string KdClusterTrace() {
-  sim::Engine engine;
-  std::string trace;
-  AttachRecorder(engine, trace);
-
-  cluster::ClusterConfig config = cluster::ClusterConfig::Kd(8);
-  config.realistic_pod_template = false;
-  cluster::Cluster cluster(engine, std::move(config));
-  cluster.Boot();
-  cluster.RegisterFunction("fn-a");
-  cluster.RegisterFunction("fn-b");
-  engine.RunFor(Milliseconds(200));
-
-  cluster.ScaleTo("fn-a", 16);
-  cluster.ScaleTo("fn-b", 8);
-  engine.RunFor(Seconds(15));
-  cluster.ScaleTo("fn-a", 4);
-  cluster.ScaleTo("fn-b", 12);
-  engine.RunFor(Seconds(15));
-  return trace;
-}
-
-// A fixed-seed FaaS replay on the Kn/Kd stack: heavy-tailed arrivals,
-// autoscaling round trips, cold starts.
-std::string FaasReplayTrace() {
-  sim::Engine engine;
-  std::string trace;
-  AttachRecorder(engine, trace);
-
-  trace::TraceConfig trace_config;
-  trace_config.num_functions = 12;
-  trace_config.length = Minutes(2);
-  trace_config.target_invocations = 600;
-  trace_config.seed = 7;
-  trace::AzureTrace workload = trace::AzureTrace::Generate(trace_config);
-
-  cluster::ClusterConfig cluster_config = cluster::ClusterConfig::Kd(16);
-  cluster_config.realistic_pod_template = false;
-  cluster::Cluster cluster(engine, std::move(cluster_config));
-  cluster.Boot();
-  faas::ClusterBackend backend(cluster);
-  faas::Platform platform(engine, backend, faas::PolicyParams::Knative());
-  for (int f = 0; f < workload.num_functions(); ++f) {
-    faas::FunctionSpec spec;
-    spec.name = workload.FunctionName(f);
-    platform.RegisterFunction(spec);
-  }
-  platform.Start();
-  engine.RunFor(Milliseconds(500));
-  for (const trace::TraceEvent& event : workload.events()) {
-    engine.ScheduleAt(event.at + Milliseconds(500),
-                      [&platform, &workload, event] {
-                        platform.Invoke(workload.FunctionName(event.function),
-                                        event.duration);
-                      });
-  }
-  engine.RunFor(trace_config.length + Minutes(1));
-  return trace;
-}
-
 TEST(DeterminismTest, KdClusterTraceIsByteIdenticalAcrossRuns) {
-  const std::string first = KdClusterTrace();
-  const std::string second = KdClusterTrace();
+  const std::string first = golden::KdClusterTrace();
+  const std::string second = golden::KdClusterTrace();
   ASSERT_FALSE(first.empty());
   EXPECT_GT(first.size(), 10'000u) << "scenario too small to be a safety net";
   EXPECT_EQ(first, second);
@@ -166,8 +92,8 @@ TEST(DeterminismTest, KdClusterTraceIsByteIdenticalAcrossRuns) {
 }
 
 TEST(DeterminismTest, FaasReplayTraceIsByteIdenticalAcrossRuns) {
-  const std::string first = FaasReplayTrace();
-  const std::string second = FaasReplayTrace();
+  const std::string first = golden::FaasReplayTrace();
+  const std::string second = golden::FaasReplayTrace();
   ASSERT_FALSE(first.empty());
   EXPECT_GT(first.size(), 10'000u) << "scenario too small to be a safety net";
   EXPECT_EQ(first, second);

@@ -1,15 +1,20 @@
 // Tests for the shared ControllerHarness substrate every narrow-waist
 // controller runs on: crash/restart epoch invalidation, declarative
 // wiring (SyncKind / WatchFiltered), §4.2 pause-during-handshake and
-// downstream-first gating, and deferred-reconcile replay.
+// downstream-first gating (and the settle count behind it), and
+// deferred-reconcile replay.
 #include "runtime/harness.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "apiserver/apiserver.h"
+#include "common/rng.h"
 #include "model/objects.h"
 #include "net/network.h"
 #include "runtime/env.h"
@@ -272,6 +277,106 @@ TEST_P(HarnessTest, DownstreamFirstUpstreamWaitsForBaseline) {
   parent.MaybeStartUpstream();
   engine_.RunFor(Seconds(10));
   EXPECT_TRUE(child.link_ready());
+}
+
+// DownstreamsSettled() answers from a count of the dynamic links that
+// are neither exempt nor ready, kept as links go ready or down and as
+// exempt flags change. This walk drives a hub's fan-out through link
+// creation, exempt toggles (before and after a link exists),
+// partitions and heals, peer crashes and restarts, and hub crashes and
+// restarts; after every step, and again after time passes, the O(1)
+// answer must equal a recount over DownstreamReady/DownstreamExempt —
+// the loop the count replaced, kept here as the reference.
+TEST_P(HarnessTest, SettleCountMatchesBruteForceRecount) {
+  if (mode() == Mode::kK8s) return;  // dynamic links are Kd-only
+  constexpr int kPeers = 4;
+  std::vector<std::unique_ptr<ControllerHarness>> peers;
+  for (int i = 0; i < kPeers; ++i) {
+    peers.push_back(std::make_unique<ControllerHarness>(
+        env_, mode(), Opts("peer" + std::to_string(i))));
+    ServeNoneUpstream(*peers.back());
+    peers.back()->Start();
+  }
+  auto id_of = [](int i) { return "peer" + std::to_string(i); };
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    ControllerHarness hub(env_, mode(),
+                          Opts("hub" + std::to_string(seed)));
+    hub.Start();
+    Rng rng(seed);
+    std::set<std::string> linked;  // ensured since the hub's last crash
+    int settled_steps = 0, unsettled_steps = 0, live_toggles = 0;
+    int ready_seen = 0;
+    auto check = [&](int step) {
+      bool want = true;
+      for (const std::string& id : linked) {
+        if (hub.DownstreamReady(id)) ++ready_seen;
+        if (!hub.DownstreamExempt(id) && !hub.DownstreamReady(id)) {
+          want = false;
+        }
+      }
+      ASSERT_EQ(hub.DownstreamsSettled(), want)
+          << "seed " << seed << " step " << step;
+      ++(want ? settled_steps : unsettled_steps);
+    };
+    for (int step = 0; step < 300; ++step) {
+      const int peer = static_cast<int>(rng.UniformInt(kPeers));
+      const std::string id = id_of(peer);
+      const std::string& hub_addr = hub.endpoint().address();
+      const std::string peer_addr = "kd.test." + id;
+      switch (rng.UniformInt(7)) {
+        case 0:
+        case 1: {
+          if (hub.crashed()) break;
+          ControllerHarness::DownstreamSpec spec;
+          spec.peer = peer_addr;
+          spec.kind_filter = "__none__";
+          hub.EnsureDownstream(id, std::move(spec));
+          linked.insert(id);
+          break;
+        }
+        case 2:
+          if (hub.crashed()) break;
+          if (linked.count(id) != 0) ++live_toggles;
+          hub.SetDownstreamExempt(id, rng.UniformInt(2) == 0);
+          break;
+        case 3:
+          network_.Partition(hub_addr, peer_addr);
+          break;
+        case 4:
+          network_.Heal(hub_addr, peer_addr);
+          break;
+        case 5:
+          if (peers[peer]->crashed()) {
+            peers[peer]->Restart();
+          } else {
+            peers[peer]->Crash();
+          }
+          break;
+        default:
+          if (hub.crashed()) {
+            hub.Restart();
+          } else {
+            hub.Crash();
+            linked.clear();
+          }
+          break;
+      }
+      check(step);
+      engine_.RunFor(
+          Milliseconds(static_cast<std::int64_t>(rng.UniformInt(40))));
+      check(step);
+      if (HasFailure()) return;
+    }
+    // Not vacuous: the walk saw both answers, ready links, and toggles
+    // of links that exist.
+    EXPECT_GT(settled_steps, 0) << "seed " << seed;
+    EXPECT_GT(unsettled_steps, 0) << "seed " << seed;
+    EXPECT_GT(live_toggles, 0) << "seed " << seed;
+    EXPECT_GT(ready_seen, 0) << "seed " << seed;
+    for (int i = 0; i < kPeers; ++i) {
+      network_.Heal(hub.endpoint().address(), "kd.test." + id_of(i));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, HarnessTest,

@@ -1,7 +1,15 @@
 // Tests for the minimal message format (§3.2): encoding round trips,
-// wire sizes, batching, and dynamic materialization.
+// wire sizes (the computed batch size against the reference codec),
+// batching, and dynamic materialization.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "kubedirect/materialize.h"
 #include "kubedirect/message.h"
 #include "model/objects.h"
@@ -132,6 +140,205 @@ TEST(KdMessageTest, FullObjectMessageMatchesObjectSize) {
   // Naive full-object passing (Fig. 14 baseline) is the same order of
   // magnitude as the API object itself.
   EXPECT_GT(wire.SerializedSize(), pod.SerializedSize() / 2);
+}
+
+// --- Computed wire size vs the reference codec ---------------------------
+//
+// KdLink charges a batch SerializedBatchSize() without encoding it, so
+// the size rule must match the codec byte for byte on every input
+// shape: escapes in strings (which count twice, once per JSON level),
+// control bytes, UTF-8, extreme numbers, empty and nested containers,
+// pointers. A seeded generator covers all eight message types.
+
+class WireGen {
+ public:
+  explicit WireGen(std::uint64_t seed) : rng_(seed) {}
+
+  // `allow_hash`: a pointer's object key may not contain '#', the
+  // separator of its "key#path" encoding.
+  std::string String(bool allow_hash = true) {
+    static const char* const kPieces[] = {
+        "a",  "Z",    "0",    " ",    "\"",   "\\",  "\n",
+        "\t", "\r",   "\x01", "\x1f", "\x7f", "/",   "Pod/fn-1",
+        "é",  "→",    "😀",   "{}",   "[,]",  ":",   "\\\"",
+        "#"};
+    std::string out;
+    const int n = static_cast<int>(rng_.UniformInt(8));
+    for (int i = 0; i < n; ++i) {
+      const char* piece =
+          kPieces[rng_.UniformInt(std::size(kPieces) - (allow_hash ? 0 : 1))];
+      out += piece;
+    }
+    return out;
+  }
+
+  std::int64_t Int() {
+    switch (rng_.UniformInt(5)) {
+      case 0: return std::numeric_limits<std::int64_t>::min();
+      case 1: return std::numeric_limits<std::int64_t>::max();
+      case 2: return -static_cast<std::int64_t>(rng_.UniformInt(1000));
+      case 3: return 0;
+      default: return static_cast<std::int64_t>(rng_.Next() >> 1);
+    }
+  }
+
+  // Non-integral doubles: an integral one renders like an int and, by
+  // design of the format, parses back as one.
+  double Double() {
+    switch (rng_.UniformInt(4)) {
+      case 0: return 0.1;
+      case 1: return -1.25e-300;
+      case 2: return 1.7976931348623157e308;
+      default: return rng_.UniformDouble() - 0.5 + 1e-9;
+    }
+  }
+
+  model::Value Value(int depth) {
+    switch (rng_.UniformInt(depth > 0 ? 8 : 6)) {
+      case 0: return model::Value();
+      case 1: return model::Value(rng_.UniformInt(2) == 0);
+      case 2: return model::Value(Int());
+      case 3: return model::Value(Double());
+      case 4:
+      case 5: return model::Value(String());
+      case 6: {
+        model::Value arr = model::Value::MakeArray();
+        const int n = static_cast<int>(rng_.UniformInt(4));
+        for (int i = 0; i < n; ++i) arr.push_back(Value(depth - 1));
+        return arr;
+      }
+      default: {
+        model::Value obj = model::Value::MakeObject();
+        const int n = static_cast<int>(rng_.UniformInt(4));
+        for (int i = 0; i < n; ++i) obj[String()] = Value(depth - 1);
+        return obj;
+      }
+    }
+  }
+
+  KdMessage Kd() {
+    KdMessage msg;
+    msg.obj_key = String();
+    const int n = static_cast<int>(rng_.UniformInt(4));
+    for (int i = 0; i < n; ++i) {
+      if (rng_.UniformInt(3) == 0) {
+        msg.attrs.emplace(String(), KdValue::Pointer(String(false), String()));
+      } else {
+        msg.attrs.emplace(String(), KdValue::Literal(Value(3)));
+      }
+    }
+    return msg;
+  }
+
+  ApiObject Object() {
+    ApiObject obj;
+    obj.kind = String();
+    obj.name = String();
+    obj.resource_version = rng_.Next();
+    obj.metadata = Value(2);
+    obj.spec = Value(3);
+    obj.status = Value(2);
+    return obj;
+  }
+
+  WireMessage Message(WireMessage::Type type) {
+    WireMessage msg;
+    msg.type = type;
+    const int n = static_cast<int>(rng_.UniformInt(4));
+    switch (type) {
+      case WireMessage::Type::kUpsert:
+      case WireMessage::Type::kSoftInvalidate:
+        msg.message = Kd();
+        break;
+      case WireMessage::Type::kRemove:
+      case WireMessage::Type::kTombstone:
+      case WireMessage::Type::kAck:
+        msg.key = String();
+        break;
+      case WireMessage::Type::kStateVersions:
+        for (int i = 0; i < n; ++i) msg.versions[String()] = rng_.Next();
+        break;
+      case WireMessage::Type::kStateRequest:
+        for (int i = 0; i < n; ++i) msg.keys.push_back(String());
+        break;
+      case WireMessage::Type::kStateSnapshot:
+        for (int i = 0; i < n; ++i) msg.objects.push_back(Object());
+        break;
+    }
+    return msg;
+  }
+
+  WireMessage Message() {
+    return Message(static_cast<WireMessage::Type>(rng_.UniformInt(8)));
+  }
+
+ private:
+  Rng rng_;
+};
+
+void ExpectSameWire(const WireMessage& want, const WireMessage& got) {
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.message, want.message) << want.Serialize();
+  EXPECT_EQ(got.key, want.key);
+  EXPECT_EQ(got.versions, want.versions);
+  EXPECT_EQ(got.keys, want.keys);
+  EXPECT_EQ(got.objects, want.objects) << want.Serialize();
+}
+
+TEST(KdMessageSizeTest, EmptyBatchIsTwoBytes) {
+  EXPECT_EQ(SerializedBatchSize({}), SerializeBatch({}).size());
+}
+
+TEST(KdMessageSizeTest, EveryTypeMatchesCodecAndRoundTrips) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    WireGen gen(seed);
+    for (int t = 0; t < 8; ++t) {
+      const WireMessage msg = gen.Message(static_cast<WireMessage::Type>(t));
+      const std::string text = msg.Serialize();
+      ASSERT_EQ(msg.SerializedSize(), text.size())
+          << "seed " << seed << ": " << text;
+      const std::vector<WireMessage> batch = {msg};
+      ASSERT_EQ(SerializedBatchSize(batch), SerializeBatch(batch).size())
+          << "seed " << seed << ": " << text;
+      auto parsed = WireMessage::Parse(text);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << ": " << text;
+      ExpectSameWire(msg, *parsed);
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(KdMessageSizeTest, MixedBatchesMatchCodecAndRoundTrip) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    WireGen gen(seed);
+    std::vector<WireMessage> batch;
+    const int n = 1 + static_cast<int>(seed % 6);
+    for (int i = 0; i < n; ++i) batch.push_back(gen.Message());
+    const std::string text = SerializeBatch(batch);
+    ASSERT_EQ(SerializedBatchSize(batch), text.size()) << "seed " << seed;
+    auto parsed = ParseBatch(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ASSERT_EQ(parsed->size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ExpectSameWire(batch[i], (*parsed)[i]);
+    }
+    if (HasFailure()) return;
+  }
+}
+
+// Escapes count once per JSON level: a '"' inside a snapshot object is
+// \" in the object's text, \\\" in the message's and \\\\\\\" in the
+// batch's, so the rule must see the nesting, not just the outer text.
+TEST(KdMessageSizeTest, NestedEscapesCountPerLevel) {
+  WireMessage snapshot;
+  snapshot.type = WireMessage::Type::kStateSnapshot;
+  ApiObject obj;
+  obj.kind = "Pod";
+  obj.name = "q\"uo\\te";
+  snapshot.objects.push_back(obj);
+  const std::vector<WireMessage> batch = {snapshot};
+  EXPECT_EQ(snapshot.SerializedSize(), snapshot.Serialize().size());
+  EXPECT_EQ(SerializedBatchSize(batch), SerializeBatch(batch).size());
 }
 
 // --- Materialization -----------------------------------------------------

@@ -190,9 +190,11 @@ TEST_P(KdlintModeTest, R9FiresOnRawThreadingPrimitives) {
   EXPECT_TRUE(HasFinding(r.output, 12, "R9", false)) << r.output;  // atomic<>
   EXPECT_TRUE(HasFinding(r.output, 15, "R9", false)) << r.output;  // thread
   EXPECT_TRUE(HasFinding(r.output, 20, "R9", false)) << r.output;  // lock_guard
+  EXPECT_TRUE(HasFinding(r.output, 34, "R9", false))
+      << r.output;  // thread_local
   // lock_guard and its mutex template argument both fire on line 20;
-  // the seam.mutex() member access at the bottom stays quiet.
-  EXPECT_EQ(CountFindings(r.output), 5) << r.output;
+  // the seam.mutex() member access stays quiet.
+  EXPECT_EQ(CountFindings(r.output), 6) << r.output;
 }
 
 TEST_P(KdlintModeTest, LaneCleanFixturePasses) {

@@ -1,7 +1,10 @@
 // Unit tests for the simulated network: connection setup, ordered
-// delivery, disconnect semantics (in-flight drops), partitions, crash.
+// delivery, disconnect semantics (in-flight drops), partitions, crash,
+// and the payload seam (the declared byte count, not the body, is what
+// the wire charges).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -9,6 +12,11 @@
 
 namespace kd::net {
 namespace {
+
+std::string TextOf(const Payload& payload) {
+  std::shared_ptr<const std::string> text = payload.body<std::string>();
+  return text != nullptr ? *text : std::string();
+}
 
 class NetTest : public ::testing::Test {
  protected:
@@ -65,9 +73,9 @@ TEST_F(NetTest, MessagesArriveInOrder) {
   Endpoint a(network_, "a"), b(network_, "b");
   auto [client, server] = MustConnect(a, b);
   std::vector<std::string> received;
-  server->set_on_message([&](std::string m) { received.push_back(m); });
+  server->set_on_message([&](Payload m) { received.push_back(TextOf(m)); });
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(client->Send("msg" + std::to_string(i)).ok());
+    ASSERT_TRUE(client->Send(Payload::Text("msg" + std::to_string(i))).ok());
   }
   engine_.Run();
   ASSERT_EQ(received.size(), 20u);
@@ -78,9 +86,10 @@ TEST_F(NetTest, LargeMessagesDontOvertakeSmallEarlierOnes) {
   Endpoint a(network_, "a"), b(network_, "b");
   auto [client, server] = MustConnect(a, b);
   std::vector<std::size_t> sizes;
-  server->set_on_message([&](std::string m) { sizes.push_back(m.size()); });
-  ASSERT_TRUE(client->Send(std::string(1 << 20, 'x')).ok());  // 1 MiB first
-  ASSERT_TRUE(client->Send("tiny").ok());
+  server->set_on_message([&](Payload m) { sizes.push_back(m.bytes()); });
+  // 1 MiB first
+  ASSERT_TRUE(client->Send(Payload::Text(std::string(1 << 20, 'x'))).ok());
+  ASSERT_TRUE(client->Send(Payload::Text("tiny")).ok());
   engine_.Run();
   ASSERT_EQ(sizes.size(), 2u);
   EXPECT_EQ(sizes[0], 1u << 20);
@@ -92,15 +101,16 @@ TEST_F(NetTest, BandwidthDelaysLargeMessages) {
   auto [client, server] = MustConnect(a, b);
   Time small_arrival = -1, large_arrival = -1;
   int count = 0;
-  server->set_on_message([&](std::string m) {
-    if (m.size() < 100) small_arrival = engine_.now();
+  server->set_on_message([&](Payload m) {
+    if (m.bytes() < 100) small_arrival = engine_.now();
     else large_arrival = engine_.now();
     ++count;
   });
   const Time start = engine_.now();
-  ASSERT_TRUE(client->Send("s").ok());
+  ASSERT_TRUE(client->Send(Payload::Text("s")).ok());
   engine_.Run();
-  ASSERT_TRUE(client->Send(std::string(10'000'000, 'x')).ok());
+  ASSERT_TRUE(
+      client->Send(Payload::Text(std::string(10'000'000, 'x'))).ok());
   engine_.Run();
   EXPECT_EQ(count, 2);
   // 10 MB at 10 Gbps is 8 ms of serialization; the small one just
@@ -113,12 +123,12 @@ TEST_F(NetTest, BidirectionalTraffic) {
   Endpoint a(network_, "a"), b(network_, "b");
   auto [client, server] = MustConnect(a, b);
   std::string got_at_server, got_at_client;
-  server->set_on_message([&](std::string m) {
-    got_at_server = m;
-    server->Send("pong").ok();
+  server->set_on_message([&](Payload m) {
+    got_at_server = TextOf(m);
+    server->Send(Payload::Text("pong")).ok();
   });
-  client->set_on_message([&](std::string m) { got_at_client = m; });
-  ASSERT_TRUE(client->Send("ping").ok());
+  client->set_on_message([&](Payload m) { got_at_client = TextOf(m); });
+  ASSERT_TRUE(client->Send(Payload::Text("ping")).ok());
   engine_.Run();
   EXPECT_EQ(got_at_server, "ping");
   EXPECT_EQ(got_at_client, "pong");
@@ -129,9 +139,9 @@ TEST_F(NetTest, CloseNotifiesPeerAndDropsInflight) {
   auto [client, server] = MustConnect(a, b);
   int server_received = 0;
   bool server_disconnected = false;
-  server->set_on_message([&](std::string) { ++server_received; });
+  server->set_on_message([&](Payload) { ++server_received; });
   server->set_on_disconnect([&] { server_disconnected = true; });
-  ASSERT_TRUE(client->Send("inflight").ok());
+  ASSERT_TRUE(client->Send(Payload::Text("inflight")).ok());
   client->Close();  // closes before delivery latency elapses
   engine_.Run();
   EXPECT_EQ(server_received, 0);  // in-flight message dropped
@@ -144,9 +154,11 @@ TEST_F(NetTest, SendOnClosedConnectionFails) {
   Endpoint a(network_, "a"), b(network_, "b");
   auto [client, server] = MustConnect(a, b);
   client->Close();
-  EXPECT_EQ(client->Send("x").code(), StatusCode::kUnavailable);
+  EXPECT_EQ(client->Send(Payload::Text("x")).code(),
+            StatusCode::kUnavailable);
   engine_.Run();
-  EXPECT_EQ(server->Send("y").code(), StatusCode::kUnavailable);
+  EXPECT_EQ(server->Send(Payload::Text("y")).code(),
+            StatusCode::kUnavailable);
 }
 
 TEST_F(NetTest, DisconnectFiresOncePerSide) {
@@ -219,8 +231,8 @@ TEST_F(NetTest, ReconnectAfterCrashWorks) {
   engine_.Run();
   auto [c2, s2] = MustConnect(a, b);
   std::string got;
-  s2->set_on_message([&](std::string m) { got = m; });
-  ASSERT_TRUE(c2->Send("hello again").ok());
+  s2->set_on_message([&](Payload m) { got = TextOf(m); });
+  ASSERT_TRUE(c2->Send(Payload::Text("hello again")).ok());
   engine_.Run();
   EXPECT_EQ(got, "hello again");
 }
@@ -228,11 +240,72 @@ TEST_F(NetTest, ReconnectAfterCrashWorks) {
 TEST_F(NetTest, AccountingCountsBytes) {
   Endpoint a(network_, "a"), b(network_, "b");
   auto [client, server] = MustConnect(a, b);
-  ASSERT_TRUE(client->Send(std::string(64, 'x')).ok());
-  ASSERT_TRUE(client->Send(std::string(36, 'y')).ok());
+  ASSERT_TRUE(client->Send(Payload::Text(std::string(64, 'x'))).ok());
+  ASSERT_TRUE(client->Send(Payload::Text(std::string(36, 'y'))).ok());
   engine_.Run();
   EXPECT_EQ(network_.total_messages(), 2u);
   EXPECT_EQ(network_.total_bytes(), 100u);
+}
+
+// The wire charges what the sender declares, never the body's own
+// size: a tiny body declared at 10 MB pays 10 MB of bandwidth and
+// accounting, a 10 MB body declared at one byte pays only latency.
+TEST_F(NetTest, DeclaredBytesNotBodySetBandwidthAndAccounting) {
+  Endpoint a(network_, "a"), b(network_, "b");
+  auto [client, server] = MustConnect(a, b);
+  std::vector<Time> arrivals;
+  std::vector<std::size_t> body_sizes;
+  server->set_on_message([&](Payload m) {
+    arrivals.push_back(engine_.now());
+    body_sizes.push_back(TextOf(m).size());
+  });
+  const Time start = engine_.now();
+  ASSERT_TRUE(
+      client->Send(Payload::Of(std::string(10'000'000, 'x'), 1)).ok());
+  engine_.Run();
+  const Time second = engine_.now();
+  ASSERT_TRUE(client->Send(Payload::Of(std::string("x"), 10'000'000)).ok());
+  engine_.Run();
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(body_sizes, (std::vector<std::size_t>{10'000'000, 1}));
+  EXPECT_LT(arrivals[0] - start, Milliseconds(1));
+  // 10 MB at 10 Gbps is 8 ms on the wire.
+  EXPECT_GT(arrivals[1] - second, Milliseconds(5));
+  EXPECT_EQ(network_.total_messages(), 2u);
+  EXPECT_EQ(network_.total_bytes(), 10'000'001u);
+}
+
+// The body reaches the receiver as the sender's own object, and is
+// readable only as the type it was built with.
+TEST_F(NetTest, PayloadBodyIsSharedAndTyped) {
+  Endpoint a(network_, "a"), b(network_, "b");
+  auto [client, server] = MustConnect(a, b);
+  const Payload sent = Payload::Of(std::vector<int>{1, 2, 3}, 12);
+  Payload got;
+  server->set_on_message([&](Payload m) { got = std::move(m); });
+  ASSERT_TRUE(client->Send(sent).ok());
+  engine_.Run();
+  ASSERT_NE(got.body<std::vector<int>>(), nullptr);
+  EXPECT_EQ(got.body<std::vector<int>>().get(),
+            sent.body<std::vector<int>>().get());
+  EXPECT_EQ(got.body<std::string>(), nullptr);
+  EXPECT_EQ(got.bytes(), 12u);
+}
+
+TEST_F(NetTest, SendObserverSeesEveryAcceptedPayload) {
+  Endpoint a(network_, "a"), b(network_, "b");
+  auto [client, server] = MustConnect(a, b);
+  std::vector<std::string> seen;
+  network_.set_send_observer(
+      [&](const Payload& p) { seen.push_back(TextOf(p)); });
+  ASSERT_TRUE(client->Send(Payload::Text("one")).ok());
+  ASSERT_TRUE(server->Send(Payload::Text("two")).ok());
+  client->Close();
+  EXPECT_FALSE(client->Send(Payload::Text("refused")).ok());
+  engine_.Run();
+  // Sent and counted, even though the close dropped both in flight.
+  EXPECT_EQ(seen, (std::vector<std::string>{"one", "two"}));
+  EXPECT_EQ(network_.total_messages(), 2u);
 }
 
 TEST_F(NetTest, DuplicateAddressAsserts) {

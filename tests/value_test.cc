@@ -1,7 +1,15 @@
 // Unit tests for the JSON-like Value type: construction, path access,
-// serialization round trips, hashing, and structural diff.
+// serialization round trips, hashing, structural diff, and the
+// memoized size and escape caches under in-place array edits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "model/value.h"
 
 namespace kd::model {
@@ -368,6 +376,155 @@ TEST(ValueSizeCacheTest, SizeIsIndependentPerCopyAfterDetach) {
   EXPECT_EQ(a.SerializedSize(), original);
   EXPECT_EQ(b.SerializedSize(), b.Serialize().size());
   EXPECT_LT(b.SerializedSize(), original);
+}
+
+// --- Escape count and incremental array edits ------------------------
+
+// A fresh recount of what the escape cache memoizes.
+std::size_t QuotesAndBackslashes(const std::string& text) {
+  return static_cast<std::size_t>(std::count_if(
+      text.begin(), text.end(), [](char c) { return c == '"' || c == '\\'; }));
+}
+
+void ExpectCachesExact(const Value& v) {
+  const std::string text = v.Serialize();
+  EXPECT_EQ(v.SerializedSize(), text.size()) << text;
+  EXPECT_EQ(v.SerializedEscapes(), QuotesAndBackslashes(text)) << text;
+}
+
+TEST(ValueEscapeCacheTest, CountsEveryEscapeKind) {
+  // Quotes, backslashes, the backslash of \n \t \r and of \u00XX;
+  // UTF-8 and DEL pass through.
+  for (const char* s : {"", "plain", "a\"b", "back\\slash", "nl\nt\tr\r",
+                        "\x01\x1f", "é→😀", "\x7f"}) {
+    ExpectCachesExact(Value(s));
+    EXPECT_EQ(JsonStringEscapes(s), Value(s).SerializedEscapes()) << s;
+  }
+  for (const Value& scalar : {Value(), Value(true), Value(-5), Value(2.5)}) {
+    EXPECT_EQ(scalar.SerializedEscapes(), 0u);
+  }
+  Value obj = Value::MakeObject();
+  obj["k\"ey"] = "v\\al";
+  obj["n"] = 1;
+  obj["nested"]["list"].push_back("x\ny");
+  ExpectCachesExact(obj);
+  obj["nested"]["list"].push_back("\"");  // invalidates up the path
+  ExpectCachesExact(obj);
+}
+
+TEST(ValueEscapeCacheTest, EmptyAndOneElementTransitions) {
+  Value arr = Value::MakeArray();
+  ExpectCachesExact(arr);  // primes both caches at "[]"
+  arr.InsertAt(0, "a\"");
+  ExpectCachesExact(arr);
+  arr.EraseAt(0);
+  ExpectCachesExact(arr);
+  arr.push_back(Value::MakeArray());
+  ExpectCachesExact(arr);
+  arr.InsertAt(0, "x");
+  ExpectCachesExact(arr);
+  arr.EraseAt(1);
+  ExpectCachesExact(arr);
+  arr.EraseAt(0);
+  ExpectCachesExact(arr);
+  arr.EraseAt(0);  // out of range: no-op
+  ExpectCachesExact(arr);
+  EXPECT_EQ(arr.Serialize(), "[]");
+  arr.InsertAt(7, "clamped");  // past the end appends
+  ExpectCachesExact(arr);
+  EXPECT_EQ(arr.at(0).as_string(), "clamped");
+}
+
+TEST(ValueEscapeCacheTest, InsertAtConvertsNonArrays) {
+  Value v = Value::MakeObject();
+  v["k"] = 1;
+  ExpectCachesExact(v);
+  v.InsertAt(0, "a");
+  EXPECT_TRUE(v.is_array());
+  ExpectCachesExact(v);
+  Value null_value;
+  null_value.EraseAt(0);  // not an array: no-op
+  EXPECT_TRUE(null_value.is_null());
+}
+
+TEST(ValueEscapeCacheTest, SharedArrayEditDetachesWithExactCaches) {
+  Value a = Value::MakeArray();
+  for (const char* s : {"10.0.0.1", "q\"", "b\\"}) a.push_back(s);
+  ExpectCachesExact(a);
+  Value b = a;  // shares the node and its caches
+  ASSERT_TRUE(a.SharesPayloadWith(b));
+  const std::string before = a.Serialize();
+  b.InsertAt(1, "new\n");
+  EXPECT_FALSE(a.SharesPayloadWith(b));
+  EXPECT_EQ(a.Serialize(), before);
+  ExpectCachesExact(a);
+  ExpectCachesExact(b);
+  Value c = b;
+  c.EraseAt(0);
+  EXPECT_FALSE(b.SharesPayloadWith(c));
+  ExpectCachesExact(b);
+  ExpectCachesExact(c);
+  EXPECT_EQ(b.size(), 4u);
+  EXPECT_EQ(c.size(), 3u);
+}
+
+Value RandomElement(Rng& rng) {
+  static const char* const kStrings[] = {"", "10.0.0.7", "q\"", "b\\",
+                                         "t\t", "\x02", "é"};
+  switch (rng.UniformInt(4)) {
+    case 0:
+      return Value(kStrings[rng.UniformInt(std::size(kStrings))]);
+    case 1:
+      return Value(static_cast<std::int64_t>(rng.UniformInt(1000)) - 500);
+    case 2: {
+      Value arr = Value::MakeArray();
+      arr.push_back(kStrings[rng.UniformInt(std::size(kStrings))]);
+      return arr;
+    }
+    default: {
+      Value obj = Value::MakeObject();
+      obj["k\"" + std::to_string(rng.UniformInt(3))] = "v\\";
+      return obj;
+    }
+  }
+}
+
+// A seeded walk of inserts, erases (in and out of range), appends,
+// shared copies and invalidating element writes. The caches are primed
+// before every edit, so what gets checked is the carried-forward count,
+// not a recomputation.
+TEST(ValueEscapeCacheTest, RandomEditsKeepCachesEqualToRecount) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    std::vector<Value> live = {Value::MakeArray()};
+    for (int step = 0; step < 200; ++step) {
+      const std::size_t pick = rng.UniformInt(live.size());
+      live[pick].SerializedSize();
+      Value& v = live[pick];
+      switch (rng.UniformInt(5)) {
+        case 0:
+          v.InsertAt(rng.UniformInt(v.size() + 2), RandomElement(rng));
+          break;
+        case 1:
+          v.EraseAt(rng.UniformInt(v.size() + 1));
+          break;
+        case 2:
+          v.push_back(RandomElement(rng));
+          break;
+        case 3:
+          if (live.size() < 6) {
+            Value copy = v;  // shares the node until either side edits
+            live.push_back(std::move(copy));
+          }
+          break;
+        default:
+          if (v.size() > 0) v.at(rng.UniformInt(v.size())) = RandomElement(rng);
+          break;
+      }
+      for (const Value& each : live) ExpectCachesExact(each);
+      if (HasFailure()) return;
+    }
+  }
 }
 
 }  // namespace

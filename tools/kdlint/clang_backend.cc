@@ -58,7 +58,8 @@ const std::set<std::string>& BannedIdents() {
 
 // R9 (mirrors rules.cc): raw threading primitives; `thread`/`atomic`
 // are resolved through the referenced declaration's parent namespace
-// instead of token context.
+// instead of token context. `thread_local` is a storage class, not a
+// referenced name, so Visit asks each variable declaration for it.
 const std::set<std::string>& BannedThreadingIdents() {
   static const std::set<std::string> kSet = {
       "jthread",          "mutex",
@@ -449,6 +450,14 @@ CXChildVisitResult Visit(CXCursor cursor, CXCursor, CXClientData data) {
                    "traces depend on one thread firing every event "
                    "in (time, seq) order");
     }
+  }
+
+  if (ctx->Want("R9") && kind == CXCursor_VarDecl &&
+      clang_getCursorTLSKind(cursor) != CXTLS_None) {
+    ctx->Add(LineOf(cursor), "R9",
+             "raw threading primitive 'thread_local' - the simulator is "
+             "single-threaded; byte-identical traces depend on one thread "
+             "firing every event in (time, seq) order");
   }
 
   if (ctx->Want("R2") && kind == CXCursor_CXXForRangeStmt) {

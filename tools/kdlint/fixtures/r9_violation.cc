@@ -1,7 +1,7 @@
 // kdlint fixture: R9 must fire on raw threading primitives (threads,
-// locks, atomics — the simulator is single-threaded) and stay quiet on
-// member accesses that merely share a name. Lines asserted exactly by
-// tests/kdlint_test.cc.
+// locks, atomics, thread_local — the simulator is single-threaded) and
+// stay quiet on member accesses that merely share a name. Lines
+// asserted exactly by tests/kdlint_test.cc.
 #include <atomic>
 #include <thread>
 
@@ -27,6 +27,12 @@ struct Worker {
 template <typename Seam>
 int Quiet(Seam& seam) {
   return seam.mutex() ? 1 : 0;
+}
+
+// A per-thread variable presumes threads.
+int Calls() {
+  static thread_local int calls = 0;     // line 34: R9 thread_local
+  return ++calls;
 }
 
 }  // namespace fixture

@@ -68,9 +68,9 @@ const std::set<std::string>& ScheduleEntryPoints() {
 // R9: raw threading primitives, anywhere in src/ (the engine
 // included). The simulator is single-threaded: byte-identical traces
 // depend on one thread firing every event in (time, seq) order, so a
-// thread, lock, or atomic has no sanctioned place. `thread` and
-// `atomic` are common enough words that only their std-qualified /
-// template forms are flagged (see RunR9).
+// thread, lock, atomic or per-thread (thread_local) variable has no
+// sanctioned place. `thread` and `atomic` are common enough words that
+// only their std-qualified / template forms are flagged (see RunR9).
 const std::set<std::string>& BannedThreadingIdents() {
   static const std::set<std::string> kSet = {
       "jthread",          "mutex",
@@ -83,6 +83,7 @@ const std::set<std::string>& BannedThreadingIdents() {
       "lock_guard",       "unique_lock",
       "scoped_lock",      "shared_lock",
       "call_once",        "once_flag",
+      "thread_local",
       "memory_order_relaxed", "memory_order_acquire",
       "memory_order_release", "memory_order_acq_rel",
       "memory_order_seq_cst"};
@@ -449,9 +450,10 @@ void RunR6(const std::string& path, const Tokens& t,
 }
 
 // R9 over one token stream: no raw threading primitives. Most of the
-// banned names (mutex, lock_guard, once_flag...)
-// are unambiguous; `thread` and `atomic` are ordinary words, so they
-// are flagged only as `std::thread` / `std::atomic` / `atomic<...>`.
+// banned names (mutex, lock_guard, once_flag, the thread_local
+// keyword...) are unambiguous; `thread` and `atomic` are ordinary
+// words, so they are flagged only as `std::thread` / `std::atomic` /
+// `atomic<...>`.
 // Member accesses (`seam.mutex()`) name somebody else's API and stay
 // quiet, mirroring R1.
 void RunR9(const std::string& path, const Tokens& t,
