@@ -21,17 +21,27 @@ DeploymentController::DeploymentController(runtime::Env& env, Mode mode)
   harness_.SetReconciler(
       [this](const std::string& key) { return Reconcile(key); });
   // A Deployment change (watch event or direct message) triggers its
-  // reconcile; ReplicaSet changes trigger the owning Deployment's.
+  // reconcile; ReplicaSet changes trigger the owning Deployment's. The
+  // handler fires on every visible mutation (invalidation included,
+  // after == nullptr), so owned_rs_ membership == List visibility.
   cache_.AddChangeHandler([this](const std::string& key,
                                  const ApiObject* before,
                                  const ApiObject* after) {
-    (void)key;
     const ApiObject* obj = after != nullptr ? after : before;
     if (obj == nullptr) return;
     if (obj->kind == kKindDeployment) {
       harness_.loop().Enqueue(obj->name);
     } else if (obj->kind == kKindReplicaSet) {
-      harness_.loop().Enqueue(model::GetOwnerName(*obj));
+      if (before != nullptr) {
+        auto it = owned_rs_.find(model::GetOwnerName(*before));
+        if (it != owned_rs_.end()) {
+          it->second.erase(key);
+          if (it->second.empty()) owned_rs_.erase(it);
+        }
+      }
+      const std::string owner = model::GetOwnerName(*obj);
+      if (after != nullptr) owned_rs_[owner].insert(key);
+      harness_.loop().Enqueue(owner);
     }
   });
   harness_.SyncKind(cache_, kKindDeployment);
@@ -57,6 +67,7 @@ DeploymentController::DeploymentController(runtime::Env& env, Mode mode)
   harness_.OnCrash([this] {
     desired_.clear();
     last_sent_.clear();
+    owned_rs_.clear();  // cache Clear() fires no handlers
   });
 }
 
@@ -72,13 +83,13 @@ void DeploymentController::OnScaleMessage(const kubedirect::KdMessage& msg) {
 }
 
 const ApiObject* DeploymentController::FindReplicaSet(
-    const ApiObject& deployment) {
+    const ApiObject& deployment) const {
+  auto owned = owned_rs_.find(deployment.name);
+  if (owned == owned_rs_.end()) return nullptr;
   const std::int64_t revision = model::GetRevision(deployment);
-  for (const ApiObject* rs : cache_.List(kKindReplicaSet)) {
-    if (model::GetOwnerName(*rs) == deployment.name &&
-        model::GetRevision(*rs) == revision) {
-      return rs;
-    }
+  for (const std::string& rs_key : owned->second) {
+    const ApiObject* rs = cache_.Get(rs_key);
+    if (rs != nullptr && model::GetRevision(*rs) == revision) return rs;
   }
   return nullptr;
 }

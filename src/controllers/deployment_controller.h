@@ -9,9 +9,14 @@
 // offline upstream operation in both modes and goes through the API
 // server — matching the paper's observation that platform
 // configuration is not on the scaling critical path.
+//
+// The ReplicaSet lookup runs on every scale step, so it reads an owner
+// index (Deployment name -> visible ReplicaSet keys) kept by the cache
+// change handler instead of scanning every ReplicaSet.
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
 
 #include "common/lane.h"
@@ -33,16 +38,28 @@ class KD_LANE_OWNED(deployment) DeploymentController {
 
   bool link_ready() const { return harness_.link_ready(); }
 
+  // The ReplicaSet of `deployment`'s current revision: the first
+  // visible one, in key order, owned by it with that revision. nullptr
+  // if none.
+  const model::ApiObject* FindReplicaSet(
+      const model::ApiObject& deployment) const;
+
+  // Observability: the informer cache (Deployments + ReplicaSets).
+  const runtime::ObjectCache& cache() const { return cache_; }
+
  private:
   Duration Reconcile(const std::string& deployment_name);
   void OnScaleMessage(const kubedirect::KdMessage& msg);
-  // Finds the ReplicaSet matching the deployment's current revision.
-  const model::ApiObject* FindReplicaSet(const model::ApiObject& deployment);
 
   runtime::Env& env_;
   Mode mode_;
   runtime::ControllerHarness harness_;
   runtime::ObjectCache cache_;  // Deployments + ReplicaSets (informer)
+  // Owner index: Deployment name -> keys of the visible ReplicaSets it
+  // owns, kept in step with cache_ by its change handler and reset on
+  // crash (the cache's Clear fires no handlers). Sorted, so
+  // FindReplicaSet visits them in the key order of a List scan.
+  std::map<std::string, std::set<std::string>> owned_rs_;
 
   // Kd mode: the authoritative desired replicas per Deployment (fed by
   // direct messages; the API-server copy is guarded and stale).

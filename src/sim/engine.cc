@@ -81,11 +81,9 @@ std::uint64_t Engine::Run() {
 
 std::uint64_t Engine::RunUntil(Time t) {
   const std::uint64_t n = RunLoop(t);
-  // Advance the clock to t even when no event fired there, keeping the
-  // wheel's bookkeeping (bucket retirement, overflow migration) in
-  // step with the jump. Skipped when the event limit tripped: events
-  // earlier than t are still pending, and the clock must not pass
-  // pending work.
+  // Advance the clock to t even when no event fired there. Skipped
+  // after Stop() or when the event limit tripped: events earlier than
+  // t may still be pending, and the clock must not pass pending work.
   if (!stop_flag_ && !hit_event_limit_ && now() < t) queue_.AdvanceTo(t);
   return n;
 }

@@ -9,11 +9,11 @@
 // failure interleavings from a seed.
 //
 // The event store (one LaneQueue, see sim/lane_queue.h) is a
-// slot/generation arena plus a two-tier queue: closures constructed in
-// place in 64-byte slots, a timing wheel for the next 8192 ticks, and
-// a 4-ary overflow min-heap migrating into the wheel as the clock
-// advances. EventId encodes slot+generation, so Cancel is O(1) and
-// stale ids (fired, cancelled, recycled) safely return false.
+// slot/generation arena plus one 4-ary (time, seq) min-heap: closures
+// constructed in place in 64-byte slots, heap entries that name them.
+// EventId encodes slot+generation, so Cancel is O(1) (the heap entry
+// skims when it reaches the top) and stale ids (fired, cancelled,
+// recycled) safely return false.
 //
 // Every event is tagged with the lane it executes in (see
 // common/lane.h and sim/lane_checker.h): by default the lane of the

@@ -1,14 +1,13 @@
-// The Engine's event queue: a slot/generation arena plus a two-tier
-// timing structure. Each slot also carries the lane tags the lane
+// The Engine's event queue: a slot/generation arena plus one 4-ary
+// (time, seq) min-heap. Each slot also carries the lane tags the lane
 // checker reads (sim/lane_checker.h).
 //
 // The data structure (which the file comment in engine.h documents):
 // closures stored in place in 64-byte slots that live in
-// address-stable chunks, a timing wheel covering the next 8192 ticks
-// with an occupancy bitmap, and a 4-ary overflow min-heap whose entries
-// migrate into the wheel exactly when the advancing clock brings them
-// inside the horizon. Fire order is exactly sorted (time, seq) for the
-// seq values the caller arms events with; the Engine assigns them.
+// address-stable chunks, and a heap of (time, seq, slot) entries.
+// Cancelled entries stay in the heap and are skimmed when they reach
+// the top. Fire order is exactly sorted (time, seq) for the seq values
+// the caller arms events with; the Engine assigns them.
 #pragma once
 
 #include <cassert>
@@ -36,12 +35,6 @@ class LaneQueue {
   static constexpr std::size_t kSlotChunkShift = 8;
   static constexpr std::size_t kSlotChunkSize = std::size_t{1}
                                                 << kSlotChunkShift;
-  // Timing wheel: one bucket per tick, covering [now, now + kWheelSize).
-  static constexpr std::size_t kWheelBits = 13;
-  static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
-  static constexpr std::size_t kWheelMask = kWheelSize - 1;
-  static constexpr std::size_t kWheelWords = kWheelSize / 64;
-  static constexpr Time kNoEvent = -1;
 
   struct Slot {
     alignas(std::max_align_t) unsigned char closure[kInlineClosureBytes];
@@ -67,7 +60,7 @@ class LaneQueue {
     std::uint32_t generation = 0;  // pre-bump value, for the EventId
   };
 
-  LaneQueue() : wheel_(kWheelSize), occupied_(kWheelWords, 0) {}
+  LaneQueue() = default;
   ~LaneQueue();
   LaneQueue(const LaneQueue&) = delete;
   LaneQueue& operator=(const LaneQueue&) = delete;
@@ -144,32 +137,21 @@ class LaneQueue {
     --live_events_;
   }
 
-  // Skims dead (cancelled) entries, then returns the time of the next
-  // queued event without firing or advancing the clock (kNoEvent if
-  // none). The returned time can name a bucket holding only cancelled
-  // entries — the occupancy bitmap cannot see armedness — so callers
-  // loop.
-  Time PeekNextTime();
+  // Moves the clock to t with no event fired. No queued event may be
+  // due before t.
+  void AdvanceTo(Time t) {
+    assert(t >= now_);
+    assert(heap_.empty() || heap_.front().time >= t);
+    now_ = t;
+  }
 
-  // Advances the clock to t (t > now()): retires the current bucket
-  // and migrates overflow events whose time entered the wheel horizon.
-  void AdvanceTo(Time t);
-
-  // Pops the next queued event with time <= limit, advancing the clock
-  // to its time. A false return means no queued live event is due by
-  // `limit` (the clock may still have advanced through buckets that
-  // held only cancelled entries). See Fired for the post-conditions.
+  // Pops the next live event with time <= limit, advancing the clock
+  // to its time, and recycles the cancelled entries it skims on the
+  // way. A false return means no live event is due by `limit`; the
+  // clock has not moved. See Fired for the post-conditions.
   bool PopDue(Time limit, Fired& out);
 
  private:
-  struct BucketEntry {
-    std::uint64_t seq;  // tie-break: FIFO at equal times
-    std::uint32_t slot;
-  };
-  struct Bucket {
-    std::vector<BucketEntry> entries;
-    std::size_t head = 0;  // next unconsumed entry
-  };
   struct HeapEntry {
     Time time;
     std::uint64_t seq;
@@ -180,18 +162,6 @@ class LaneQueue {
     return a.time < b.time || (a.time == b.time && a.seq < b.seq);
   }
 
-  void SetBit(std::size_t b) {
-    occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-  }
-  void ClearBit(std::size_t b) {
-    occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-  }
-
-  void AppendToWheel(Time t, std::uint64_t seq, std::uint32_t slot);
-  // Ring distance (1..kWheelSize-1) from now_ to the next occupied
-  // bucket, or 0 when the wheel holds no other bucket.
-  std::size_t NextOccupiedDistance() const;
-
   void SiftUp(std::size_t i);
   void PopTop();
 
@@ -200,9 +170,7 @@ class LaneQueue {
   std::size_t slot_count_ = 0;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<Bucket> wheel_;
-  std::vector<std::uint64_t> occupied_;
-  std::vector<HeapEntry> heap_;  // overflow: time >= now_ + kWheelSize
+  std::vector<HeapEntry> heap_;
 };
 
 }  // namespace kd::sim
