@@ -39,7 +39,7 @@ DeploymentController::DeploymentController(runtime::Env& env, Mode mode)
           if (it->second.empty()) owned_rs_.erase(it);
         }
       }
-      const std::string owner = model::GetOwnerName(*obj);
+      const std::string& owner = model::GetOwnerName(*obj);
       if (after != nullptr) owned_rs_[owner].insert(key);
       harness_.loop().Enqueue(owner);
     }

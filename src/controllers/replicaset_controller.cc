@@ -43,7 +43,7 @@ ReplicaSetController::ReplicaSetController(runtime::Env& env, Mode mode)
     // !tombstoned; the tombstone predicate transitions are accounted
     // at their own call sites (DeletePods / GcTombstone).
     if (before != nullptr) {
-      const std::string prev = model::GetOwnerName(*before);
+      const std::string& prev = model::GetOwnerName(*before);
       if (!prev.empty()) {
         auto it = owned_pods_.find(prev);
         if (it != owned_pods_.end()) {
@@ -55,7 +55,7 @@ ReplicaSetController::ReplicaSetController(runtime::Env& env, Mode mode)
         }
       }
     }
-    const std::string owner = model::GetOwnerName(*obj);
+    const std::string& owner = model::GetOwnerName(*obj);
     if (owner.empty()) return;
     if (after != nullptr) {
       owned_pods_[owner].insert(key);
@@ -156,7 +156,7 @@ void ReplicaSetController::GcTombstone(const std::string& pod_key) {
   // collected, so this is a no-op.
   const ApiObject* pod = pod_cache_.Get(pod_key);
   if (pod != nullptr && !model::IsTerminating(*pod)) {
-    const std::string owner = model::GetOwnerName(*pod);
+    const std::string& owner = model::GetOwnerName(*pod);
     if (!owner.empty()) ++live_owned_[owner];
   }
 }

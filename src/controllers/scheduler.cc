@@ -64,14 +64,14 @@ Scheduler::Scheduler(runtime::Env& env, Mode mode, SchedulerOptions options)
                                      const ApiObject* before,
                                      const ApiObject* after) {
     if (before != nullptr && before->kind == kKindPod) {
-      const std::string node = model::GetNodeName(*before);
+      const std::string& node = model::GetNodeName(*before);
       if (!node.empty()) TrackNode(node, -model::GetCpuMilli(*before));
     }
     if (after != nullptr && after->kind == kKindPod) {
-      const std::string node = model::GetNodeName(*after);
+      const std::string& node = model::GetNodeName(*after);
       if (!node.empty()) TrackNode(node, model::GetCpuMilli(*after));
       // Unassigned pending pods need scheduling.
-      if (model::GetNodeName(*after).empty() &&
+      if (node.empty() &&
           model::GetPodPhase(*after) == model::PodPhase::kPending) {
         harness_.loop().Enqueue(key);
       }

@@ -7,8 +7,9 @@ namespace kd::kubedirect {
 Status ApplyAttr(model::ApiObject& obj, const std::string& path,
                  const model::Value& value) {
   // Split off the top-level section.
-  const std::size_t dot = path.find('.');
-  const std::string section = path.substr(0, dot);
+  const std::string_view full = path;
+  const std::size_t dot = full.find('.');
+  const std::string_view section = full.substr(0, dot);
   model::Value* target = nullptr;
   if (section == "metadata") {
     target = &obj.metadata;
@@ -24,7 +25,7 @@ Status ApplyAttr(model::ApiObject& obj, const std::string& path,
     *target = value;
     return OkStatus();
   }
-  const std::string rest = path.substr(dot + 1);
+  const std::string_view rest = full.substr(dot + 1);
   if (value.is_null()) {
     target->ErasePath(rest);
   } else {
@@ -58,8 +59,9 @@ StatusOr<model::ApiObject> Materialize(const KdMessage& msg,
                       ptr.obj_key.c_str(), msg.obj_key.c_str()));
       }
       // Resolve against the referenced object's sections.
-      const std::size_t ref_dot = ptr.attr_path.find('.');
-      const std::string ref_section = ptr.attr_path.substr(0, ref_dot);
+      const std::string_view ref_path = ptr.attr_path;
+      const std::size_t ref_dot = ref_path.find('.');
+      const std::string_view ref_section = ref_path.substr(0, ref_dot);
       const model::Value* section_value =
           ref_section == "metadata" ? &referenced->metadata
           : ref_section == "spec"   ? &referenced->spec
@@ -71,7 +73,7 @@ StatusOr<model::ApiObject> Materialize(const KdMessage& msg,
       const model::Value* resolved =
           ref_dot == std::string::npos
               ? section_value
-              : section_value->FindPath(ptr.attr_path.substr(ref_dot + 1));
+              : section_value->FindPath(ref_path.substr(ref_dot + 1));
       if (resolved == nullptr) {
         return FailedPreconditionError(
             StrFormat("pointer path %s not found in %s",

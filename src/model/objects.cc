@@ -14,13 +14,6 @@ const char* PodPhaseName(PodPhase phase) {
   return "Unknown";
 }
 
-StatusOr<PodPhase> ParsePodPhase(const std::string& name) {
-  if (name == "Pending") return PodPhase::kPending;
-  if (name == "Running") return PodPhase::kRunning;
-  if (name == "Terminating") return PodPhase::kTerminating;
-  return InvalidArgumentError("unknown pod phase: " + name);
-}
-
 std::string ApiObject::Serialize() const {
   Value root = Value::MakeObject();
   root["kind"] = kind;
@@ -91,14 +84,14 @@ void SetLabel(ApiObject& obj, const std::string& key,
               const std::string& value) {
   obj.metadata["labels"][key] = value;
 }
-std::string GetLabel(const ApiObject& obj, const std::string& key) {
+const std::string& GetLabel(const ApiObject& obj, std::string_view key) {
   return obj.metadata["labels"][key].as_string();
 }
 void SetAnnotation(ApiObject& obj, const std::string& key,
                    const std::string& value) {
   obj.metadata["annotations"][key] = value;
 }
-std::string GetAnnotation(const ApiObject& obj, const std::string& key) {
+const std::string& GetAnnotation(const ApiObject& obj, std::string_view key) {
   return obj.metadata["annotations"][key].as_string();
 }
 
@@ -116,10 +109,10 @@ void SetOwner(ApiObject& obj, const std::string& kind,
   owner["name"] = name;
   obj.metadata["ownerReference"] = std::move(owner);
 }
-std::string GetOwnerName(const ApiObject& obj) {
+const std::string& GetOwnerName(const ApiObject& obj) {
   return obj.metadata["ownerReference"]["name"].as_string();
 }
-std::string GetOwnerKind(const ApiObject& obj) {
+const std::string& GetOwnerKind(const ApiObject& obj) {
   return obj.metadata["ownerReference"]["kind"].as_string();
 }
 
@@ -137,7 +130,7 @@ void SetReadyReplicas(ApiObject& obj, std::int64_t n) {
   obj.status["readyReplicas"] = n;
 }
 
-std::string GetNodeName(const ApiObject& pod) {
+const std::string& GetNodeName(const ApiObject& pod) {
   return pod.spec["nodeName"].as_string();
 }
 void SetNodeName(ApiObject& pod, const std::string& node) {
@@ -145,9 +138,14 @@ void SetNodeName(ApiObject& pod, const std::string& node) {
 }
 
 PodPhase GetPodPhase(const ApiObject& pod) {
+  // Compared in place against PodPhaseName; an absent or unknown phase
+  // reads as Pending.
   const std::string& phase = pod.status["phase"].as_string();
-  auto parsed = ParsePodPhase(phase.empty() ? "Pending" : phase);
-  return parsed.ok() ? *parsed : PodPhase::kPending;
+  if (phase == PodPhaseName(PodPhase::kRunning)) return PodPhase::kRunning;
+  if (phase == PodPhaseName(PodPhase::kTerminating)) {
+    return PodPhase::kTerminating;
+  }
+  return PodPhase::kPending;
 }
 
 void SetPodPhase(ApiObject& pod, PodPhase phase) {
@@ -166,7 +164,7 @@ void MarkTerminating(ApiObject& pod) {
   pod.status["phase"] = PodPhaseName(PodPhase::kTerminating);
 }
 
-std::string GetPodIp(const ApiObject& pod) {
+const std::string& GetPodIp(const ApiObject& pod) {
   return pod.status["podIP"].as_string();
 }
 void SetPodIp(ApiObject& pod, const std::string& ip) {

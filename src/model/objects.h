@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -30,7 +31,6 @@ inline constexpr const char* kKindService = "Service";
 // Pod lifecycle phases (simplified state diagram of §4.3).
 enum class PodPhase { kPending, kRunning, kTerminating };
 const char* PodPhaseName(PodPhase phase);
-StatusOr<PodPhase> ParsePodPhase(const std::string& name);
 
 // A complete API object. `resource_version` is assigned by whichever
 // store owns the object (the API server, or a KubeDirect controller for
@@ -70,13 +70,18 @@ struct ApiObject {
 };
 
 // --- generic metadata helpers -----------------------------------------
+//
+// The string getters return a reference into the object (or to a static
+// empty string when the field is absent): it lives as long as the
+// object is neither destroyed nor written. Copy it before writing the
+// same object.
 
 void SetLabel(ApiObject& obj, const std::string& key,
               const std::string& value);
-std::string GetLabel(const ApiObject& obj, const std::string& key);
+const std::string& GetLabel(const ApiObject& obj, std::string_view key);
 void SetAnnotation(ApiObject& obj, const std::string& key,
                    const std::string& value);
-std::string GetAnnotation(const ApiObject& obj, const std::string& key);
+const std::string& GetAnnotation(const ApiObject& obj, std::string_view key);
 
 // The annotation users add to opt a Deployment into KubeDirect (§3).
 inline constexpr const char* kKubeDirectAnnotation = "kubedirect.io/managed";
@@ -86,8 +91,8 @@ void SetKubeDirectManaged(ApiObject& obj, bool managed);
 // Owner reference (single owner suffices for the narrow waist).
 void SetOwner(ApiObject& obj, const std::string& kind,
               const std::string& name);
-std::string GetOwnerName(const ApiObject& obj);
-std::string GetOwnerKind(const ApiObject& obj);
+const std::string& GetOwnerName(const ApiObject& obj);
+const std::string& GetOwnerKind(const ApiObject& obj);
 
 // --- typed field accessors ----------------------------------------------
 
@@ -96,7 +101,7 @@ void SetReplicas(ApiObject& obj, std::int64_t n);
 std::int64_t GetReadyReplicas(const ApiObject& obj);   // status
 void SetReadyReplicas(ApiObject& obj, std::int64_t n);
 
-std::string GetNodeName(const ApiObject& pod);         // Pod.spec.nodeName
+const std::string& GetNodeName(const ApiObject& pod);  // Pod.spec.nodeName
 void SetNodeName(ApiObject& pod, const std::string& node);
 
 PodPhase GetPodPhase(const ApiObject& pod);            // Pod.status.phase
@@ -107,7 +112,7 @@ bool IsTerminating(const ApiObject& pod);
 // SetPodPhase.
 void MarkTerminating(ApiObject& pod);
 
-std::string GetPodIp(const ApiObject& pod);
+const std::string& GetPodIp(const ApiObject& pod);
 void SetPodIp(ApiObject& pod, const std::string& ip);
 
 // Resource requests, in milli-CPU units (Pods and Node capacity).

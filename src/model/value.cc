@@ -12,172 +12,168 @@ namespace {
 const Value kNullValue;
 const Value::Array kEmptyArray;
 const Value::Object kEmptyObject;
+
+// The dotted-path segment that starts at `pos`. Advances `pos` past
+// the segment's dot, or to npos after the last segment.
+std::string_view NextSegment(std::string_view path, std::size_t& pos) {
+  const std::size_t dot = path.find('.', pos);
+  const std::string_view part = path.substr(pos, dot - pos);  // clamped
+  pos = dot == std::string_view::npos ? dot : dot + 1;
+  return part;
+}
 }  // namespace
 
-Value::Data& Value::Detach() {
-  if (data_.use_count() > 1) data_ = std::make_shared<Data>(*data_);
-  return *data_;
-}
-
-Value::Data& Value::MutableData() {
-  Data& data = Detach();
-  data.cached_size = 0;
-  return data;
-}
-
-Value::Data& Value::MutableDataAs(Type t) {
-  if (type_ != t) {
-    type_ = t;
-    bool_ = false;
-    int_ = 0;
-    double_ = 0.0;
-    switch (t) {
-      case Type::kString: data_ = std::make_shared<Data>(std::string()); break;
-      case Type::kArray: data_ = std::make_shared<Data>(Array{}); break;
-      case Type::kObject: data_ = std::make_shared<Data>(Object{}); break;
-      default: data_.reset(); break;
-    }
-    return *data_;
+Value::Node& Value::Detach() {
+  if (node_->refs > 1) {
+    Node* clone = new Node(*node_);
+    --node_->refs;
+    node_ = clone;
   }
-  return MutableData();
+  return *node_;
+}
+
+Value::Node& Value::MutableNode() {
+  Node& node = Detach();
+  node.cached_size = 0;
+  return node;
+}
+
+Value::Node& Value::MutableNodeAs(Type t) {
+  if (type_ == t) return MutableNode();
+  switch (t) {
+    case Type::kString: *this = Value(std::string()); break;
+    case Type::kArray: *this = Value(Array{}); break;
+    default: *this = Value(Object{}); break;
+  }
+  return *node_;
 }
 
 std::size_t Value::size() const {
-  if (is_array()) return data_->array.size();
-  if (is_object()) return data_->object.size();
+  if (is_array()) return arr().size();
+  if (is_object()) return obj().size();
   return 0;
 }
 
 const Value& Value::at(std::size_t i) const {
-  if (!is_array() || i >= data_->array.size()) return kNullValue;
-  return data_->array[i];
+  if (!is_array() || i >= arr().size()) return kNullValue;
+  return arr()[i];
 }
 
 Value& Value::at(std::size_t i) {
   // Defensive like the const overload: out-of-range (or non-array)
   // access yields a throwaway null whose writes are discarded, instead
   // of indexing past the end.
-  if (!is_array() || i >= data_->array.size()) {
+  if (!is_array() || i >= arr().size()) {
     static Value discard;
     discard = Value();
     return discard;
   }
-  return MutableData().array[i];
+  return MutableNode().array()[i];
 }
 
 void Value::push_back(Value v) { InsertAt(size(), std::move(v)); }
 
 void Value::InsertAt(std::size_t i, Value v) {
-  Data& data = is_array() ? Detach() : MutableDataAs(Type::kArray);
-  Array& arr = data.array;
-  if (i > arr.size()) i = arr.size();
-  if (data.cached_size != 0) {
-    data.cached_size += v.SerializedSize() + (arr.empty() ? 0 : 1);  // comma
-    data.cached_escapes += v.SerializedEscapes();
+  Node& node = is_array() ? Detach() : MutableNodeAs(Type::kArray);
+  Array& array = node.array();
+  if (i > array.size()) i = array.size();
+  if (node.cached_size != 0) {
+    node.cached_size += v.SerializedSize() + (array.empty() ? 0 : 1);  // comma
+    node.cached_escapes += v.SerializedEscapes();
   }
-  arr.insert(arr.begin() + static_cast<std::ptrdiff_t>(i), std::move(v));
+  array.insert(array.begin() + static_cast<std::ptrdiff_t>(i), std::move(v));
 }
 
 void Value::EraseAt(std::size_t i) {
-  if (!is_array() || i >= data_->array.size()) return;
-  Data& data = Detach();
-  Array& arr = data.array;
-  if (data.cached_size != 0) {
-    const Value& gone = arr[i];
-    data.cached_size -= gone.SerializedSize() + (arr.size() > 1 ? 1 : 0);
-    data.cached_escapes -= gone.SerializedEscapes();
+  if (!is_array() || i >= arr().size()) return;
+  Node& node = Detach();
+  Array& array = node.array();
+  if (node.cached_size != 0) {
+    const Value& gone = array[i];
+    node.cached_size -= gone.SerializedSize() + (array.size() > 1 ? 1 : 0);
+    node.cached_escapes -= gone.SerializedEscapes();
   }
-  arr.erase(arr.begin() + static_cast<std::ptrdiff_t>(i));
+  array.erase(array.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 const Value::Array& Value::array() const {
-  return is_array() ? data_->array : kEmptyArray;
+  return is_array() ? arr() : kEmptyArray;
 }
 
-Value::Array& Value::array() { return MutableDataAs(Type::kArray).array; }
+Value::Array& Value::array() {
+  return MutableNodeAs(Type::kArray).array();
+}
 
-const Value& Value::operator[](const std::string& key) const {
+const Value& Value::operator[](std::string_view key) const {
   if (!is_object()) return kNullValue;
-  auto it = data_->object.find(key);
-  return it == data_->object.end() ? kNullValue : it->second;
+  const auto it = obj().find(key);
+  return it == obj().end() ? kNullValue : it->second;
 }
 
-Value& Value::operator[](const std::string& key) {
-  return MutableDataAs(Type::kObject).object[key];
+Value& Value::operator[](std::string_view key) {
+  return MutableNodeAs(Type::kObject).object()[key];
 }
 
-bool Value::contains(const std::string& key) const {
-  return is_object() && data_->object.count(key) > 0;
+bool Value::contains(std::string_view key) const {
+  return is_object() && obj().count(key) > 0;
 }
 
-void Value::erase(const std::string& key) {
+void Value::erase(std::string_view key) {
   if (!is_object()) return;
-  MutableData().object.erase(key);
+  MutableNode().object().erase(key);
 }
 
 const Value::Object& Value::object() const {
-  return is_object() ? data_->object : kEmptyObject;
+  return is_object() ? obj() : kEmptyObject;
 }
 
-Value::Object& Value::object() { return MutableDataAs(Type::kObject).object; }
+Value::Object& Value::object() {
+  return MutableNodeAs(Type::kObject).object();
+}
 
-const Value* Value::FindPath(const std::string& path) const {
+const Value* Value::FindPath(std::string_view path) const {
   const Value* cur = this;
-  std::size_t start = 0;
-  while (start <= path.size()) {
-    const std::size_t dot = path.find('.', start);
-    const std::string part =
-        path.substr(start, dot == std::string::npos ? dot : dot - start);
+  std::size_t pos = 0;
+  while (pos != std::string_view::npos) {
     if (!cur->is_object()) return nullptr;
-    auto it = cur->data_->object.find(part);
-    if (it == cur->data_->object.end()) return nullptr;
+    const Object& fields = cur->obj();
+    const auto it = fields.find(NextSegment(path, pos));
+    if (it == fields.end()) return nullptr;
     cur = &it->second;
-    if (dot == std::string::npos) return cur;
-    start = dot + 1;
   }
-  return nullptr;
+  return cur;
 }
 
-void Value::SetPath(const std::string& path, Value v) {
+void Value::SetPath(std::string_view path, Value v) {
   Value* cur = this;
-  std::size_t start = 0;
+  std::size_t pos = 0;
   for (;;) {
-    const std::size_t dot = path.find('.', start);
-    const std::string part =
-        path.substr(start, dot == std::string::npos ? dot : dot - start);
-    Data& data = cur->MutableDataAs(Type::kObject);
-    if (dot == std::string::npos) {
-      data.object[part] = std::move(v);
+    const std::string_view part = NextSegment(path, pos);
+    Value& child = cur->MutableNodeAs(Type::kObject).object()[part];
+    if (pos == std::string_view::npos) {
+      child = std::move(v);
       return;
     }
-    cur = &data.object[part];
-    start = dot + 1;
+    cur = &child;
   }
 }
 
-bool Value::ErasePath(const std::string& path) {
+bool Value::ErasePath(std::string_view path) {
   // Const pre-check so a miss neither detaches nor dirties any caches.
   if (FindPath(path) == nullptr) return false;
-  const std::size_t dot = path.rfind('.');
-  if (dot == std::string::npos) {
-    MutableData().object.erase(path);
-    return true;
-  }
   // Walk to the parent through the mutable path (detaching + cache
   // invalidation along the way), then erase the leaf.
   Value* cur = this;
-  std::size_t start = 0;
-  const std::string parent_path = path.substr(0, dot);
+  std::size_t pos = 0;
   for (;;) {
-    const std::size_t d = parent_path.find('.', start);
-    const std::string part =
-        parent_path.substr(start, d == std::string::npos ? d : d - start);
-    cur = &cur->MutableData().object[part];
-    if (d == std::string::npos) break;
-    start = d + 1;
+    const std::string_view part = NextSegment(path, pos);
+    Object& fields = cur->MutableNode().object();
+    if (pos == std::string_view::npos) {
+      fields.erase(part);
+      return true;
+    }
+    cur = &fields.find(part)->second;
   }
-  cur->MutableData().object.erase(path.substr(dot + 1));
-  return true;
 }
 
 namespace {
@@ -240,10 +236,14 @@ JsonMeasure MeasureString(const std::string& s) {
   return m;
 }
 
+// What "%lld" prints for `v`: its digits, plus one for the sign. The
+// magnitude is taken unsigned, so INT64_MIN needs no special case.
 std::size_t IntJsonSize(std::int64_t v) {
-  char buf[24];
-  return static_cast<std::size_t>(
-      std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v)));
+  std::uint64_t magnitude = v < 0 ? 0 - static_cast<std::uint64_t>(v)
+                                  : static_cast<std::uint64_t>(v);
+  std::size_t n = v < 0 ? 2 : 1;
+  for (; magnitude >= 10; magnitude /= 10) ++n;
+  return n;
 }
 
 std::size_t DoubleJsonSize(double d) {
@@ -260,28 +260,28 @@ void Value::SerializeTo(std::string& out) const {
       out += "null";
       break;
     case Type::kBool:
-      out += bool_ ? "true" : "false";
+      out += scalar_.b ? "true" : "false";
       break;
     case Type::kInt: {
       char buf[24];
       std::snprintf(buf, sizeof(buf), "%lld",
-                    static_cast<long long>(int_));
+                    static_cast<long long>(scalar_.i));
       out += buf;
       break;
     }
     case Type::kDouble: {
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.17g", double_);
+      std::snprintf(buf, sizeof(buf), "%.17g", scalar_.d);
       out += buf;
       break;
     }
     case Type::kString:
-      EscapeInto(data_->string, out);
+      EscapeInto(str(), out);
       break;
     case Type::kArray: {
       out += '[';
       bool first = true;
-      for (const Value& v : data_->array) {
+      for (const Value& v : arr()) {
         if (!first) out += ',';
         first = false;
         v.SerializeTo(out);
@@ -292,7 +292,7 @@ void Value::SerializeTo(std::string& out) const {
     case Type::kObject: {
       out += '{';
       bool first = true;
-      for (const auto& [k, v] : data_->object) {
+      for (const auto& [k, v] : obj()) {
         if (!first) out += ',';
         first = false;
         EscapeInto(k, out);
@@ -317,58 +317,58 @@ std::size_t Value::SerializedSize() const {
     case Type::kNull:
       return 4;
     case Type::kBool:
-      return bool_ ? 4 : 5;
+      return scalar_.b ? 4 : 5;
     case Type::kInt:
-      return IntJsonSize(int_);
+      return IntJsonSize(scalar_.i);
     case Type::kDouble:
-      return DoubleJsonSize(double_);
+      return DoubleJsonSize(scalar_.d);
     case Type::kString:
     case Type::kArray:
     case Type::kObject:
-      if (data_->cached_size == 0) Measure();
-      return data_->cached_size;
+      if (node_->cached_size == 0) Measure();
+      return node_->cached_size;
   }
   return 0;
 }
 
 std::size_t Value::SerializedEscapes() const {
-  if (data_ == nullptr) return 0;  // scalars render with neither byte
-  if (data_->cached_size == 0) Measure();
-  return data_->cached_escapes;
+  if (node_ == nullptr) return 0;  // scalars render with neither byte
+  if (node_->cached_size == 0) Measure();
+  return node_->cached_escapes;
 }
 
 void Value::Measure() const {
-  Data& data = *data_;
+  Node& node = *node_;
   switch (type_) {
     case Type::kString: {
-      const JsonMeasure m = MeasureString(data.string);
-      data.cached_size = m.size;
-      data.cached_escapes = m.escapes;
+      const JsonMeasure m = MeasureString(str());
+      node.cached_size = m.size;
+      node.cached_escapes = m.escapes;
       return;
     }
     case Type::kArray: {
       std::size_t n = 2;  // brackets
-      if (!data.array.empty()) n += data.array.size() - 1;  // commas
+      if (!arr().empty()) n += arr().size() - 1;  // commas
       std::size_t escapes = 0;
-      for (const Value& v : data.array) {
+      for (const Value& v : arr()) {
         n += v.SerializedSize();
         escapes += v.SerializedEscapes();
       }
-      data.cached_size = n;
-      data.cached_escapes = escapes;
+      node.cached_size = n;
+      node.cached_escapes = escapes;
       return;
     }
     case Type::kObject: {
       std::size_t n = 2;  // braces
-      if (!data.object.empty()) n += data.object.size() - 1;  // commas
+      if (!obj().empty()) n += obj().size() - 1;  // commas
       std::size_t escapes = 0;
-      for (const auto& [k, v] : data.object) {
+      for (const auto& [k, v] : obj()) {
         const JsonMeasure key = MeasureString(k);
         n += key.size + 1 + v.SerializedSize();  // key : value
         escapes += key.escapes + v.SerializedEscapes();
       }
-      data.cached_size = n;
-      data.cached_escapes = escapes;
+      node.cached_size = n;
+      node.cached_escapes = escapes;
       return;
     }
     default:
@@ -572,10 +572,8 @@ std::uint64_t Value::Hash() const {
 
 bool Value::operator==(const Value& other) const {
   // Shared payload node => structurally equal, no walk needed. (Scalars
-  // have no node; data_ is null for them, so this never misfires.)
-  if (data_ != nullptr && data_ == other.data_ && type_ == other.type_) {
-    return true;
-  }
+  // have no node, so this never misfires.)
+  if (SharesPayloadWith(other)) return true;
   if (type_ != other.type_) {
     // Int/double compare numerically so 5 == 5.0.
     if (is_number() && other.is_number()) {
@@ -585,12 +583,12 @@ bool Value::operator==(const Value& other) const {
   }
   switch (type_) {
     case Type::kNull: return true;
-    case Type::kBool: return bool_ == other.bool_;
-    case Type::kInt: return int_ == other.int_;
-    case Type::kDouble: return double_ == other.double_;
-    case Type::kString: return data_->string == other.data_->string;
-    case Type::kArray: return data_->array == other.data_->array;
-    case Type::kObject: return data_->object == other.data_->object;
+    case Type::kBool: return scalar_.b == other.scalar_.b;
+    case Type::kInt: return scalar_.i == other.scalar_.i;
+    case Type::kDouble: return scalar_.d == other.scalar_.d;
+    case Type::kString: return str() == other.str();
+    case Type::kArray: return arr() == other.arr();
+    case Type::kObject: return obj() == other.obj();
   }
   return false;
 }
@@ -603,18 +601,25 @@ void Value::DiffInto(const std::string& prefix, const Value& before,
     out.emplace_back(prefix, after);
     return;
   }
-  // Keys removed in `after` surface as explicit nulls.
-  for (const auto& [k, v] : before.data_->object) {
-    if (!after.contains(k)) {
-      out.emplace_back(prefix.empty() ? k : prefix + "." + k, Value());
-    }
+  const auto path = [&prefix](const std::string& key) {
+    return prefix.empty() ? key : prefix + "." + key;
+  };
+  // Both field arrays are sorted by key, so each pass below is a merge
+  // walk. Keys removed in `after` surface as explicit nulls.
+  const Object& b = before.obj();
+  const Object& a = after.obj();
+  auto ai = a.begin();
+  for (const auto& [k, v] : b) {
+    while (ai != a.end() && ai->first < k) ++ai;
+    if (ai == a.end() || ai->first != k) out.emplace_back(path(k), Value());
   }
-  for (const auto& [k, v] : after.data_->object) {
-    const std::string path = prefix.empty() ? k : prefix + "." + k;
-    if (!before.contains(k)) {
-      out.emplace_back(path, v);
+  auto bi = b.begin();
+  for (const auto& [k, v] : a) {
+    while (bi != b.end() && bi->first < k) ++bi;
+    if (bi == b.end() || bi->first != k) {
+      out.emplace_back(path(k), v);
     } else {
-      DiffInto(path, before.data_->object.at(k), v, out);
+      DiffInto(path(k), bi->second, v, out);
     }
   }
 }

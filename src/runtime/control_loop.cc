@@ -47,7 +47,7 @@ void ControlLoop::Dispatch(std::uint64_t generation) {
   // reconcile itself runs in the owning component's lane.
   sim::LaneScope lane_scope(engine_.lane_checker(), lane_);
 
-  const std::string key = queue_.front();
+  const std::string key = std::move(queue_.front());
   queue_.pop_front();
   queued_keys_.erase(key);
 

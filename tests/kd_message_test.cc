@@ -127,8 +127,9 @@ TEST(KdMessageTest, DiffMessageCarriesOnlyChanges) {
   model::SetNodeName(scheduled, "worker7");
   KdMessage msg = DiffMessage(pod, scheduled);
   ASSERT_EQ(msg.attrs.size(), 1u);
-  EXPECT_TRUE(msg.attrs.count("spec.nodeName"));
-  EXPECT_EQ(msg.attrs.at("spec.nodeName").literal().as_string(), "worker7");
+  ASSERT_TRUE(msg.attrs.count("spec.nodeName"));
+  EXPECT_EQ(msg.attrs.find("spec.nodeName")->second.literal().as_string(),
+            "worker7");
 }
 
 TEST(KdMessageTest, FullObjectMessageMatchesObjectSize) {

@@ -10,11 +10,16 @@ namespace {
 TEST(PodPhaseTest, NamesRoundTrip) {
   for (PodPhase p :
        {PodPhase::kPending, PodPhase::kRunning, PodPhase::kTerminating}) {
-    auto parsed = ParsePodPhase(PodPhaseName(p));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, p);
+    ApiObject pod;
+    SetPodPhase(pod, p);
+    EXPECT_EQ(pod.status["phase"].as_string(), PodPhaseName(p));
+    EXPECT_EQ(GetPodPhase(pod), p);
   }
-  EXPECT_FALSE(ParsePodPhase("Bogus").ok());
+  ApiObject absent;
+  EXPECT_EQ(GetPodPhase(absent), PodPhase::kPending);
+  ApiObject unknown;
+  unknown.status["phase"] = "Bogus";
+  EXPECT_EQ(GetPodPhase(unknown), PodPhase::kPending);
 }
 
 TEST(ApiObjectTest, KeyCombinesKindAndName) {

@@ -1,15 +1,21 @@
 // Unit tests for the JSON-like Value type: construction, path access,
-// serialization round trips, hashing, structural diff, and the
-// memoized size and escape caches under in-place array edits.
+// serialization round trips, hashing, structural diff, the memoized
+// size and escape caches under in-place array edits, and seeded object
+// edit walks checked against a std::map reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <iterator>
+#include <limits>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "model/value.h"
 
 namespace kd::model {
@@ -27,6 +33,14 @@ TEST(ValueTest, ScalarConstruction) {
   EXPECT_DOUBLE_EQ(Value(2.5).as_double(), 2.5);
   EXPECT_EQ(Value("pod").as_string(), "pod");
   EXPECT_EQ(Value(std::int64_t{1} << 40).as_int(), std::int64_t{1} << 40);
+}
+
+// The compact layout: a type, a scalar union and a payload pointer; an
+// object field is its key beside the Value, in one array slot.
+TEST(ValueTest, CompactLayout) {
+  EXPECT_EQ(sizeof(Value), 3 * sizeof(void*));
+  EXPECT_EQ(sizeof(Value::Object::value_type),
+            sizeof(std::string) + sizeof(Value));
 }
 
 TEST(ValueTest, NumericCrossAccess) {
@@ -524,6 +538,351 @@ TEST(ValueEscapeCacheTest, RandomEditsKeepCachesEqualToRecount) {
       for (const Value& each : live) ExpectCachesExact(each);
       if (HasFailure()) return;
     }
+  }
+}
+
+
+// --- Field-array oracle --------------------------------------------------
+//
+// Seeded walks of object edits against a reference tree the test keeps
+// in std::map, rendered and diffed by the test itself. After every step
+// the Value must agree with the reference on key order, serialized
+// bytes, memoized size and escape count, hash, equality, and the diff
+// from the previous state.
+
+// A reference node: a scalar/string leaf, or an object whose fields a
+// std::map keeps in key order.
+struct Ref {
+  bool is_object = false;
+  Value leaf;
+  std::map<std::string, Ref> fields;
+};
+
+Ref RefObject() {
+  Ref r;
+  r.is_object = true;
+  return r;
+}
+
+std::string RefSerialize(const Ref& r) {
+  if (!r.is_object) return r.leaf.Serialize();
+  std::string out = "{";
+  for (const auto& [k, child] : r.fields) {
+    if (out.size() > 1) out += ',';
+    out += Value(k).Serialize();  // the key as a JSON string
+    out += ':';
+    out += RefSerialize(child);
+  }
+  return out + "}";
+}
+
+Value RefToValue(const Ref& r) {
+  if (!r.is_object) return r.leaf;
+  Value v = Value::MakeObject();
+  for (const auto& [k, child] : r.fields) v[k] = RefToValue(child);
+  return v;
+}
+
+bool RefEqual(const Ref& a, const Ref& b) {
+  if (a.is_object != b.is_object) return false;
+  if (!a.is_object) return a.leaf == b.leaf;
+  if (a.fields.size() != b.fields.size()) return false;
+  for (auto ai = a.fields.begin(), bi = b.fields.begin(); ai != a.fields.end();
+       ++ai, ++bi) {
+    if (ai->first != bi->first || !RefEqual(ai->second, bi->second)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Value::Diff's contract, restated over the reference: removed keys
+// first (as nulls), then added and changed ones, both in key order.
+void RefDiff(const std::string& prefix, const Ref& before, const Ref& after,
+             std::vector<std::pair<std::string, std::string>>& out) {
+  if (RefEqual(before, after)) return;
+  if (!before.is_object || !after.is_object) {
+    out.emplace_back(prefix, RefSerialize(after));
+    return;
+  }
+  const auto path = [&prefix](const std::string& k) {
+    return prefix.empty() ? k : prefix + "." + k;
+  };
+  for (const auto& [k, child] : before.fields) {
+    if (after.fields.count(k) == 0) out.emplace_back(path(k), "null");
+  }
+  for (const auto& [k, child] : after.fields) {
+    auto it = before.fields.find(k);
+    if (it == before.fields.end()) {
+      out.emplace_back(path(k), RefSerialize(child));
+    } else {
+      RefDiff(path(k), it->second, child, out);
+    }
+  }
+}
+
+std::uint64_t Fnv1a(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Key order of every object in `v`, depth first, next to the
+// reference's.
+void CollectKeys(const Value& v, std::vector<std::string>& out) {
+  if (!v.is_object()) return;
+  for (const auto& [k, child] : v.object()) {
+    out.push_back(k);
+    CollectKeys(child, out);
+  }
+}
+void CollectKeys(const Ref& r, std::vector<std::string>& out) {
+  if (!r.is_object) return;
+  for (const auto& [k, child] : r.fields) {
+    out.push_back(k);
+    CollectKeys(child, out);
+  }
+}
+
+// Shared prefixes, the empty key, quotes, backslashes, a control byte
+// and bytes above 0x7f (which sort after ASCII: the order is unsigned).
+const char* const kOracleKeys[] = {"", "a", "ab", "abc", "abd", "b", "q\"uote",
+                                   "back\\", "\\\"", "spec", "nodeName", "\x01",
+                                   "\xc3\xa9", "A", "z", "a\x7f"};
+// Path segments stay few so SetPath trees stay small.
+const char* const kOracleSegments[] = {"", "a", "ab", "b", "q\"", "\\"};
+
+// A scalar or string leaf, or a one-field object.
+Ref RandomRef(Rng& rng) {
+  static const char* const kStrings[] = {"", "v", "q\"", "b\\", "t\t",
+                                         "\x02", "\xc3\xa9"};
+  Ref r;
+  switch (rng.UniformInt(5)) {
+    case 0:
+      r.leaf = Value(kStrings[rng.UniformInt(std::size(kStrings))]);
+      break;
+    case 1:
+      r.leaf = Value(static_cast<std::int64_t>(rng.UniformInt(2000)) - 1000);
+      break;
+    case 2:
+      r.leaf = Value(rng.UniformInt(2) == 0);
+      break;
+    case 3:
+      r.leaf = Value();
+      break;
+    default:
+      r = RefObject();
+      r.fields[kOracleKeys[rng.UniformInt(std::size(kOracleKeys))]] =
+          Ref{false, Value(1), {}};
+      break;
+  }
+  return r;
+}
+
+std::vector<std::string> RandomPath(Rng& rng) {
+  std::vector<std::string> parts(1 + rng.UniformInt(3));
+  for (auto& part : parts) {
+    part = kOracleSegments[rng.UniformInt(std::size(kOracleSegments))];
+  }
+  return parts;
+}
+
+std::string JoinPath(const std::vector<std::string>& parts) {
+  std::string path;
+  for (const auto& part : parts) {
+    if (&part != &parts.front()) path += '.';
+    path += part;
+  }
+  return path;
+}
+
+// SetPath on the reference: every non-object on the way becomes an
+// empty object.
+void RefSetPath(Ref& root, const std::vector<std::string>& parts,
+                const Ref& value) {
+  Ref* cur = &root;
+  for (const auto& part : parts) {
+    if (!cur->is_object) *cur = RefObject();
+    cur = &cur->fields[part];
+  }
+  *cur = value;
+}
+
+bool RefErasePath(Ref& root, const std::vector<std::string>& parts) {
+  Ref* cur = &root;
+  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
+    if (!cur->is_object) return false;
+    auto it = cur->fields.find(parts[i]);
+    if (it == cur->fields.end()) return false;
+    cur = &it->second;
+  }
+  return cur->is_object && cur->fields.erase(parts.back()) > 0;
+}
+
+void ExpectMatchesRef(const Value& v, const Ref& ref) {
+  const std::string want = RefSerialize(ref);
+  ASSERT_EQ(v.Serialize(), want);
+  std::vector<std::string> got_keys;
+  std::vector<std::string> want_keys;
+  CollectKeys(v, got_keys);
+  CollectKeys(ref, want_keys);
+  EXPECT_EQ(got_keys, want_keys);
+  EXPECT_EQ(v.SerializedSize(), want.size());
+  EXPECT_EQ(v.SerializedEscapes(), QuotesAndBackslashes(want));
+  EXPECT_EQ(v.Hash(), Fnv1a(want));
+  EXPECT_TRUE(v == RefToValue(ref));
+}
+
+void ExpectDiffMatchesRef(const Value& before, const Value& after,
+                          const Ref& ref_before, const Ref& ref_after) {
+  std::vector<std::pair<std::string, std::string>> want;
+  RefDiff("", ref_before, ref_after, want);
+  std::vector<std::pair<std::string, std::string>> got;
+  for (const auto& [path, value] : Value::Diff(before, after)) {
+    got.emplace_back(path, value.Serialize());
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(before == after, RefEqual(ref_before, ref_after));
+}
+
+TEST(ValueFieldOracleTest, SeededEditWalksMatchSortedMapReference) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    Value v = Value::MakeObject();
+    Ref ref = RefObject();
+    for (int step = 0; step < 2000; ++step) {
+      const Value prev = v;  // shares every node until v is written
+      const Ref prev_ref = ref;
+      v.SerializedSize();  // primed: edits must invalidate, not recount
+      const std::string key =
+          kOracleKeys[rng.UniformInt(std::size(kOracleKeys))];
+      switch (rng.UniformInt(8)) {
+        case 0:
+        case 1: {  // write through operator[], new or existing key
+          const Ref value = RandomRef(rng);
+          v[key] = RefToValue(value);
+          ref.fields[key] = value;
+          break;
+        }
+        case 2: {  // nested write through a chain of operator[]
+          const std::string inner =
+              kOracleKeys[rng.UniformInt(std::size(kOracleKeys))];
+          v[key][inner] = static_cast<std::int64_t>(step);
+          Ref& outer = ref.fields[key];
+          if (!outer.is_object) outer = RefObject();
+          outer.fields[inner] = Ref{false, Value(step), {}};
+          break;
+        }
+        case 3:
+          v.erase(key);
+          ref.fields.erase(key);
+          break;
+        case 4: {
+          const std::vector<std::string> parts = RandomPath(rng);
+          const Ref value = RandomRef(rng);
+          v.SetPath(JoinPath(parts), RefToValue(value));
+          RefSetPath(ref, parts, value);
+          break;
+        }
+        case 5: {
+          const std::vector<std::string> parts = RandomPath(rng);
+          EXPECT_EQ(v.ErasePath(JoinPath(parts)), RefErasePath(ref, parts));
+          break;
+        }
+        case 6: {  // copy, then write the copy: the original stays put
+          Value copy = v;
+          copy[key] = "copy-only";
+          Ref copy_ref = ref;
+          copy_ref.fields[key] = Ref{false, Value("copy-only"), {}};
+          ExpectMatchesRef(copy, copy_ref);
+          ExpectMatchesRef(v, ref);
+          if (rng.UniformInt(2) == 0) {
+            v = std::move(copy);
+            ref = std::move(copy_ref);
+          }
+          break;
+        }
+        default: {
+          StatusOr<Value> parsed = Value::Parse(v.Serialize());
+          ASSERT_TRUE(parsed.ok());
+          v = std::move(*parsed);
+          break;
+        }
+      }
+      ExpectMatchesRef(v, ref);
+      ExpectMatchesRef(prev, prev_ref);
+      ExpectDiffMatchesRef(prev, v, prev_ref, ref);
+      if (HasFailure()) {
+        ADD_FAILURE() << "seed " << seed << " step " << step;
+        return;
+      }
+    }
+  }
+}
+
+TEST(ValueFieldOracleTest, ParseKeepsFirstOfDuplicateKeys) {
+  StatusOr<Value> v = Value::Parse(R"({"a":1,"a":2})");
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->size(), 1u);
+  EXPECT_EQ((*v)["a"].as_int(), 1);
+  // Out of order, with the duplicate after a smaller key.
+  v = Value::Parse(R"({"b":"first","a":0,"b":"second"})");
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->Serialize(), R"({"a":0,"b":"first"})");
+  ExpectCachesExact(*v);
+}
+
+TEST(ValueFieldOracleTest, TenThousandFieldObjectRoundTrips) {
+  std::vector<std::string> keys;
+  for (int i = 0; i < 10'000; ++i) keys.push_back(StrFormat("k%d", i));
+  Rng rng(7);
+  for (std::size_t i = keys.size() - 1; i > 0; --i) {
+    std::swap(keys[i], keys[rng.UniformInt(i + 1)]);
+  }
+  Value v = Value::MakeObject();
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    v[keys[i]] = static_cast<std::int64_t>(i);
+  }
+  ASSERT_EQ(v.size(), 10'000u);
+  std::vector<std::string> order;
+  CollectKeys(v, order);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  const std::string text = v.Serialize();
+  StatusOr<Value> parsed = Value::Parse(text);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(*parsed, v);
+  EXPECT_EQ(parsed->Serialize(), text);
+  EXPECT_EQ(parsed->Hash(), v.Hash());
+  ExpectCachesExact(*parsed);
+  for (std::size_t i = 0; i < keys.size(); i += 997) {
+    EXPECT_EQ((*parsed)[keys[i]].as_int(), static_cast<std::int64_t>(i));
+  }
+}
+
+TEST(ValueSizeCacheTest, IntSizeMatchesPrintfForEveryMagnitude) {
+  std::vector<std::int64_t> values = {0,
+                                      std::numeric_limits<std::int64_t>::min(),
+                                      std::numeric_limits<std::int64_t>::max()};
+  for (std::int64_t p = 1; p <= std::numeric_limits<std::int64_t>::max() / 10;
+       p *= 10) {
+    for (std::int64_t v : {p - 1, p, p + 1, 10 * p - 1}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  Rng rng(3);
+  for (int i = 0; i < 1000; ++i) {
+    values.push_back(static_cast<std::int64_t>(rng.Next()));
+  }
+  for (std::int64_t v : values) {
+    char buf[24];
+    const int n =
+        std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+    EXPECT_EQ(JsonIntSize(v), static_cast<std::size_t>(n)) << v;
+    EXPECT_EQ(Value(v).SerializedSize(), static_cast<std::size_t>(n)) << v;
   }
 }
 
