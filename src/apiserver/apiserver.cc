@@ -6,15 +6,6 @@
 
 namespace kd::apiserver {
 
-const char* WatchEventTypeName(WatchEventType type) {
-  switch (type) {
-    case WatchEventType::kAdded: return "Added";
-    case WatchEventType::kModified: return "Modified";
-    case WatchEventType::kDeleted: return "Deleted";
-  }
-  return "?";
-}
-
 ApiServer::ApiServer(sim::Engine& engine, CostModel cost)
     : engine_(engine), cost_(cost) {
   worker_free_.assign(static_cast<std::size_t>(
@@ -246,7 +237,6 @@ void ApiServer::Restart() {
   persist_fault_.Disarm();
   metrics_.ResetCounter("api_deadline_exceeded");
   const Duration outage = engine_.now() - outage_started_at_;
-  outage_total_ += outage;
   metrics_.RecordValue("apiserver.outage_seconds", ToSeconds(outage));
   metrics_.Count("apiserver.restarts");
   // Fresh process over the persisted store: empty worker pool, empty
@@ -377,15 +367,6 @@ void ApiServer::HandleGet(
 }
 
 void ApiServer::HandleList(
-    const std::string& flow, const std::string& kind,
-    std::function<void(StatusOr<std::vector<model::ApiObject>>)> done) {
-  HandleListAt(flow, kind,
-               [done = std::move(done)](
-                   StatusOr<std::vector<model::ApiObject>> result,
-                   std::uint64_t) mutable { done(std::move(result)); });
-}
-
-void ApiServer::HandleListAt(
     const std::string& flow, const std::string& kind,
     std::function<void(StatusOr<std::vector<model::ApiObject>>,
                        std::uint64_t)>

@@ -39,7 +39,6 @@
 namespace kd::apiserver {
 
 enum class WatchEventType { kAdded, kModified, kDeleted };
-const char* WatchEventTypeName(WatchEventType type);
 
 struct WatchEvent {
   WatchEventType type;
@@ -74,61 +73,27 @@ class KD_LANE_OWNED(apiserver) ApiServer {
 
   // --- server-side request handlers ----------------------------------
   // Invoked by ApiClient after client-side costs; `done` fires after
-  // the response has travelled back. Handlers may also be called
-  // directly by tests. `flow` is the APF flow identity (the client
-  // name); the flow-less overloads use the anonymous flow — identical
-  // behaviour unless apf_seats > 0.
+  // the response has travelled back. `flow` is the APF flow identity
+  // (the client name).
   void HandleCreate(const std::string& flow, model::ApiObject obj,
                     std::function<void(StatusOr<model::ApiObject>)> done);
-  void HandleCreate(model::ApiObject obj,
-                    std::function<void(StatusOr<model::ApiObject>)> done) {
-    HandleCreate(std::string(), std::move(obj), std::move(done));
-  }
   // Optimistic concurrency: obj.resource_version must match the stored
   // version or the update fails with kConflict.
   void HandleUpdate(const std::string& flow, model::ApiObject obj,
                     std::function<void(StatusOr<model::ApiObject>)> done);
-  void HandleUpdate(model::ApiObject obj,
-                    std::function<void(StatusOr<model::ApiObject>)> done) {
-    HandleUpdate(std::string(), std::move(obj), std::move(done));
-  }
   void HandleDelete(const std::string& flow, const std::string& kind,
                     const std::string& name, std::function<void(Status)> done);
-  void HandleDelete(const std::string& kind, const std::string& name,
-                    std::function<void(Status)> done) {
-    HandleDelete(std::string(), kind, name, std::move(done));
-  }
   void HandleGet(const std::string& flow, const std::string& kind,
                  const std::string& name,
                  std::function<void(StatusOr<model::ApiObject>)> done);
-  void HandleGet(const std::string& kind, const std::string& name,
-                 std::function<void(StatusOr<model::ApiObject>)> done) {
-    HandleGet(std::string(), kind, name, std::move(done));
-  }
-  void HandleList(
-      const std::string& flow, const std::string& kind,
-      std::function<void(StatusOr<std::vector<model::ApiObject>>)> done);
-  void HandleList(
-      const std::string& kind,
-      std::function<void(StatusOr<std::vector<model::ApiObject>>)> done) {
-    HandleList(std::string(), kind, std::move(done));
-  }
-  // List that also reports the store revision the snapshot was taken
+  // Lists `kind` and reports the store revision the snapshot was taken
   // at — what a reflector needs to diff a relist against its cache
   // (absence of a key with revision <= the snapshot's means deleted).
-  // Costs exactly what HandleList costs.
-  void HandleListAt(
+  void HandleList(
       const std::string& flow, const std::string& kind,
       std::function<void(StatusOr<std::vector<model::ApiObject>>,
                          std::uint64_t revision)>
           done);
-  void HandleListAt(
-      const std::string& kind,
-      std::function<void(StatusOr<std::vector<model::ApiObject>>,
-                         std::uint64_t revision)>
-          done) {
-    HandleListAt(std::string(), kind, std::move(done));
-  }
 
   // --- watch ------------------------------------------------------------
   // Registration is free (control-plane setup); events are delivered
@@ -159,8 +124,6 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   void Crash();
   void Restart();
   bool up() const { return up_; }
-  // Cumulative time spent down (closed outages only).
-  Duration outage_total() const { return outage_total_; }
 
   // Numbered-operation crash seam: every write that passes validation
   // ticks twice — once just before the store mutation (armed: the
@@ -205,9 +168,6 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   // lane.
   void SetLane(LaneId lane) { lane_ = lane; }
   LaneId lane() const { return lane_; }
-
-  // Current store revision (tests/benches; charges nothing).
-  std::uint64_t revision() const { return revision_; }
 
  private:
   struct CommitResult {
@@ -280,7 +240,6 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   // order on Crash().
   std::map<std::uint64_t, std::shared_ptr<RespondFn>> pending_;
   Time outage_started_at_ = 0;
-  Duration outage_total_ = 0;
   FaultPoint persist_fault_;
   // APF fair queueing in front of the worker pool (disabled unless
   // cost.apf_seats > 0; queued work dies on Crash()).

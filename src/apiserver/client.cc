@@ -6,18 +6,6 @@
 
 namespace kd::apiserver {
 
-ApiClient::ApiClient(sim::Engine& engine, ApiServer& server,
-                     std::string client_name, double qps, double burst,
-                     MetricsRecorder* metrics, RetryPolicy retry)
-    : engine_(engine),
-      shards_{&server},
-      router_(1),
-      name_(std::move(client_name)),
-      limiter_(engine, qps, burst),
-      tracker_(metrics, name_ + ".active"),
-      metrics_(metrics),
-      retry_(retry) {}
-
 ApiClient::ApiClient(sim::Engine& engine, ControlPlane& plane,
                      std::string client_name, double qps, double burst,
                      MetricsRecorder* metrics, RetryPolicy retry)
@@ -57,7 +45,6 @@ void ApiClient::Dispatch(ApiServer* target, std::size_t request_bytes,
                          std::function<void()> send) {
   limiter_.Acquire([this, target, request_bytes,
                     send = std::move(send)]() mutable {
-    ++calls_issued_;
     const CostModel& cost = shards_.front()->cost();
     const Duration client_ser = static_cast<Duration>(
         static_cast<double>(request_bytes) * cost.serialize_ns_per_byte);
@@ -144,23 +131,6 @@ void ApiClient::Get(const std::string& kind, const std::string& name,
   RetryCall<StatusOr<model::ApiObject>>(std::move(issue), std::move(done), 1);
 }
 
-void ApiClient::List(
-    const std::string& kind,
-    std::function<void(StatusOr<std::vector<model::ApiObject>>)> done) {
-  ListAt(kind, [done = std::move(done)](
-                   StatusOr<std::vector<model::ApiObject>> objects,
-                   std::uint64_t) mutable { done(std::move(objects)); });
-}
-
-void ApiClient::ListShard(
-    int shard, const std::string& kind,
-    std::function<void(StatusOr<std::vector<model::ApiObject>>)> done) {
-  ListShardAt(shard, kind,
-              [done = std::move(done)](
-                  StatusOr<std::vector<model::ApiObject>> objects,
-                  std::uint64_t) mutable { done(std::move(objects)); });
-}
-
 namespace {
 // The retry driver is single-result; carry the revision alongside by
 // pairing it into the result the driver sees.
@@ -183,7 +153,7 @@ void ApiClient::ListShardAt(
       [this, target, kind](std::function<void(ListResult)> cb) {
         Dispatch(target, kind.size() + 64,
                  [this, target, kind, cb = std::move(cb)]() mutable {
-                   target->HandleListAt(
+                   target->HandleList(
                        name_, kind,
                        [cb = std::move(cb)](
                            StatusOr<std::vector<model::ApiObject>> objects,
@@ -200,85 +170,71 @@ void ApiClient::ListShardAt(
       1);
 }
 
-void ApiClient::ListAt(
+void ApiClient::List(
     const std::string& kind,
-    std::function<void(StatusOr<std::vector<model::ApiObject>>,
-                       std::uint64_t)>
-        done) {
+    std::function<void(StatusOr<std::vector<model::ApiObject>>)> done) {
   if (shards_.size() == 1) {
-    // Unsharded fast path: byte-identical to the pre-sharding client.
-    ListShardAt(0, kind, std::move(done));
+    // Unsharded fast path: byte-identical to a single-server client.
+    ListShardAt(0, kind,
+                [done = std::move(done)](
+                    StatusOr<std::vector<model::ApiObject>> objects,
+                    std::uint64_t) mutable { done(std::move(objects)); });
     return;
   }
+  using Objects = StatusOr<std::vector<model::ApiObject>>;
   const int num = static_cast<int>(shards_.size());
   // One attempt = one list against every shard. The fan-out is a
   // single retry unit: if any shard's leg fails at the transport level
   // the whole attempt retries (re-listing a shard is idempotent).
-  std::function<void(std::function<void(ListResult)>)> issue =
-      [this, kind, num](std::function<void(ListResult)> cb) {
+  std::function<void(std::function<void(Objects)>)> issue =
+      [this, kind, num](std::function<void(Objects)> cb) {
         struct Fan {
           // optional<>: StatusOr is not default-constructible.
-          std::vector<std::optional<StatusOr<std::vector<model::ApiObject>>>>
-              results;
-          std::vector<std::uint64_t> revisions;
+          std::vector<std::optional<Objects>> results;
           int remaining;
         };
         auto fan = std::make_shared<Fan>();
         fan->results.resize(static_cast<std::size_t>(num));
-        fan->revisions.assign(static_cast<std::size_t>(num), 0);
         fan->remaining = num;
         auto cb_shared =
-            std::make_shared<std::function<void(ListResult)>>(std::move(cb));
+            std::make_shared<std::function<void(Objects)>>(std::move(cb));
         for (int s = 0; s < num; ++s) {
           ApiServer* target = shards_[static_cast<std::size_t>(s)];
           Dispatch(target, kind.size() + 64, [this, target, kind, s, fan,
                                       cb_shared]() mutable {
-            target->HandleListAt(
+            target->HandleList(
                 name_, kind,
-                [s, fan, cb_shared](
-                    StatusOr<std::vector<model::ApiObject>> objects,
-                    std::uint64_t revision) mutable {
+                [s, fan, cb_shared](Objects objects, std::uint64_t) mutable {
                   fan->results[static_cast<std::size_t>(s)] =
                       std::move(objects);
-                  fan->revisions[static_cast<std::size_t>(s)] = revision;
                   if (--fan->remaining > 0) return;
                   // Every shard answered. First failure in shard-index
                   // order wins (deterministic); otherwise merge in
-                  // global key order. Revision = max across shards (a
-                  // freshness hint only — revisions are per-shard).
+                  // global key order.
                   for (auto& r : fan->results) {
                     if (!r->ok()) {
-                      (*cb_shared)(ListResult{r->status(), 0});
+                      (*cb_shared)(r->status());
                       return;
                     }
                   }
                   std::vector<model::ApiObject> merged;
-                  std::uint64_t revision_max = 0;
-                  for (std::size_t i = 0; i < fan->results.size(); ++i) {
-                    auto& part = fan->results[i]->value();
+                  for (auto& r : fan->results) {
+                    auto& part = r->value();
                     merged.insert(merged.end(),
                                   std::make_move_iterator(part.begin()),
                                   std::make_move_iterator(part.end()));
-                    revision_max =
-                        std::max(revision_max, fan->revisions[i]);
                   }
                   std::sort(merged.begin(), merged.end(),
                             [](const model::ApiObject& a,
                                const model::ApiObject& b) {
                               return a.Key() < b.Key();
                             });
-                  (*cb_shared)(
-                      ListResult{std::move(merged), revision_max});
+                  (*cb_shared)(std::move(merged));
                 });
           });
         }
       };
-  RetryCall<ListResult>(
-      std::move(issue),
-      [done = std::move(done)](ListResult r) mutable {
-        done(std::move(r.objects), r.revision);
-      },
-      1);
+  RetryCall<Objects>(std::move(issue), std::move(done), 1);
 }
 
 }  // namespace kd::apiserver

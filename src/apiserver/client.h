@@ -1,10 +1,13 @@
 // Per-controller API client: the path every Kubernetes API call takes
-// in a stock controller. Charges, in order:
+// in a stock controller. It addresses the control plane through a
+// ControlPlane (one shard is the paper's single API server). Charges,
+// in order:
 //   1. the client-side token-bucket rate limit (the §2.2 bottleneck);
 //   2. client-side serialization of the request body;
 //   3. network latency to the API server;
-// then hands the request to ApiServer, which charges its own queueing,
-// etcd, and response costs before invoking the callback.
+// then hands the request to the ApiServer shard that owns the key,
+// which charges its own queueing, etcd, and response costs before
+// invoking the callback.
 //
 // Fault handling mirrors client-go: transport-level failures
 // (kUnavailable from a crashed server, kDeadlineExceeded from one that
@@ -58,12 +61,8 @@ class KD_LANE_SEAM ApiClient {
   // limiter, on the wire, or being served) — the isolated stage time of
   // the paper's breakdown figures — plus the retry counters
   // "client.<client_name>.{retries,giveups,deadline_exceeded}_total".
-  ApiClient(sim::Engine& engine, ApiServer& server, std::string client_name,
-            double qps, double burst, MetricsRecorder* metrics = nullptr,
-            RetryPolicy retry = {});
-  // Sharded control plane: writes route by object key through the
-  // plane's ShardRouter; lists fan out across every shard and merge.
-  // With a 1-shard plane this is identical to the single-server ctor.
+  // Writes route by object key through the plane's ShardRouter; lists
+  // fan out across every shard and merge.
   ApiClient(sim::Engine& engine, ControlPlane& plane, std::string client_name,
             double qps, double burst, MetricsRecorder* metrics = nullptr,
             RetryPolicy retry = {});
@@ -82,20 +81,10 @@ class KD_LANE_SEAM ApiClient {
   // global key order.
   void List(const std::string& kind,
             std::function<void(StatusOr<std::vector<model::ApiObject>>)> done);
-  // List carrying the snapshot's store revision (reflector relists).
-  // With S shards the reported revision is the max across shards —
-  // only meaningful as a freshness hint; per-shard reflectors use
-  // ListShardAt and keep per-shard revisions instead.
-  void ListAt(const std::string& kind,
-              std::function<void(StatusOr<std::vector<model::ApiObject>>,
-                                 std::uint64_t revision)>
-                  done);
   // Single-shard list: one shard's slice of the kind, at that shard's
-  // store revision. Shard 0 of an unsharded client is exactly List/
-  // ListAt. Per-shard reflectors (Informer sources) live on these.
-  void ListShard(
-      int shard, const std::string& kind,
-      std::function<void(StatusOr<std::vector<model::ApiObject>>)> done);
+  // store revision. Shard 0 of an unsharded client is exactly List.
+  // Per-shard reflectors (Informer sources, raw-watch relists) live on
+  // this.
   void ListShardAt(int shard, const std::string& kind,
                    std::function<void(StatusOr<std::vector<model::ApiObject>>,
                                       std::uint64_t revision)>
@@ -110,7 +99,6 @@ class KD_LANE_SEAM ApiClient {
   void AbandonPending() { ++generation_; }
 
   const std::string& name() const { return name_; }
-  TokenBucket& limiter() { return limiter_; }
 
   // Lane-checker seam: completion callbacks run re-scoped to the
   // owning component's lane. Without this, APF seat coupling leaks
@@ -118,9 +106,6 @@ class KD_LANE_SEAM ApiClient {
   // queued request, so component A's response can fire inside an
   // event chain that started in component B's lane.
   void SetLane(LaneId lane) { lane_ = lane; }
-  const RetryPolicy& retry_policy() const { return retry_; }
-  // API calls issued (post rate limiting), including retries.
-  std::uint64_t calls_issued() const { return calls_issued_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const ShardRouter& router() const { return router_; }
 
@@ -206,9 +191,8 @@ class KD_LANE_SEAM ApiClient {
   }
 
   sim::Engine& engine_;
-  // One endpoint per shard (a single entry for an unsharded server);
-  // the router copies the plane's, so client and plane always agree on
-  // key placement.
+  // One endpoint per shard of the plane; the router copies the plane's,
+  // so client and plane always agree on key placement.
   std::vector<ApiServer*> shards_;
   ShardRouter router_;
   std::string name_;
@@ -216,7 +200,6 @@ class KD_LANE_SEAM ApiClient {
   ActiveTracker tracker_;
   MetricsRecorder* metrics_;
   RetryPolicy retry_;
-  std::uint64_t calls_issued_ = 0;
   std::uint64_t generation_ = 0;  // bumped by AbandonPending()
   LaneId lane_ = kNoLane;         // completion-callback lane (SetLane)
 };

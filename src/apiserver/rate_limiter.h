@@ -25,7 +25,6 @@ class TokenBucket {
   // Tokens currently available (after refill to now).
   double available();
 
-  std::size_t queue_depth() const { return waiting_.size(); }
   // Total time Acquire()d callers spent waiting, for the benchmark
   // breakdowns that attribute latency to rate limiting.
   Duration total_wait() const { return total_wait_; }

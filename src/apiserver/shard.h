@@ -16,10 +16,11 @@
 //     watch break never forces a relist against the others.
 //
 // Seam preservation: with S == 1 the router is a pass-through (always
-// shard 0, no hashing) and ControlPlane degenerates to the single
-// ApiServer it wraps — the determinism fingerprints are byte-identical
-// to the pre-sharding tree, which is what lets the entire existing
-// test battery double as the refactor's regression oracle.
+// shard 0, no hashing) and ControlPlane degenerates to the one
+// ApiServer it owns — the paper's single API server, with
+// byte-identical determinism fingerprints. Every client, informer and
+// controller addresses the control plane through a ControlPlane, at
+// any S.
 //
 // All shard-index arithmetic lives in this directory (kdlint R6):
 // outside src/apiserver, code asks the router — it never recomputes
@@ -75,19 +76,14 @@ class ShardRouter {
 // holds the same router.
 class KD_LANE_OWNED(apiserver) ControlPlane {
  public:
-  // Owning: constructs `num_shards` API servers over one engine/cost.
+  // Constructs `num_shards` API servers over one engine/cost; the
+  // default is the single server.
   ControlPlane(sim::Engine& engine, const CostModel& cost, int num_shards = 1)
       : router_(num_shards) {
-    owned_.reserve(static_cast<std::size_t>(router_.num_shards()));
+    shards_.reserve(static_cast<std::size_t>(router_.num_shards()));
     for (int i = 0; i < router_.num_shards(); ++i) {
-      owned_.push_back(std::make_unique<ApiServer>(engine, cost));
-      shards_.push_back(owned_.back().get());
+      shards_.push_back(std::make_unique<ApiServer>(engine, cost));
     }
-  }
-  // Non-owning single-shard view over an existing server (tests that
-  // drive an ApiServer directly and only need the plane as plumbing).
-  explicit ControlPlane(ApiServer& server) : router_(1) {
-    shards_.push_back(&server);
   }
 
   ControlPlane(const ControlPlane&) = delete;
@@ -108,21 +104,20 @@ class KD_LANE_OWNED(apiserver) ControlPlane {
   // pre-sharding semantics every existing test and bench relies on);
   // CrashShard()/RestartShard() blip exactly one keyspace slice.
   void Crash() {
-    for (ApiServer* s : shards_) s->Crash();
+    for (const auto& s : shards_) s->Crash();
   }
   void Restart() {
-    for (ApiServer* s : shards_) s->Restart();
+    for (const auto& s : shards_) s->Restart();
   }
   void CrashShard(int i) { shard(i).Crash(); }
   void RestartShard(int i) { shard(i).Restart(); }
   bool up() const {
-    for (const ApiServer* s : shards_) {
+    for (const auto& s : shards_) {
       if (!s->up()) return false;
     }
     return true;
   }
   bool ShardUp(int i) const { return shard(i).up(); }
-  Duration outage_total() const { return shards_.front()->outage_total(); }
 
   // Shard 0's seam, preserving the single-server call sites; per-shard
   // seams via persist_fault(i).
@@ -143,7 +138,7 @@ class KD_LANE_OWNED(apiserver) ControlPlane {
   // Installed on every shard: together they see every commit of the
   // plane (per shard in commit order).
   void SetCommitObserver(const CommitObserver& observer) {
-    for (ApiServer* s : shards_) s->SetCommitObserver(observer);
+    for (const auto& s : shards_) s->SetCommitObserver(observer);
   }
 
   // --- direct store access (tests/benches; charges nothing) ---------
@@ -157,7 +152,7 @@ class KD_LANE_OWNED(apiserver) ControlPlane {
   // single-server PeekAll had).
   std::vector<const model::ApiObject*> PeekAll(const std::string& kind) const {
     std::vector<const model::ApiObject*> out;
-    for (const ApiServer* s : shards_) {
+    for (const auto& s : shards_) {
       std::vector<const model::ApiObject*> part = s->PeekAll(kind);
       out.insert(out.end(), part.begin(), part.end());
     }
@@ -172,7 +167,7 @@ class KD_LANE_OWNED(apiserver) ControlPlane {
   std::map<std::string, std::uint64_t> VersionMap(
       const std::string& kind) const {
     std::map<std::string, std::uint64_t> out;
-    for (const ApiServer* s : shards_) {
+    for (const auto& s : shards_) {
       std::map<std::string, std::uint64_t> part = s->VersionMap(kind);
       out.insert(part.begin(), part.end());
     }
@@ -180,7 +175,7 @@ class KD_LANE_OWNED(apiserver) ControlPlane {
   }
   std::size_t object_count() const {
     std::size_t n = 0;
-    for (const ApiServer* s : shards_) n += s->object_count();
+    for (const auto& s : shards_) n += s->object_count();
     return n;
   }
   void SeedObject(model::ApiObject obj) {
@@ -190,13 +185,10 @@ class KD_LANE_OWNED(apiserver) ControlPlane {
   // Shard 0's recorder (single-server call sites); per-shard metrics
   // via shard(i).metrics().
   MetricsRecorder& metrics() { return shards_.front()->metrics(); }
-  sim::Engine& engine() { return shards_.front()->engine(); }
-  const CostModel& cost() const { return shards_.front()->cost(); }
 
  private:
   ShardRouter router_;
-  std::vector<std::unique_ptr<ApiServer>> owned_;
-  std::vector<ApiServer*> shards_;
+  std::vector<std::unique_ptr<ApiServer>> shards_;
 };
 
 }  // namespace kd::apiserver

@@ -134,8 +134,6 @@ struct CostModel {
   // Presets -----------------------------------------------------------------
   // Stock-Kubernetes-flavoured model (used by every benchmark).
   static CostModel Default() { return CostModel{}; }
-  // A zero-latency model for logic-only unit tests.
-  static CostModel Instant();
 };
 
 }  // namespace kd

@@ -23,15 +23,9 @@ const char* LevelName(LogLevel level) {
 
 void Logger::Log(LogLevel level, const std::string& component,
                  const std::string& message) {
-  if (level < min_level_) return;
-  if (time_source_) {
-    std::fprintf(stderr, "[%12s] %-5s %s: %s\n",
-                 FormatDuration(time_source_()).c_str(), LevelName(level),
-                 component.c_str(), message.c_str());
-  } else {
-    std::fprintf(stderr, "%-5s %s: %s\n", LevelName(level), component.c_str(),
-                 message.c_str());
-  }
+  if (level < kMinLevel) return;
+  std::fprintf(stderr, "%-5s %s: %s\n", LevelName(level), component.c_str(),
+               message.c_str());
 }
 
 }  // namespace kd

@@ -1,16 +1,9 @@
-// Minimal leveled logging that timestamps with *simulated* time.
-//
-// The logger is a process-wide singleton configured once per run. It
-// pulls the current time through an injected callback so log lines in a
-// simulation are stamped with virtual time, which is what you want when
-// debugging a reordering across controllers.
+// Minimal leveled logging to stderr: a process-wide singleton that
+// prints warnings and errors.
 #pragma once
 
-#include <functional>
 #include <sstream>
 #include <string>
-
-#include "common/time.h"
 
 namespace kd {
 
@@ -20,22 +13,13 @@ class Logger {
  public:
   static Logger& Get();
 
-  void set_min_level(LogLevel level) { min_level_ = level; }
-  LogLevel min_level() const { return min_level_; }
-
-  // Injects the time source (usually sim::Engine::now). Null restores
-  // the default of not printing a timestamp.
-  void set_time_source(std::function<Time()> source) {
-    time_source_ = std::move(source);
-  }
-
   void Log(LogLevel level, const std::string& component,
            const std::string& message);
 
  private:
+  static constexpr LogLevel kMinLevel = LogLevel::kWarning;
+
   Logger() = default;
-  LogLevel min_level_ = LogLevel::kWarning;
-  std::function<Time()> time_source_;
 };
 
 // Stream-style helper: LOG_STREAM(kInfo, "scheduler") << "placed " << n;

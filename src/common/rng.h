@@ -8,7 +8,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 namespace kd {
 
@@ -101,19 +100,6 @@ class Rng {
   double LogNormal(double mu, double sigma) {
     return std::exp(Normal(mu, sigma));
   }
-
-  // Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::swap(v[i - 1], v[UniformInt(i)]);
-    }
-  }
-
-  // Forks an independent stream; used to give each simulated component
-  // its own generator so adding draws in one place does not perturb
-  // another.
-  Rng Fork() { return Rng(Next() ^ 0xD1B54A32D192ED03ULL); }
 
  private:
   static std::uint64_t Rotl(std::uint64_t x, int k) {

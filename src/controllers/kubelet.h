@@ -61,7 +61,6 @@ class KD_LANE_OWNED(kubelet) Kubelet {
 
   // Observability.
   std::size_t running_pods() const;
-  std::size_t pending_sandboxes() const { return sandbox_queue_.size(); }
   const runtime::ObjectCache& cache() const { return cache_; }
 
  private:

@@ -155,10 +155,9 @@ void HierarchyClient::HandleStateSnapshot(WireMessage msg) {
 void HierarchyClient::FinishHandshake() {
   ready_ = true;
   ++handshakes_;
-  last_handshake_duration_ = engine_.now() - handshake_started_;
   if (metrics_) {
     metrics_->RecordDuration("kd_handshake_latency",
-                             last_handshake_duration_);
+                             engine_.now() - handshake_started_);
     metrics_->Count("kd_handshakes");
   }
   if (callbacks_.on_ready) callbacks_.on_ready(pending_changes_);

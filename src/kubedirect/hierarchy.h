@@ -110,7 +110,6 @@ class KD_LANE_SEAM HierarchyClient {
 
   // Number of completed handshakes (test/bench observability).
   std::uint64_t handshakes_completed() const { return handshakes_; }
-  Duration last_handshake_duration() const { return last_handshake_duration_; }
 
  private:
   void Connect();
@@ -152,7 +151,6 @@ class KD_LANE_SEAM HierarchyClient {
   bool awaiting_snapshot_ = false;
   Time handshake_started_ = 0;
   std::uint64_t handshakes_ = 0;
-  Duration last_handshake_duration_ = 0;
 };
 
 class KD_LANE_SEAM HierarchyServer {

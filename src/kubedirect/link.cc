@@ -64,7 +64,6 @@ void KdLink::Flush() {
   }
   const std::size_t bytes = SerializedBatchSize(pending_);
   messages_sent_ += pending_.size();
-  bytes_sent_ += bytes;
   if (metrics_) {
     metrics_->Count("kd_messages_sent",
                     static_cast<std::int64_t>(pending_.size()));

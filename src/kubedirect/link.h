@@ -50,7 +50,6 @@ class KD_LANE_SEAM KdLink : public std::enable_shared_from_this<KdLink> {
   void Close();
 
   std::uint64_t messages_sent() const { return messages_sent_; }
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
 
  private:
   using Batch = std::vector<WireMessage>;
@@ -86,7 +85,6 @@ class KD_LANE_SEAM KdLink : public std::enable_shared_from_this<KdLink> {
   bool closed_ = false;
 
   std::uint64_t messages_sent_ = 0;
-  std::uint64_t bytes_sent_ = 0;
 };
 
 using KdLinkPtr = std::shared_ptr<KdLink>;

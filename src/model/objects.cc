@@ -202,9 +202,6 @@ void SetNodeInvalid(ApiObject& node, bool invalid) {
   node.spec["invalid"] = invalid;
 }
 
-std::string GetNodePool(const ApiObject& node) {
-  return node.spec["pool"].as_string();
-}
 void SetNodePool(ApiObject& node, const std::string& pool) {
   node.spec["pool"] = pool;
 }
@@ -441,11 +438,6 @@ ApiObject MakeService(const std::string& name) {
   obj.name = name;
   obj.spec["selector"]["app"] = name;
   return obj;
-}
-
-std::string GetServiceSelector(const ApiObject& service) {
-  const Value* app = service.spec.FindPath("selector.app");
-  return app != nullptr && app->is_string() ? app->as_string() : "";
 }
 
 }  // namespace kd::model

@@ -129,7 +129,6 @@ void SetNodeInvalid(ApiObject& node, bool invalid);
 // Heterogeneous node pools (e.g. "ondemand" vs "spot"): an optional
 // spec field so unpooled clusters serialize exactly as before. An
 // absent pool reads as "" — callers treat that as the default pool.
-std::string GetNodePool(const ApiObject& node);
 void SetNodePool(ApiObject& node, const std::string& pool);
 
 // Spot-reclamation notice (scenario engine): absolute simulated time,
@@ -179,6 +178,5 @@ std::vector<std::string> AddressStrings(const Value& addresses);
 // A Service selecting pods labelled app=<name> (one Service per FaaS
 // function; the name doubles as the selector).
 ApiObject MakeService(const std::string& name);
-std::string GetServiceSelector(const ApiObject& service);
 
 }  // namespace kd::model

@@ -319,6 +319,4 @@ void Endpoint::Connect(const std::string& to,
   });
 }
 
-void Endpoint::CloseAll() { network_.CrashEndpoint(address_); }
-
 }  // namespace kd::net

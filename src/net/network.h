@@ -215,9 +215,6 @@ class KD_LANE_SEAM Endpoint {
   void Connect(const std::string& to,
                std::function<void(StatusOr<ConnHandlePtr>)> done);
 
-  // Closes all connections touching this endpoint (crash model).
-  void CloseAll();
-
  private:
   friend class Network;
   friend class Connection;

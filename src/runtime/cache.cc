@@ -108,28 +108,6 @@ void ObjectCache::Clear() {
   entries_.clear();
 }
 
-std::vector<model::ApiObject> ObjectCache::Snapshot() const {
-  TouchLane("*", /*write=*/false);
-  std::vector<model::ApiObject> out;
-  out.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    if (!entry.invalid) out.push_back(entry.object);
-  }
-  return out;
-}
-
-std::map<std::string, std::uint64_t> ObjectCache::VersionMap() const {
-  TouchLane("*", /*write=*/false);
-  std::map<std::string, std::uint64_t> out;
-  // entries_ is sorted, so hinting at end() makes each insert O(1).
-  for (const auto& [key, entry] : entries_) {
-    if (!entry.invalid) {
-      out.emplace_hint(out.end(), key, entry.object.ContentHash());
-    }
-  }
-  return out;
-}
-
 void ObjectCache::ForEachVisible(
     const std::function<void(const model::ApiObject&)>& fn) const {
   TouchLane("*", /*write=*/false);

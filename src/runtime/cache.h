@@ -40,7 +40,6 @@ class ObjectCache {
 
   // Returns the object, or nullptr if missing or invalid-marked.
   const model::ApiObject* Get(const std::string& key) const;
-  bool Contains(const std::string& key) const { return Get(key) != nullptr; }
 
   // All visible objects of `kind`, in key order (deterministic).
   std::vector<const model::ApiObject*> List(const std::string& kind) const;
@@ -65,13 +64,8 @@ class ObjectCache {
   // mode).
   void Clear();
 
-  // Raw snapshot of visible objects (handshake server side).
-  std::vector<model::ApiObject> Snapshot() const;
-  // key -> content hash of visible objects (handshake round one).
-  std::map<std::string, std::uint64_t> VersionMap() const;
-  // Single-pass visitor over visible objects in key order — the
-  // handshake hot path uses this to avoid copying every object the
-  // way Snapshot() does.
+  // Single-pass visitor over visible objects in key order — how both
+  // sides of the handshake read the cache without copying it.
   void ForEachVisible(
       const std::function<void(const model::ApiObject&)>& fn) const;
 

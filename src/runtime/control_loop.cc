@@ -19,7 +19,7 @@ void ControlLoop::Enqueue(const std::string& key) {
                           static_cast<std::int64_t>(depth_max_));
     }
   }
-  if (!dispatch_scheduled_ && !paused_) {
+  if (!dispatch_scheduled_) {
     // The loop picks up work when it is next free.
     ScheduleDispatch(std::max(engine_.now(), busy_until_));
   }
@@ -42,7 +42,7 @@ void ControlLoop::ScheduleDispatch(Time at) {
 void ControlLoop::Dispatch(std::uint64_t generation) {
   if (generation != generation_) return;  // crashed/cleared since
   dispatch_scheduled_ = false;
-  if (paused_ || queue_.empty()) return;
+  if (queue_.empty()) return;
   // Sanctioned seam: whatever lane's event enqueued this key, the
   // reconcile itself runs in the owning component's lane.
   sim::LaneScope lane_scope(engine_.lane_checker(), lane_);
@@ -63,7 +63,7 @@ void ControlLoop::Dispatch(std::uint64_t generation) {
     if (gen == generation_) tracker_.Dec(engine_.now());
   });
 
-  if (!queue_.empty() && !paused_) ScheduleDispatch(busy_until_);
+  if (!queue_.empty()) ScheduleDispatch(busy_until_);
 }
 
 void ControlLoop::Clear() {
@@ -71,19 +71,8 @@ void ControlLoop::Clear() {
   queue_.clear();
   queued_keys_.clear();
   dispatch_scheduled_ = false;
-  paused_ = false;
   ++generation_;
   busy_until_ = engine_.now();
-}
-
-void ControlLoop::Pause() { paused_ = true; }
-
-void ControlLoop::Resume() {
-  if (!paused_) return;
-  paused_ = false;
-  if (!queue_.empty() && !dispatch_scheduled_) {
-    ScheduleDispatch(std::max(engine_.now(), busy_until_));
-  }
 }
 
 }  // namespace kd::runtime

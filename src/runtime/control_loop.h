@@ -44,17 +44,7 @@ class KD_LANE_SEAM ControlLoop {
   // dispatch. Safe to Enqueue again right away (restart).
   void Clear();
 
-  // Pauses dispatch (used while a handshake re-establishes state);
-  // queued keys are retained.
-  void Pause();
-  void Resume();
-
   bool idle() const { return queue_.empty() && !dispatch_scheduled_; }
-  bool paused() const { return paused_; }
-  std::size_t depth() const { return queue_.size(); }
-  // High-water mark of the queue depth, also recorded as the
-  // "<name>.queue_depth_max" gauge in the MetricsRecorder.
-  std::size_t depth_max() const { return depth_max_; }
   std::uint64_t processed() const { return processed_; }
   const std::string& name() const { return name_; }
 
@@ -76,9 +66,10 @@ class KD_LANE_SEAM ControlLoop {
   // Membership-only dedup set; never iterated, so hashing order is
   // irrelevant to determinism.
   std::unordered_set<std::string> queued_keys_;
+  // High-water mark of the queue depth, recorded as the
+  // "<name>.queue_depth_max" gauge in the MetricsRecorder.
   std::size_t depth_max_ = 0;
   bool dispatch_scheduled_ = false;
-  bool paused_ = false;
   // Bumped by Clear(); stale dispatch events check it and abort.
   std::uint64_t generation_ = 0;
   std::uint64_t processed_ = 0;

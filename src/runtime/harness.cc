@@ -109,20 +109,6 @@ std::unique_ptr<kubedirect::HierarchyClient> ControllerHarness::MakeClient(
       &handshake_fault_);
 }
 
-void ControllerHarness::OnStaticLinkReady(const kubedirect::ChangeSet&) {
-  if (options_.pause_while_link_not_ready) loop_.Resume();
-  // Replay reconciles deferred while the link was down (§4.1:
-  // opportunistic forwarding drops are repaired level-triggered).
-  std::vector<std::string> replay = std::move(deferred_keys_);
-  deferred_keys_.clear();
-  deferred_set_.clear();
-  for (const std::string& key : replay) loop_.Enqueue(key);
-}
-
-void ControllerHarness::OnStaticLinkDown() {
-  if (options_.pause_while_link_not_ready) loop_.Pause();
-}
-
 void ControllerHarness::ArmRawWatch(std::size_t index, int shard,
                                     bool relist) {
   WatchBinding& binding = watches_[index];
@@ -300,20 +286,7 @@ void ControllerHarness::Start() {
     }
   }
   if (mode_ == Mode::kKd && have_downstream_spec_) {
-    DownstreamSpec spec = downstream_spec_;  // callbacks copied per session
-    auto user_ready = spec.callbacks.on_ready;
-    spec.callbacks.on_ready =
-        [this, user_ready](const kubedirect::ChangeSet& changes) {
-          OnStaticLinkReady(changes);
-          if (user_ready) user_ready(changes);
-        };
-    auto user_down = spec.callbacks.on_down;
-    spec.callbacks.on_down = [this, user_down] {
-      OnStaticLinkDown();
-      if (user_down) user_down();
-    };
-    static_downstream_ = MakeClient(std::move(spec));
-    if (options_.pause_while_link_not_ready) loop_.Pause();
+    static_downstream_ = MakeClient(downstream_spec_);
     static_downstream_->Start();
   }
   if (have_upstream_spec_ && upstream_spec_.downstream_first) {
@@ -331,8 +304,6 @@ void ControllerHarness::Crash() {
   // owns). In-flight chains complete with kCancelled instead.
   api_.AbandonPending();
   tombstones_.Clear();  // session-scoped intents (§4.3)
-  deferred_keys_.clear();
-  deferred_set_.clear();
   for (ObjectCache* cache : tracked_caches_) cache->Clear();
   loop_.Clear();
   for (SyncBinding& binding : syncs_) binding.informer->Stop();
@@ -435,12 +406,6 @@ void ControllerHarness::MaybeStartUpstream() {
   if (!DownstreamsSettled()) return;
   upstream_started_ = true;
   upstream_->Start();
-}
-
-void ControllerHarness::DeferUntilLinkReady(const std::string& key) {
-  if (deferred_set_.count(key)) return;
-  deferred_set_.insert(key);
-  deferred_keys_.push_back(key);
 }
 
 }  // namespace kd::runtime

@@ -25,12 +25,10 @@
 //     non-exempt downstream link is ready and the policy has marked
 //     its baseline synced (SetBaselineSynced) — the handshake run
 //     against us must reflect the recovered source of truth.
-//   - Deferred reconciles: DeferUntilLinkReady(key) parks keys while
-//     the forward link is down; they re-enqueue on the next handshake.
-//   - Pause-during-handshake (opt-in): with
-//     `pause_while_link_not_ready`, the control loop pauses whenever
-//     the static downstream link is not ready, so no reconcile can
-//     act on state mid-invalidation.
+//   - Link-reset recovery is level-triggered (§4.1): a forward send
+//     dropped while a link is down is repaired by the policy's own
+//     on_ready callback, which re-enqueues its pending work after the
+//     next handshake. The harness keeps no replay list of its own.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +36,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "apiserver/client.h"
@@ -69,10 +66,6 @@ class KD_LANE_SEAM ControllerHarness {
     // Whether the ApiClient reports "<client_id>.active" busy time
     // (Kubelets historically do not).
     bool api_metrics = true;
-    // Opt-in: pause the control loop whenever the static downstream
-    // link is not ready (covers the initial connect and every
-    // re-handshake window).
-    bool pause_while_link_not_ready = false;
   };
 
   struct UpstreamSpec {
@@ -147,11 +140,6 @@ class KD_LANE_SEAM ControllerHarness {
   // Node informer finished its initial list).
   void SetBaselineSynced(bool synced) { baseline_synced_ = synced; }
 
-  // --- deferred reconciles ------------------------------------------
-  // Parks `key` until the static downstream link (re)handshakes, then
-  // re-enqueues it. No-op queue when the key is already parked.
-  void DeferUntilLinkReady(const std::string& key);
-
   // --- accessors ------------------------------------------------------
   Env& env() { return env_; }
   Mode mode() const { return mode_; }
@@ -223,8 +211,6 @@ class KD_LANE_SEAM ControllerHarness {
   // Re-derives whether link `id` counts as unsettled after its
   // readiness or exemption may have changed.
   void RecountDownstream(const std::string& id);
-  void OnStaticLinkReady(const kubedirect::ChangeSet& changes);
-  void OnStaticLinkDown();
 
   // Raw-watch fault lifecycle, per shard: (re-)register the watch on
   // that shard (retrying while it is down), optionally relist that
@@ -265,9 +251,6 @@ class KD_LANE_SEAM ControllerHarness {
   std::map<std::string, DynamicDownstream> dynamic_downstreams_;
   std::map<std::string, bool> downstream_exempt_;
   std::size_t unsettled_downstreams_ = 0;
-
-  std::vector<std::string> deferred_keys_;
-  std::unordered_set<std::string> deferred_set_;
 
   bool upstream_started_ = false;
   bool baseline_synced_ = true;

@@ -44,9 +44,10 @@ void Informer::StartSource(int s) {
 
 void Informer::RunInitialList(int s) {
   const std::uint64_t session = session_;
-  client_.ListShard(
+  client_.ListShardAt(
       s, kind_,
-      [this, session, s](StatusOr<std::vector<model::ApiObject>> result) {
+      [this, session, s](StatusOr<std::vector<model::ApiObject>> result,
+                         std::uint64_t) {
         if (session != session_ || !running_) return;
         // Sanctioned seam: the initial-list merge writes the owner's
         // cache from an API-server response event.

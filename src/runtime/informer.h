@@ -3,13 +3,12 @@
 // dance of client-go reflectors, then merges watch events into the
 // ObjectCache, whose change handlers trigger the control loop.
 //
-// Sharded control plane: the informer runs one reflector *source* per
-// shard — its own watch stream, its own initial list, its own
-// last-seen revision, its own recovery chain. Sources are fully
-// independent: shard 2's watch break relists shard 2's slice of the
-// keyspace and never touches the caches fed by the other sources.
-// With one shard this degenerates to exactly the single-stream
-// reflector (byte-identical event trace).
+// The informer runs one reflector *source* per control-plane shard —
+// its own watch stream, its own initial list, its own last-seen
+// revision, its own recovery chain. Sources are fully independent:
+// shard 2's watch break relists shard 2's slice of the keyspace and
+// never touches the caches fed by the other sources. With one shard
+// this is exactly the single-stream reflector.
 //
 // Fault domain: when a shard crashes, that source's watch stream
 // breaks (on_break). The source then re-establishes it
@@ -45,15 +44,9 @@ namespace kd::runtime {
 
 class KD_LANE_SEAM Informer {
  public:
-  // Single-server informer (one source).
-  Informer(apiserver::ApiClient& client, apiserver::ApiServer& server,
-           ObjectCache& cache, MetricsRecorder* metrics = nullptr)
-      : client_(client), cache_(cache), metrics_(metrics) {
-    servers_.push_back(&server);
-  }
-  // Sharded informer: one source per shard of the plane. The client
-  // must be built over the same plane (its ListShard indices and the
-  // plane's shard indices must agree).
+  // One source per shard of the plane. The client must be built over
+  // the same plane (its ListShardAt indices and the plane's shard
+  // indices must agree).
   Informer(apiserver::ApiClient& client, apiserver::ControlPlane& plane,
            ObjectCache& cache, MetricsRecorder* metrics = nullptr)
       : client_(client), cache_(cache), metrics_(metrics) {

@@ -31,10 +31,6 @@ void ScenarioRunner::Start() {
   }
 }
 
-double ScenarioRunner::LoadFactorAt(Time t) const {
-  return FlashFactorAt(schedule_, t - started_at_);
-}
-
 void ScenarioRunner::Log(const std::string& what) {
   op_log_.push_back(LogEntry{cluster_.engine().now(), what});
 }

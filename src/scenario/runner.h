@@ -76,10 +76,6 @@ class KD_LANE_SEAM ScenarioRunner {
   const SloGuard& guard() const { return guard_; }
   const Schedule& schedule() const { return schedule_; }
 
-  // The flash-crowd multiplier at absolute engine time `t` (relative
-  // profiles are anchored at Start()).
-  double LoadFactorAt(Time t) const;
-
  private:
   void Execute(const Op& op);
   void DoSpotReclaim(const Op& op);

@@ -88,9 +88,4 @@ std::string LaneChecker::FormatReport() const {
   return out;
 }
 
-void LaneChecker::ClearConflicts() {
-  conflicts_.clear();
-  total_conflicts_ = 0;
-}
-
 }  // namespace kd::sim

@@ -90,7 +90,6 @@ class LaneChecker {
   const std::vector<Conflict>& conflicts() const { return conflicts_; }
   std::uint64_t total_conflicts() const { return total_conflicts_; }
   std::string FormatReport() const;
-  void ClearConflicts();
 
  private:
   static constexpr std::size_t kMaxRecorded = 100;

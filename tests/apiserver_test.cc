@@ -77,8 +77,9 @@ TEST(TokenBucketTest, TracksWaitTime) {
 class ApiServerTest : public ::testing::Test {
  protected:
   ApiServerTest()
-      : server_(engine_, CostModel::Default()),
-        client_(engine_, server_, "test-client", 1e6, 1e6) {}
+      : plane_(engine_, CostModel::Default()),
+        server_(plane_.shard(0)),
+        client_(engine_, plane_, "test-client", 1e6, 1e6) {}
 
   ApiObject NewDeployment(const std::string& name, int replicas) {
     return MakeDeployment(name, replicas, MinimalPodTemplateSpec(name));
@@ -101,7 +102,8 @@ class ApiServerTest : public ::testing::Test {
   }
 
   sim::Engine engine_;
-  ApiServer server_;
+  ControlPlane plane_;
+  ApiServer& server_;  // the plane's one shard
   ApiClient client_;
 };
 
@@ -312,9 +314,9 @@ TEST_F(ApiServerTest, SeedObjectBypassesCosts) {
 
 TEST(ApiClientRateLimitTest, LimiterThrottlesBeyondBurst) {
   sim::Engine engine;
-  ApiServer server(engine, CostModel::Default());
+  ControlPlane plane(engine, CostModel::Default());
   // 10 QPS, burst 5: 50 creates should take roughly 4.5 s.
-  ApiClient slow(engine, server, "slow", 10.0, 5.0);
+  ApiClient slow(engine, plane, "slow", 10.0, 5.0);
   int completed = 0;
   for (int i = 0; i < 50; ++i) {
     slow.Create(
@@ -333,8 +335,8 @@ TEST(ApiClientRateLimitTest, LimiterThrottlesBeyondBurst) {
 
 TEST(ApiClientRateLimitTest, LargeObjectsCostMoreThanSmall) {
   sim::Engine engine;
-  ApiServer server(engine, CostModel::Default());
-  ApiClient client(engine, server, "c", 1e6, 1e6);
+  ControlPlane plane(engine, CostModel::Default());
+  ApiClient client(engine, plane, "c", 1e6, 1e6);
 
   Time small_done = 0, large_done = 0;
   ApiObject small = MakeDeployment("small", 1, MinimalPodTemplateSpec("s"));

@@ -131,24 +131,6 @@ TEST(RngTest, ParetoAtLeastScale) {
   }
 }
 
-TEST(RngTest, ForkIndependentStreams) {
-  Rng a(21);
-  Rng fork = a.Fork();
-  // Forked stream is not a prefix/copy of the parent.
-  Rng b(21);
-  b.Next();  // parent consumed one value during Fork
-  EXPECT_NE(fork.Next(), b.Next());
-}
-
-TEST(RngTest, ShufflePreservesElements) {
-  Rng rng(3);
-  std::vector<int> v{1, 2, 3, 4, 5, 6};
-  auto orig = v;
-  rng.Shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, orig);
-}
-
 TEST(SampleTest, QuantilesExact) {
   Sample s;
   for (int i = 1; i <= 100; ++i) s.Add(i);

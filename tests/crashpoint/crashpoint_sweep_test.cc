@@ -11,17 +11,11 @@
 // total operation count N and terminates with the first clean run at
 // i == N: every operation the scenario performs at that seam has been
 // crashed-on exactly once.
-//
-// CRASHPOINT_SMOKE=1 sweeps only the first and last 5 points (dry-run
-// counted) — the fast subset the Release CI job runs; the full sweep
-// runs under ASan in the dedicated crashpoint job.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <set>
-#include <vector>
+#include <string>
 
 #include "common/strings.h"
 #include "crashpoint/scenario.h"
@@ -34,37 +28,7 @@ class CrashPointSweepTest : public ::testing::TestWithParam<Victim> {};
 TEST_P(CrashPointSweepTest, EverySweptPointSurvives) {
   const Victim victim = GetParam();
 
-  if (std::getenv("CRASHPOINT_SMOKE") != nullptr) {
-    // Smoke subset: count the seam's operations with a dry run, then
-    // sweep the first and last 5 points.
-    const ScenarioResult dry = RunScenario(victim, kNoFault);
-    if (::testing::Test::HasFatalFailure()) return;
-    ASSERT_GT(dry.ops, 0u) << VictimName(victim) << ": scenario never "
-                           << "exercises this seam";
-    std::set<std::uint64_t> points;
-    for (std::uint64_t i = 0; i < 5 && i < dry.ops; ++i) points.insert(i);
-    for (std::uint64_t i = dry.ops >= 5 ? dry.ops - 5 : 0; i < dry.ops; ++i) {
-      points.insert(i);
-    }
-    int fired = 0;
-    for (const std::uint64_t i : points) {
-      SCOPED_TRACE(StrFormat("%s@%llu", VictimName(victim),
-                             static_cast<unsigned long long>(i)));
-      const ScenarioResult result = RunScenario(victim, i);
-      if (::testing::Test::HasFatalFailure()) return;
-      // Prefix determinism: i < N (dry-run counted), so the point
-      // must have been reached and fired.
-      EXPECT_TRUE(result.fired);
-      EXPECT_EQ(result.restarts, 1);
-      if (result.fired) ++fired;
-    }
-    std::printf("[crashpoint] %s: smoke-swept %zu of %llu points (%d fired)\n",
-                VictimName(victim), points.size(),
-                static_cast<unsigned long long>(dry.ops), fired);
-    return;
-  }
-
-  // Full sweep: advance i until a run completes with no fire.
+  // Advance i until a run completes with no fire.
   std::uint64_t i = 0;
   int fired = 0;
   for (;; ++i) {

@@ -20,16 +20,14 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "cluster/cluster.h"
 #include "common/fault_point.h"
 #include "common/strings.h"
+#include "invariants.h"
 #include "model/objects.h"
 #include "net/network.h"
 #include "sim/engine.h"
@@ -271,57 +269,9 @@ class Scenario {
     CheckInvariants();
   }
 
-  // The §4.4 battery, identical to the property walk's close checks.
+  // The shared §4.4 battery (invariants.h) plus shard fault isolation.
   void CheckInvariants() {
-    using model::ApiObject;
-    using model::kKindPod;
-    // KdSafety: a predicate that holds at a suffix holds upstream —
-    // every pod a Kubelet runs is known, with the same binding, to
-    // the Scheduler and the ReplicaSet controller.
-    const auto& sched_cache = cluster_->scheduler().pod_cache();
-    const auto& rs_cache = cluster_->replicaset_controller().pod_cache();
-    for (int k = 0; k < kNodes; ++k) {
-      for (const ApiObject* pod :
-           cluster_->kubelet(k).cache().List(kKindPod)) {
-        const std::string key = pod->Key();
-        const ApiObject* at_sched = sched_cache.Get(key);
-        ASSERT_NE(at_sched, nullptr)
-            << key << " at kubelet " << k << " unknown to scheduler";
-        EXPECT_EQ(model::GetNodeName(*at_sched), cluster::Cluster::NodeName(k));
-        const ApiObject* at_rs = rs_cache.Get(key);
-        ASSERT_NE(at_rs, nullptr)
-            << key << " at kubelet " << k << " unknown to RS controller";
-        EXPECT_EQ(model::GetNodeName(*at_rs), cluster::Cluster::NodeName(k));
-      }
-    }
-    // Uniqueness: one pod, at most one kubelet.
-    std::map<std::string, int> claims;
-    for (int k = 0; k < kNodes; ++k) {
-      for (const ApiObject* pod :
-           cluster_->kubelet(k).cache().List(kKindPod)) {
-        ASSERT_EQ(++claims[pod->Key()], 1)
-            << pod->Key() << " claimed by two kubelets";
-      }
-    }
-    // Tombstones drained (all terminations settled).
-    EXPECT_EQ(cluster_->replicaset_controller().tombstone_count(), 0u);
-    EXPECT_EQ(cluster_->scheduler().tombstone_count(), 0u);
-    // InformerReconvergence: informer-synced caches hold exactly the
-    // server's committed state — same keys, same resource versions.
-    const auto& ep_cache = cluster_->endpoints_controller().cache();
-    for (const std::string& kind :
-         {std::string(model::kKindService), std::string(kKindPod)}) {
-      const std::map<std::string, std::uint64_t> truth =
-          cluster_->apiserver().VersionMap(kind);
-      const std::vector<const ApiObject*> view = ep_cache.List(kind);
-      ASSERT_EQ(view.size(), truth.size())
-          << "endpoints informer cache diverged for " << kind;
-      for (const ApiObject* obj : view) {
-        auto it = truth.find(obj->Key());
-        ASSERT_NE(it, truth.end()) << obj->Key() << " not on the server";
-        EXPECT_EQ(obj->resource_version, it->second) << obj->Key();
-      }
-    }
+    invariants::CheckQuiescentInvariants(*cluster_, kNodes, "fn");
     // Shard fault isolation (sharded victim only): a blip on shard 1
     // may relist shard-1 sources, but no informer source on any other
     // shard is allowed to — the per-source fault domain is the whole
@@ -336,14 +286,6 @@ class Scenario {
         EXPECT_EQ(value, 0) << name << ": a non-victim shard relisted";
       }
     }
-    // EndpointsConvergence: the KubeProxy routing table agrees with
-    // the Running pod IPs the API server publishes.
-    const std::vector<std::string> want = cluster_->ReadyPodAddresses("fn");
-    const std::vector<std::string> got =
-        cluster_->kube_proxy().AddressesFor("fn");
-    EXPECT_EQ(std::set<std::string>(got.begin(), got.end()),
-              std::set<std::string>(want.begin(), want.end()))
-        << "KubeProxy routing table diverged from ready pods";
   }
 
   Victim victim_;

@@ -83,8 +83,9 @@ TEST(FaultPointTest, RearmClearsFired) {
 class PersistSeamTest : public ::testing::Test {
  protected:
   PersistSeamTest()
-      : server_(engine_, CostModel::Default()),
-        client_(engine_, server_, "seam-client", 1e6, 1e6) {}
+      : plane_(engine_, CostModel::Default()),
+        server_(plane_.shard(0)),
+        client_(engine_, plane_, "seam-client", 1e6, 1e6) {}
 
   ApiObject NewDeployment(const std::string& name) {
     return model::MakeDeployment(name, 1,
@@ -100,7 +101,8 @@ class PersistSeamTest : public ::testing::Test {
   }
 
   sim::Engine engine_;
-  apiserver::ApiServer server_;
+  apiserver::ControlPlane plane_;
+  apiserver::ApiServer& server_;  // the plane's one shard
   apiserver::ApiClient client_;
 };
 
@@ -162,8 +164,7 @@ class HarnessSeamTest : public ::testing::Test {
   HarnessSeamTest()
       : network_(engine_),
         cost_(CostModel::Default()),
-        apiserver_(engine_, cost_),
-        plane_(apiserver_),
+        plane_(engine_, cost_),
         env_{engine_, network_, plane_, cost_, metrics_} {}
 
   runtime::ControllerHarness::Options Opts(const std::string& name) {
@@ -193,8 +194,7 @@ class HarnessSeamTest : public ::testing::Test {
   sim::Engine engine_;
   net::Network network_;
   CostModel cost_;
-  apiserver::ApiServer apiserver_;
-  apiserver::ControlPlane plane_;  // 1-shard view over apiserver_
+  apiserver::ControlPlane plane_;
   MetricsRecorder metrics_;
   runtime::Env env_;
 };

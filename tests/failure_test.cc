@@ -5,6 +5,10 @@
 // cancellation (§4.3), and eviction-driven replacement.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "cluster/cluster.h"
 #include "model/objects.h"
 
@@ -357,6 +361,30 @@ TEST_F(KdFailureTest, AutoscalerCrashIsHarmless) {
   cluster->ScaleTo("fn", 5);
   ASSERT_TRUE(cluster->RunUntil(
       [&] { return cluster->ReadyPodCount("fn") == 5; }, Seconds(120)));
+}
+
+// KubeProxy misses every address-list update sent while it is down.
+// After its restart the Endpoints controller's on_ready re-enqueues
+// every Service, so the routing table relearns the current addresses
+// (level-triggered repair of dropped forwards, §4.1).
+TEST_F(KdFailureTest, KubeProxyRelearnsAddressesAfterRestart) {
+  auto cluster = MakeCluster(2);
+  cluster->RegisterFunction("fn");
+  ScaleAndWait(*cluster, 2);
+
+  cluster->kube_proxy().Crash();
+  ScaleAndWait(*cluster, 4);  // the address list changes while it is down
+  cluster->kube_proxy().Restart();
+
+  auto as_set = [](const std::vector<std::string>& v) {
+    return std::set<std::string>(v.begin(), v.end());
+  };
+  const std::set<std::string> want = as_set(cluster->ReadyPodAddresses("fn"));
+  ASSERT_EQ(want.size(), 4u);
+  EXPECT_TRUE(cluster->RunUntil(
+      [&] { return as_set(cluster->kube_proxy().AddressesFor("fn")) == want; },
+      Seconds(60)))
+      << "KubeProxy routing table never relearned the ready pods";
 }
 
 TEST_F(KdFailureTest, MultiPointFailureEventuallyConverges) {

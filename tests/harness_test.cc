@@ -1,8 +1,7 @@
 // Tests for the shared ControllerHarness substrate every narrow-waist
 // controller runs on: crash/restart epoch invalidation, declarative
-// wiring (SyncKind / WatchFiltered), §4.2 pause-during-handshake and
-// downstream-first gating (and the settle count behind it), and
-// deferred-reconcile replay.
+// wiring (SyncKind / WatchFiltered), and §4.2 downstream-first gating
+// (and the settle count behind it).
 #include "runtime/harness.h"
 
 #include <gtest/gtest.h>
@@ -38,21 +37,19 @@ class HarnessTest : public ::testing::TestWithParam<Mode> {
   HarnessTest()
       : network_(engine_),
         cost_(CostModel::Default()),
-        apiserver_(engine_, cost_),
-        plane_(apiserver_),
+        plane_(engine_, cost_),
+        apiserver_(plane_.shard(0)),
         env_{engine_, network_, plane_, cost_, metrics_} {}
 
   Mode mode() const { return GetParam(); }
 
-  ControllerHarness::Options Opts(const std::string& name,
-                                  bool pause = false) {
+  ControllerHarness::Options Opts(const std::string& name) {
     ControllerHarness::Options options;
     options.name = name;
     options.client_id = name + "-client";
     options.address = "kd.test." + name;
     options.qps = cost_.controller_qps;
     options.burst = cost_.controller_burst;
-    options.pause_while_link_not_ready = pause;
     return options;
   }
 
@@ -76,8 +73,8 @@ class HarnessTest : public ::testing::TestWithParam<Mode> {
   sim::Engine engine_;
   net::Network network_;
   CostModel cost_;
-  apiserver::ApiServer apiserver_;
-  apiserver::ControlPlane plane_;  // 1-shard view over apiserver_
+  apiserver::ControlPlane plane_;
+  apiserver::ApiServer& apiserver_;  // the plane's one shard
   MetricsRecorder metrics_;
   Env env_;
 };
@@ -151,112 +148,6 @@ TEST_P(HarnessTest, CrashHookRunsBeforeCacheTeardown) {
   harness.Crash();
   EXPECT_TRUE(saw_cache_populated);
   EXPECT_EQ(cache.Get("Node/node-0"), nullptr);
-}
-
-TEST_P(HarnessTest, PauseDuringHandshakeGatesReconciles) {
-  ControllerHarness parent(env_, mode(), Opts("parent"));
-  ServeNoneUpstream(parent);
-  ControllerHarness child(env_, mode(), Opts("child", /*pause=*/true));
-  DialParent(child, "parent");
-  std::vector<std::string> reconciled;
-  child.SetReconciler([&](const std::string& key) {
-    reconciled.push_back(key);
-    return Milliseconds(0);
-  });
-
-  child.Start();  // the parent is not listening yet
-  child.loop().Enqueue("Pod/a");
-  engine_.RunFor(Seconds(1));
-  if (mode() == Mode::kKd) {
-    // No reconcile may act on state mid-invalidation: the loop stays
-    // paused until the handshake completes.
-    EXPECT_FALSE(child.link_ready());
-    EXPECT_TRUE(reconciled.empty());
-    parent.Start();
-    engine_.RunFor(Seconds(5));
-    EXPECT_TRUE(child.link_ready());
-  }
-  // K8s mode has no Kd link, so the loop is never gated.
-  EXPECT_EQ(reconciled, std::vector<std::string>{"Pod/a"});
-}
-
-TEST_P(HarnessTest, ReHandshakeAfterPeerCrashPausesAgain) {
-  ControllerHarness parent(env_, mode(), Opts("parent"));
-  ServeNoneUpstream(parent);
-  ControllerHarness child(env_, mode(), Opts("child", /*pause=*/true));
-  DialParent(child, "parent");
-  std::vector<std::string> reconciled;
-  child.SetReconciler([&](const std::string& key) {
-    reconciled.push_back(key);
-    return Milliseconds(0);
-  });
-  if (mode() == Mode::kK8s) return;  // link lifecycle is Kd-only
-
-  parent.Start();
-  child.Start();
-  engine_.RunFor(Seconds(5));
-  ASSERT_TRUE(child.link_ready());
-
-  parent.Crash();
-  engine_.RunFor(Seconds(5));  // keepalive notices the silent drop
-  ASSERT_FALSE(child.link_ready());
-  child.loop().Enqueue("Pod/b");
-  engine_.RunFor(Seconds(1));
-  EXPECT_TRUE(reconciled.empty());  // paused across the outage
-
-  parent.Restart();
-  engine_.RunFor(Seconds(10));
-  EXPECT_TRUE(child.link_ready());
-  EXPECT_EQ(reconciled, std::vector<std::string>{"Pod/b"});
-}
-
-TEST_P(HarnessTest, DeferredReconcilesReplayOnHandshake) {
-  ControllerHarness parent(env_, mode(), Opts("parent"));
-  ServeNoneUpstream(parent);
-  ControllerHarness child(env_, mode(), Opts("child"));
-  DialParent(child, "parent");
-  std::vector<std::string> reconciled;
-  child.SetReconciler([&](const std::string& key) {
-    reconciled.push_back(key);
-    return Milliseconds(0);
-  });
-
-  child.Start();  // link down: the parent is not listening
-  child.DeferUntilLinkReady("Pod/a");
-  child.DeferUntilLinkReady("Pod/b");
-  child.DeferUntilLinkReady("Pod/a");  // deduped while parked
-  engine_.RunFor(Seconds(1));
-  EXPECT_TRUE(reconciled.empty());
-
-  parent.Start();
-  engine_.RunFor(Seconds(5));
-  if (mode() == Mode::kKd) {
-    EXPECT_EQ(reconciled, (std::vector<std::string>{"Pod/a", "Pod/b"}));
-  } else {
-    // K8s controllers never park keys; without a link there is no
-    // handshake to replay them.
-    EXPECT_TRUE(reconciled.empty());
-  }
-}
-
-TEST_P(HarnessTest, CrashDropsDeferredKeys) {
-  ControllerHarness parent(env_, mode(), Opts("parent"));
-  ServeNoneUpstream(parent);
-  ControllerHarness child(env_, mode(), Opts("child"));
-  DialParent(child, "parent");
-  std::vector<std::string> reconciled;
-  child.SetReconciler([&](const std::string& key) {
-    reconciled.push_back(key);
-    return Milliseconds(0);
-  });
-
-  child.Start();
-  child.DeferUntilLinkReady("Pod/a");
-  child.Crash();  // deferred intents are session-scoped
-  child.Restart();
-  parent.Start();
-  engine_.RunFor(Seconds(5));
-  EXPECT_TRUE(reconciled.empty());
 }
 
 TEST_P(HarnessTest, DownstreamFirstUpstreamWaitsForBaseline) {

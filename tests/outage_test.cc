@@ -64,11 +64,12 @@ void RecordCacheEvents(runtime::ObjectCache& cache,
 
 TEST(OutageRelistTest, InformerSynthesizesOneEventPerMissedMutation) {
   sim::Engine engine;
-  ApiServer server(engine, CostModel::Default());
-  ApiClient client(engine, server, "informer", 1e6, 1e6);
+  apiserver::ControlPlane plane(engine, CostModel::Default());
+  ApiServer& server = plane.shard(0);
+  ApiClient client(engine, plane, "informer", 1e6, 1e6);
   MetricsRecorder metrics;
   runtime::ObjectCache cache;
-  runtime::Informer informer(client, server, cache, &metrics);
+  runtime::Informer informer(client, plane, cache, &metrics);
 
   server.SeedObject(Deploy("mutated", 1));
   server.SeedObject(Deploy("deleted", 1));
@@ -85,7 +86,7 @@ TEST(OutageRelistTest, InformerSynthesizesOneEventPerMissedMutation) {
   // below as events — the post-restart relist must synthesize them.
   server.Crash();
   server.Restart();
-  ApiClient writer(engine, server, "writer", 1e6, 1e6);
+  ApiClient writer(engine, plane, "writer", 1e6, 1e6);
   writer.Create(Deploy("created", 2), [](StatusOr<ApiObject> r) {
     ASSERT_TRUE(r.ok());
   });
@@ -129,10 +130,11 @@ TEST(OutageRelistTest, InformerSynthesizesOneEventPerMissedMutation) {
 
 TEST(OutageRelistTest, InformerCacheMatchesServerAfterRecovery) {
   sim::Engine engine;
-  ApiServer server(engine, CostModel::Default());
-  ApiClient client(engine, server, "informer", 1e6, 1e6);
+  apiserver::ControlPlane plane(engine, CostModel::Default());
+  ApiServer& server = plane.shard(0);
+  ApiClient client(engine, plane, "informer", 1e6, 1e6);
   runtime::ObjectCache cache;
-  runtime::Informer informer(client, server, cache, nullptr);
+  runtime::Informer informer(client, plane, cache, nullptr);
   for (int i = 0; i < 8; ++i) server.SeedObject(Deploy(StrFormat("d%d", i), 1));
   informer.Start(kKindDeployment);
   engine.RunFor(Seconds(1));
@@ -165,8 +167,8 @@ TEST(OutageRelistTest, RawFilteredWatchSynthesizesScopedEvents) {
   sim::Engine engine;
   net::Network network(engine);
   CostModel cost = CostModel::Default();
-  ApiServer server(engine, cost);
-  apiserver::ControlPlane plane(server);  // 1-shard view
+  apiserver::ControlPlane plane(engine, cost);
+  ApiServer& server = plane.shard(0);
   MetricsRecorder metrics;
   runtime::Env env{engine, network, plane, cost, metrics};
 
@@ -197,7 +199,7 @@ TEST(OutageRelistTest, RawFilteredWatchSynthesizesScopedEvents) {
   engine.RunFor(Milliseconds(100));
 
   // Live events populate the shadow state the relist diffs against.
-  ApiClient writer(engine, server, "writer", 1e6, 1e6);
+  ApiClient writer(engine, plane, "writer", 1e6, 1e6);
   writer.Create(pod("stays", "in"), [](StatusOr<ApiObject>) {});
   writer.Create(pod("leaves-scope", "in"), [](StatusOr<ApiObject>) {});
   writer.Create(pod("removed", "in"), [](StatusOr<ApiObject>) {});
@@ -240,15 +242,15 @@ TEST(OutageRelistTest, RawFilteredWatchSynthesizesScopedEvents) {
 
 // --- retry/backoff sequencing -----------------------------------------
 
-// Runs one Get against a permanently-down server and returns the times
-// at which each attempt's failure was delivered to the retry driver
-// (observable through calls_issued) plus the final completion time.
+// Runs one Get against a permanently-down server and returns the
+// call's final completion time (after every retry has failed).
 Time RunGiveUpClock(std::uint64_t seed, std::uint64_t* retries_out) {
   sim::Engine engine;
   engine.SeedRng(seed);
-  ApiServer server(engine, CostModel::Default());
+  apiserver::ControlPlane plane(engine, CostModel::Default());
+  ApiServer& server = plane.shard(0);
   MetricsRecorder metrics;
-  ApiClient client(engine, server, "retrier", 1e6, 1e6, &metrics);
+  ApiClient client(engine, plane, "retrier", 1e6, 1e6, &metrics);
   server.SeedObject(Deploy("fn", 1));
   server.Crash();
 
@@ -290,9 +292,10 @@ TEST(OutageRetryTest, BackoffSequenceIsSeededAndBounded) {
 
 TEST(OutageRetryTest, RetriesRideOutAShortOutage) {
   sim::Engine engine;
-  ApiServer server(engine, CostModel::Default());
+  apiserver::ControlPlane plane(engine, CostModel::Default());
+  ApiServer& server = plane.shard(0);
   MetricsRecorder metrics;
-  ApiClient client(engine, server, "rider", 1e6, 1e6, &metrics);
+  ApiClient client(engine, plane, "rider", 1e6, 1e6, &metrics);
   server.SeedObject(Deploy("fn", 3));
 
   server.Crash();
@@ -315,9 +318,10 @@ TEST(OutageRetryTest, RetriesRideOutAShortOutage) {
 
 TEST(OutageDeadlineTest, RequestsExpireInArrivalOrder) {
   sim::Engine engine;
-  ApiServer server(engine, CostModel::Default());
+  apiserver::ControlPlane plane(engine, CostModel::Default());
+  ApiServer& server = plane.shard(0);
   // No retries: observe each request's single attempt.
-  ApiClient client(engine, server, "plain", 1e6, 1e6, nullptr,
+  ApiClient client(engine, plane, "plain", 1e6, 1e6, nullptr,
                    apiserver::RetryPolicy::None());
   server.Crash();
 

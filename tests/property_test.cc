@@ -15,7 +15,7 @@
 //                   Kubelet runs is known, with the same binding, to
 //                   the Scheduler and the ReplicaSet controller;
 //   Uniqueness    — no pod is ever claimed by two Kubelets (checked at
-//                   every step, not just at quiescence);
+//                   every step and again at the close);
 //   Lifecycle     — pods never reappear after removal from the API
 //                   server with the same identity (Terminating is
 //                   irreversible);
@@ -25,6 +25,11 @@
 //   ReadyCounts   — the Cluster's commit-time Running-pod counts
 //                   (TotalReadyPods, ReadyPodCount) equal a recount of
 //                   the API server's pods after every action.
+//
+// The close runs the quiescent battery of invariants.h (KdSafety,
+// Uniqueness, drained tombstones, InformerReconvergence,
+// EndpointsConvergence), which the crash-point sweep shares, then the
+// walk's own LaneSilence and gateway-drain checks.
 //
 // The action set covers the whole chain, including crash/restart of
 // the Endpoints controller and KubeProxy and partition/heal of their
@@ -49,6 +54,7 @@
 #include "common/fault_point.h"
 #include "common/rng.h"
 #include "faas/gateway.h"
+#include "invariants.h"
 #include "model/objects.h"
 
 namespace kd::cluster {
@@ -522,54 +528,7 @@ class ModelWalk {
     ASSERT_TRUE(settled) << "did not stay converged: want " << desired_
                          << " got " << cluster_->ReadyPodCount("fn");
     CheckReadyCounts();
-
-    const auto& sched_cache = cluster_->scheduler().pod_cache();
-    const auto& rs_cache = cluster_->replicaset_controller().pod_cache();
-    for (int k = 0; k < kNodes; ++k) {
-      for (const ApiObject* pod :
-           cluster_->kubelet(k).cache().List(kKindPod)) {
-        const std::string key = pod->Key();
-        // Suffix predicate: "pod X runs on node k" — must hold upstream.
-        const ApiObject* at_sched = sched_cache.Get(key);
-        ASSERT_NE(at_sched, nullptr)
-            << key << " at kubelet " << k << " unknown to scheduler";
-        EXPECT_EQ(model::GetNodeName(*at_sched), Cluster::NodeName(k));
-        const ApiObject* at_rs = rs_cache.Get(key);
-        ASSERT_NE(at_rs, nullptr)
-            << key << " at kubelet " << k << " unknown to RS controller";
-        EXPECT_EQ(model::GetNodeName(*at_rs), Cluster::NodeName(k));
-      }
-    }
-    // Tombstones drained (all terminations settled).
-    EXPECT_EQ(cluster_->replicaset_controller().tombstone_count(), 0u);
-    EXPECT_EQ(cluster_->scheduler().tombstone_count(), 0u);
-    // InformerReconvergence: after any number of API-server outages,
-    // the informer-synced caches hold exactly the server's committed
-    // state — same keys, same resource versions (relist diffing lost
-    // nothing, synthesized nothing extra).
-    const auto& ep_cache = cluster_->endpoints_controller().cache();
-    for (const std::string& kind :
-         {std::string(model::kKindService), std::string(kKindPod)}) {
-      const std::map<std::string, std::uint64_t> truth =
-          cluster_->apiserver().VersionMap(kind);
-      const std::vector<const ApiObject*> view = ep_cache.List(kind);
-      ASSERT_EQ(view.size(), truth.size())
-          << "endpoints informer cache diverged for " << kind;
-      for (const ApiObject* obj : view) {
-        auto it = truth.find(obj->Key());
-        ASSERT_NE(it, truth.end()) << obj->Key() << " not on the server";
-        EXPECT_EQ(obj->resource_version, it->second) << obj->Key();
-      }
-    }
-    // EndpointsConvergence: the data plane's routing table (KubeProxy,
-    // fed by the Endpoints controller's stream) agrees with the set of
-    // Running pod IPs the API server publishes.
-    const std::vector<std::string> want = cluster_->ReadyPodAddresses("fn");
-    const std::vector<std::string> got =
-        cluster_->kube_proxy().AddressesFor("fn");
-    EXPECT_EQ(std::set<std::string>(got.begin(), got.end()),
-              std::set<std::string>(want.begin(), want.end()))
-        << "KubeProxy routing table diverged from ready pods";
+    invariants::CheckQuiescentInvariants(*cluster_, kNodes, "fn");
     // LaneSilence: zero cross-lane conflicts recorded over the walk.
     EXPECT_EQ(engine_.lane_checker().total_conflicts(), 0u)
         << engine_.lane_checker().FormatReport();

@@ -1,5 +1,5 @@
 // Tests for the controller runtime: object cache (incl. invalid
-// marks), control loop (dedup, crash clear, pause), informer sync.
+// marks), control loop (dedup, crash clear), informer sync.
 #include <gtest/gtest.h>
 
 #include "apiserver/client.h"
@@ -124,15 +124,16 @@ TEST(ObjectCacheTest, ChangeHandlerSeesTransitions) {
   EXPECT_FALSE(events[4].has_after);
 }
 
-TEST(ObjectCacheTest, SnapshotAndVersionMapSkipInvalid) {
+TEST(ObjectCacheTest, ForEachVisibleSkipsInvalid) {
   ObjectCache cache;
+  cache.Upsert(Pod("c"));
   cache.Upsert(Pod("a"));
   cache.Upsert(Pod("b"));
   cache.MarkInvalid("Pod/b");
-  EXPECT_EQ(cache.Snapshot().size(), 1u);
-  auto versions = cache.VersionMap();
-  EXPECT_EQ(versions.size(), 1u);
-  EXPECT_TRUE(versions.count("Pod/a"));
+  std::vector<std::string> visited;
+  cache.ForEachVisible(
+      [&](const ApiObject& obj) { visited.push_back(obj.Key()); });
+  EXPECT_EQ(visited, (std::vector<std::string>{"Pod/a", "Pod/c"}));
 }
 
 TEST(ObjectCacheTest, ClearWipesEverything) {
@@ -244,30 +245,15 @@ TEST_F(ControlLoopTest, ClearCancelsDelayedRequeues) {
   EXPECT_EQ(count, 0);
 }
 
-TEST_F(ControlLoopTest, PauseHoldsWorkResumeReleases) {
-  int count = 0;
-  loop_.SetReconciler([&](const std::string&) {
-    ++count;
-    return Duration{0};
-  });
-  loop_.Pause();
-  loop_.Enqueue("a");
-  engine_.Run();
-  EXPECT_EQ(count, 0);
-  EXPECT_EQ(loop_.depth(), 1u);
-  loop_.Resume();
-  engine_.Run();
-  EXPECT_EQ(count, 1);
-}
-
 // --- Informer ----------------------------------------------------------
 
 TEST(InformerTest, InitialListSeedsCacheThenWatchKeepsItFresh) {
   sim::Engine engine;
-  apiserver::ApiServer server(engine, CostModel::Default());
-  apiserver::ApiClient client(engine, server, "informer", 1e6, 1e6);
+  apiserver::ControlPlane plane(engine, CostModel::Default());
+  apiserver::ApiServer& server = plane.shard(0);
+  apiserver::ApiClient client(engine, plane, "informer", 1e6, 1e6);
   ObjectCache cache;
-  Informer informer(client, server, cache);
+  Informer informer(client, plane, cache);
 
   server.SeedObject(MakeDeployment("pre", 1, MinimalPodTemplateSpec("pre")));
 
@@ -279,7 +265,7 @@ TEST(InformerTest, InitialListSeedsCacheThenWatchKeepsItFresh) {
   EXPECT_NE(cache.Get("Deployment/pre"), nullptr);
 
   // Subsequent API writes flow through the watch.
-  apiserver::ApiClient writer(engine, server, "writer", 1e6, 1e6);
+  apiserver::ApiClient writer(engine, plane, "writer", 1e6, 1e6);
   writer.Create(MakeDeployment("post", 2, MinimalPodTemplateSpec("post")),
                 [](StatusOr<ApiObject>) {});
   engine.Run();
@@ -293,10 +279,11 @@ TEST(InformerTest, InitialListSeedsCacheThenWatchKeepsItFresh) {
 
 TEST(InformerTest, StopUnsubscribes) {
   sim::Engine engine;
-  apiserver::ApiServer server(engine, CostModel::Default());
-  apiserver::ApiClient client(engine, server, "informer", 1e6, 1e6);
+  apiserver::ControlPlane plane(engine, CostModel::Default());
+  apiserver::ApiServer& server = plane.shard(0);
+  apiserver::ApiClient client(engine, plane, "informer", 1e6, 1e6);
   ObjectCache cache;
-  Informer informer(client, server, cache);
+  Informer informer(client, plane, cache);
   informer.Start(model::kKindDeployment);
   engine.Run();
   informer.Stop();

@@ -12,14 +12,10 @@
 //   * a FIXED schedule run twice must be byte-identical, op log
 //     included — schedule + seed fully determine the run, the same
 //     reproducibility contract the crash-point sweep has.
-//
-// SCENARIO_SMOKE=1 shrinks the cluster scenarios (shorter sim windows)
-// for the Release-job smoke pass, mirroring CRASHPOINT_SMOKE.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -48,8 +44,6 @@ using scenario::SloGuard;
 using scenario::SloLimits;
 using scenario::SloSnapshot;
 using scenario::UpgradeOrder;
-
-bool ScenarioSmoke() { return std::getenv("SCENARIO_SMOKE") != nullptr; }
 
 // --- schedule parsing --------------------------------------------------
 
@@ -351,7 +345,7 @@ std::string PooledClusterTrace(const std::string& schedule_text,
     runner->Start();
   }
 
-  const Duration window = ScenarioSmoke() ? Seconds(8) : Seconds(15);
+  const Duration window = Seconds(15);
   cluster.ScaleTo("fn-a", 12);
   cluster.ScaleTo("fn-b", 6);
   engine.RunFor(window);

@@ -195,9 +195,10 @@ TEST(ApfServerTest, MouseFlowIsNotStarvedByElephantBacklog) {
   sim::Engine engine;
   CostModel cost = CostModel::Default();
   cost.apf_seats = 1;  // one seat: the backlog is fully APF-ordered
-  ApiServer server(engine, cost);
-  ApiClient elephant(engine, server, "elephant", 1e6, 1e6);
-  ApiClient mouse(engine, server, "mouse", 1e6, 1e6);
+  ControlPlane plane(engine, cost);
+  ApiServer& server = plane.shard(0);
+  ApiClient elephant(engine, plane, "elephant", 1e6, 1e6);
+  ApiClient mouse(engine, plane, "mouse", 1e6, 1e6);
 
   std::vector<std::string> done_order;
   auto record = [&](const std::string& name) {
