@@ -1,15 +1,15 @@
 // Figure 11: M-scalability — KubeDirect on large emulated clusters
-// (M = 500..16000 nodes, 5 pods per node, so up to 80K pods; the
-// points past the paper's M=4000 exercise the sharded control plane's
-// target scale). Like the
+// (M = 500..16000 nodes, 5 pods per node, so up to 80K pods). Like the
 // paper, the sandbox managers are "fake" (the latency model stands in
 // for container creation) but the pods ARE exposed through the
 // Kubernetes API, which is what loads the API server at this scale.
 //
-// Memory note: this bench uses the minimal pod template so 80K pods x
-// several caches fit comfortably; the Kd-side messages are equally
-// small either way, and the dominant effects (scheduler node scan,
-// ~20K concurrent publish calls) are template-independent.
+// Memory note: this bench uses the minimal pod template; the Kd-side
+// messages are equally small either way, and the dominant effects
+// (scheduler node scan, ~20K concurrent publish calls) are
+// template-independent. Peak RSS still grows about 3.7x per doubling
+// of M (4.3 GB at M=4000), so the points past the paper's M=4000 run
+// out of memory on a 15 GB host (ROADMAP item 1).
 #include "harness.h"
 
 namespace kd::bench {

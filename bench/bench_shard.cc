@@ -1,33 +1,32 @@
-// Sharded control plane at full scale: M = 16000 nodes and K = 10000
-// functions, each function cold-started exactly once, pushed through
-// an S = 16-way keyspace-partitioned API-server plane with APF flow
-// control enabled (ROADMAP item 1 at its target scale).
+// One API server with APF flow control under a cold-start burst: M
+// nodes and K functions (default M=4000/K=2500), each function
+// cold-started exactly once.
 //
 // What this measures (numbers in BENCH_shard.json):
 //   - K8s mode funnels every provisioning step (pod create, bind,
-//     status, endpoints) through the API servers, so the K=10k burst
-//     serializes behind the per-shard APF seats — cold-start p99 lands
-//     ~40x above Kd's, which provisions over the hierarchy links;
-//   - the per-shard queue/inflight maxima are dominated by the
-//     M=16000 boot storm (node registration + kubelet adopt lists) in
-//     BOTH modes: sharding+APF is what absorbs cluster bring-up, not
-//     just the cold-start burst;
-//   - Kd is not API-free at this scale: distributing K=10k ReplicaSet
-//     templates to M=16k kubelet informers costs ~10M watch events
-//     per shard (the O(M*K) materialization-cache sync) — the API load
-//     Kd retains is reads/watches, which shard perfectly;
-//   - FNV-1a routing keeps the keyspace balanced: per-shard object
-//     counts come out near uniform with no placement coordination.
+//     status, endpoints) through the API server, so the K-function
+//     burst serializes behind its APF seats — cold-start p99 lands
+//     hundreds of times above Kd's, which provisions over the
+//     hierarchy links;
+//   - the server's queue/inflight maxima are dominated by the boot
+//     storm (node registration + kubelet adopt lists) in BOTH modes:
+//     APF is what absorbs cluster bring-up, not just the cold-start
+//     burst;
+//   - Kd is not API-free at this scale: distributing K ReplicaSet
+//     templates to M kubelet informers costs M*K watch events (the
+//     materialization-cache sync) — the API load Kd retains is
+//     reads/watches.
 //
-// Results are written to BENCH_shard.json (per-mode cold-start p99 +
-// per-shard queue-depth/inflight maxima + keyspace balance).
-#include <algorithm>
+// The bench is named for the sharded control plane it once measured;
+// DESIGN.md §6 records why that plane was removed.
+//
+// Results are written to BENCH_shard.json (per-mode cold-start
+// percentiles + the server's queue-depth/inflight maxima).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "apiserver/shard.h"
 #include "faas/backend.h"
 #include "faas/platform.h"
 #include "harness.h"
@@ -35,9 +34,10 @@
 namespace kd::bench {
 namespace {
 
-// BENCH_SHARD_NODES / BENCH_SHARD_FUNCTIONS override the full-run
-// scale (e.g. the M=32000 sweep recorded in EXPERIMENTS.md) without
-// touching the committed default shape of BENCH_shard.json.
+// BENCH_SHARD_NODES / BENCH_SHARD_FUNCTIONS override the default
+// scale (e.g. the paper-scale M=16000/K=10000, which needs far more
+// memory than the default) without touching the committed shape of
+// BENCH_shard.json.
 int EnvScale(const char* name, int fallback) {
   const char* env = std::getenv(name);
   if (env == nullptr) return fallback;
@@ -47,10 +47,9 @@ int EnvScale(const char* name, int fallback) {
 
 struct ShardBenchConfig {
   controllers::Mode mode = controllers::Mode::kKd;
-  int num_nodes = EnvScale("BENCH_SHARD_NODES", 16000);
-  int num_functions = EnvScale("BENCH_SHARD_FUNCTIONS", 10000);
-  int num_shards = 16;
-  int apf_seats = 64;  // per-shard concurrency seats (APF on)
+  int num_nodes = EnvScale("BENCH_SHARD_NODES", 4000);
+  int num_functions = EnvScale("BENCH_SHARD_FUNCTIONS", 2500);
+  int apf_seats = 64;  // the server's concurrency seats (APF on)
   // First invocations are spread uniformly over this window; each
   // function is invoked exactly once, so every request is a
   // scale-from-zero cold start.
@@ -58,7 +57,7 @@ struct ShardBenchConfig {
   Duration deadline = Minutes(60);
 };
 
-struct ShardStats {
+struct ServerStats {
   std::int64_t objects = 0;
   std::int64_t inflight_max = 0;
   std::int64_t apf_queue_depth_max = 0;
@@ -70,7 +69,7 @@ struct ShardBenchResult {
   std::uint64_t completed = 0;
   Sample cold_ms;  // scheduling latency of cold-started requests
   double sim_s = 0;
-  std::vector<ShardStats> shards;
+  ServerStats server;
   bool converged = false;  // every issued request completed
   PhaseTimes phases;
   EngineStats engine;
@@ -84,9 +83,8 @@ ShardBenchResult RunShardBench(const ShardBenchConfig& config) {
     cluster::ClusterConfig cluster_config;
     cluster_config.mode = config.mode;
     cluster_config.num_nodes = config.num_nodes;
-    cluster_config.num_shards = config.num_shards;
     cluster_config.cost.apf_seats = config.apf_seats;
-    // Minimal pod template: K pods x several caches at M=16000 — the
+    // Minimal pod template: K pods x several caches at large M — the
     // load under test is API traffic volume, not wire size.
     cluster_config.realistic_pod_template = false;
     cluster::Cluster cluster(engine, std::move(cluster_config));
@@ -135,16 +133,12 @@ ShardBenchResult RunShardBench(const ShardBenchConfig& config) {
     result.converged = result.completed == result.issued;
     result.sim_s = ToSeconds(engine.now());
 
-    apiserver::ControlPlane& plane = cluster.apiserver();
-    for (int s = 0; s < plane.num_shards(); ++s) {
-      MetricsRecorder& m = plane.shard(s).metrics();
-      ShardStats stats;
-      stats.objects = static_cast<std::int64_t>(plane.shard(s).object_count());
-      stats.inflight_max = m.GetCount("api.inflight_max");
-      stats.apf_queue_depth_max = m.GetCount("apf.queue_depth_max");
-      stats.watch_events = m.GetCount("watch_events");
-      result.shards.push_back(stats);
-    }
+    apiserver::ApiServer& server = cluster.apiserver();
+    MetricsRecorder& m = server.metrics();
+    result.server.objects = static_cast<std::int64_t>(server.object_count());
+    result.server.inflight_max = m.GetCount("api.inflight_max");
+    result.server.apf_queue_depth_max = m.GetCount("apf.queue_depth_max");
+    result.server.watch_events = m.GetCount("watch_events");
     result.engine = CaptureEngineStats(engine);
   }
   // Scrape + destruction (K x M informer caches) land in teardown.
@@ -172,11 +166,8 @@ void BM_Shard(benchmark::State& state, controllers::Mode mode) {
       result.cold_ms.empty() ? 0.0 : result.cold_ms.P99();
   state.counters["completed"] = static_cast<double>(result.completed);
   state.counters["converged"] = result.converged ? 1 : 0;
-  std::int64_t queue_max = 0;
-  for (const ShardStats& s : result.shards) {
-    queue_max = std::max(queue_max, s.apf_queue_depth_max);
-  }
-  state.counters["apf_queue_depth_max"] = static_cast<double>(queue_max);
+  state.counters["apf_queue_depth_max"] =
+      static_cast<double>(result.server.apf_queue_depth_max);
   Results().emplace_back(VariantName(mode), result);
 }
 
@@ -194,19 +185,17 @@ void WriteJson(const char* path) {
   const ShardBenchConfig defaults;
   std::fprintf(f,
                "{\n"
-               "  \"comment\": \"Sharded control plane at M=16000/K=10000: "
-               "each function cold-started once through an S=16 plane with "
-               "APF enabled. Regenerate with: build/bench/bench_shard "
-               "(writes ./BENCH_shard.json).\",\n"
+               "  \"comment\": \"One API server with APF at M=%d/K=%d: each "
+               "function cold-started once. Regenerate with: "
+               "build/bench/bench_shard (writes ./BENCH_shard.json).\",\n"
                "  \"config\": {\n"
                "    \"nodes\": %d,\n"
                "    \"functions\": %d,\n"
-               "    \"shards\": %d,\n"
                "    \"apf_seats\": %d\n"
                "  },\n"
                "  \"modes\": {\n",
-               defaults.num_nodes, defaults.num_functions, defaults.num_shards,
-               defaults.apf_seats);
+               defaults.num_nodes, defaults.num_functions, defaults.num_nodes,
+               defaults.num_functions, defaults.apf_seats);
   for (std::size_t i = 0; i < Results().size(); ++i) {
     const auto& [name, r] = Results()[i];
     std::fprintf(f,
@@ -220,26 +209,20 @@ void WriteJson(const char* path) {
                  "      \"sim_s\": %.1f,\n"
                  "      \"phases\": %s,\n"
                  "      \"engine\": %s,\n"
-                 "      \"per_shard\": [\n",
+                 "      \"server\": {\"objects\": %lld, \"inflight_max\": "
+                 "%lld, \"apf_queue_depth_max\": %lld, \"watch_events\": "
+                 "%lld}\n"
+                 "    }%s\n",
                  name.c_str(), (unsigned long long)r.issued,
                  (unsigned long long)r.completed,
                  r.converged ? "true" : "false", r.cold_ms.count(),
                  r.cold_ms.empty() ? 0.0 : r.cold_ms.Median(),
                  r.cold_ms.empty() ? 0.0 : r.cold_ms.P99(), r.sim_s,
                  PhasesJson(r.phases).c_str(),
-                 EngineStatsJson(r.engine).c_str());
-    for (std::size_t s = 0; s < r.shards.size(); ++s) {
-      const ShardStats& stats = r.shards[s];
-      std::fprintf(f,
-                   "        {\"shard\": %zu, \"objects\": %lld, "
-                   "\"inflight_max\": %lld, \"apf_queue_depth_max\": %lld, "
-                   "\"watch_events\": %lld}%s\n",
-                   s, (long long)stats.objects, (long long)stats.inflight_max,
-                   (long long)stats.apf_queue_depth_max,
-                   (long long)stats.watch_events,
-                   s + 1 < r.shards.size() ? "," : "");
-    }
-    std::fprintf(f, "      ]\n    }%s\n",
+                 EngineStatsJson(r.engine).c_str(),
+                 (long long)r.server.objects, (long long)r.server.inflight_max,
+                 (long long)r.server.apf_queue_depth_max,
+                 (long long)r.server.watch_events,
                  i + 1 < Results().size() ? "," : "");
   }
   std::fprintf(f, "  }\n}\n");
@@ -248,50 +231,27 @@ void WriteJson(const char* path) {
 }
 
 void PrintShardReport() {
-  PrintHeader(
-      "Sharded control plane (S=16, APF on): K=10000 cold starts at M=16000",
-      {"mode", "completed", "cold p50", "cold p99", "queue max", "converged"});
+  const ShardBenchConfig defaults;
+  PrintHeader(StrFormat("One API server (APF on): K=%d cold starts at M=%d",
+                        defaults.num_functions, defaults.num_nodes),
+              {"mode", "completed", "cold p50", "cold p99", "queue max",
+               "converged"});
   for (const auto& [name, r] : Results()) {
-    std::int64_t queue_max = 0;
-    std::int64_t inflight_max = 0;
-    for (const ShardStats& s : r.shards) {
-      queue_max = std::max(queue_max, s.apf_queue_depth_max);
-      inflight_max = std::max(inflight_max, s.inflight_max);
-    }
     PrintRow({name,
               StrFormat("%llu/%llu", (unsigned long long)r.completed,
                         (unsigned long long)r.issued),
               r.cold_ms.empty() ? "-" : StrFormat("%.0fms", r.cold_ms.Median()),
               r.cold_ms.empty() ? "-" : StrFormat("%.0fms", r.cold_ms.P99()),
-              StrFormat("%lld", (long long)queue_max),
+              StrFormat("%lld", (long long)r.server.apf_queue_depth_max),
               r.converged ? "yes" : "NO"});
   }
-  PrintHeader("per-shard load (max over shards / min over shards)",
+  PrintHeader("API-server load",
               {"mode", "objects", "inflight max", "queue max", "watch evts"});
   for (const auto& [name, r] : Results()) {
-    ShardStats lo = r.shards.empty() ? ShardStats{} : r.shards[0];
-    ShardStats hi = lo;
-    for (const ShardStats& s : r.shards) {
-      lo.objects = std::min(lo.objects, s.objects);
-      hi.objects = std::max(hi.objects, s.objects);
-      lo.inflight_max = std::min(lo.inflight_max, s.inflight_max);
-      hi.inflight_max = std::max(hi.inflight_max, s.inflight_max);
-      lo.apf_queue_depth_max =
-          std::min(lo.apf_queue_depth_max, s.apf_queue_depth_max);
-      hi.apf_queue_depth_max =
-          std::max(hi.apf_queue_depth_max, s.apf_queue_depth_max);
-      lo.watch_events = std::min(lo.watch_events, s.watch_events);
-      hi.watch_events = std::max(hi.watch_events, s.watch_events);
-    }
-    PrintRow({name,
-              StrFormat("%lld/%lld", (long long)hi.objects,
-                        (long long)lo.objects),
-              StrFormat("%lld/%lld", (long long)hi.inflight_max,
-                        (long long)lo.inflight_max),
-              StrFormat("%lld/%lld", (long long)hi.apf_queue_depth_max,
-                        (long long)lo.apf_queue_depth_max),
-              StrFormat("%lld/%lld", (long long)hi.watch_events,
-                        (long long)lo.watch_events)});
+    PrintRow({name, StrFormat("%lld", (long long)r.server.objects),
+              StrFormat("%lld", (long long)r.server.inflight_max),
+              StrFormat("%lld", (long long)r.server.apf_queue_depth_max),
+              StrFormat("%lld", (long long)r.server.watch_events)});
   }
 
   const ShardBenchResult* k8s = nullptr;
@@ -304,16 +264,15 @@ void PrintShardReport() {
       !kd->cold_ms.empty()) {
     std::printf(
         "\nHeadline: Kd cold-start p99 %.0f ms vs K8s %.0f ms (%.1fx) — the "
-        "K8s-mode burst serializes behind the per-shard APF seats; Kd's "
-        "placement writes bypass the plane\n",
+        "K8s-mode burst serializes behind the API server's APF seats; Kd's "
+        "placement writes bypass it\n",
         kd->cold_ms.P99(), k8s->cold_ms.P99(),
         k8s->cold_ms.P99() / kd->cold_ms.P99());
   }
 }
 
-// --smoke: the same shape at M=60/K=24/S=4, both modes; checks
-// convergence, that every request cold-started, and that FNV routing
-// actually spread the keyspace across shards.
+// --smoke: the same shape at M=60/K=24, both modes; checks convergence
+// and that every request cold-started.
 int RunSmoke() {
   bool ok = true;
   for (const controllers::Mode mode :
@@ -322,19 +281,13 @@ int RunSmoke() {
     config.mode = mode;
     config.num_nodes = 60;
     config.num_functions = 24;
-    config.num_shards = 4;
     config.apf_seats = 8;
     config.arrival_window = Seconds(2);
     config.deadline = Minutes(10);
     const ShardBenchResult result = RunShardBench(config);
-    int shards_with_objects = 0;
-    for (const ShardStats& s : result.shards) {
-      if (s.objects > 0) ++shards_with_objects;
-    }
-    ok = ok && result.converged && result.cold_ms.count() == 24 &&
-         shards_with_objects >= 2;
+    ok = ok && result.converged && result.cold_ms.count() == 24;
   }
-  return SmokeVerdict(ok, "sharded control plane (S=4 clip, both modes)");
+  return SmokeVerdict(ok, "one API server (M=60/K=24 clip, both modes)");
 }
 
 }  // namespace

@@ -159,7 +159,7 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
 
   // Admission, then the worker pool. With APF disabled `Submit` runs
   // the closure inline, so this path is event-for-event identical to
-  // the unsharded server. A queued request holds no worker; it gets
+  // the server without APF. A queued request holds no worker; it gets
   // one when a seat frees (Release below), which is when admission
   // control actually changes who waits: the worker-pool backlog is
   // FIFO by arrival, the APF queue is fair across flows.

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "apiserver/apf.h"
+#include "common/check.h"
 #include "common/cost_model.h"
 #include "common/fault_point.h"
 #include "common/lane.h"
@@ -169,6 +170,15 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   void SetLane(LaneId lane) { lane_ = lane; }
   LaneId lane() const { return lane_; }
 
+  // Kept only because perfbench/kdbench.cc, which is frozen, scrapes
+  // metrics through the removed sharded plane's surface (DESIGN.md §6).
+  // There is one server, so it is its own only shard.
+  int num_shards() const { return 1; }
+  ApiServer& shard(int index) {
+    KD_CHECK(index == 0, "the control plane has one API server");
+    return *this;
+  }
+
  private:
   struct CommitResult {
     Status status;
@@ -249,5 +259,9 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   MetricsRecorder metrics_;
   LaneId lane_ = kNoLane;
 };
+
+// The removed sharded plane's type name, kept only for
+// perfbench/kdbench.cc, which is frozen (DESIGN.md §6).
+using ControlPlane = ApiServer;
 
 }  // namespace kd::apiserver

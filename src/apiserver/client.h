@@ -1,13 +1,10 @@
 // Per-controller API client: the path every Kubernetes API call takes
-// in a stock controller. It addresses the control plane through a
-// ControlPlane (one shard is the paper's single API server). Charges,
-// in order:
+// in a stock controller. Charges, in order:
 //   1. the client-side token-bucket rate limit (the §2.2 bottleneck);
 //   2. client-side serialization of the request body;
 //   3. network latency to the API server;
-// then hands the request to the ApiServer shard that owns the key,
-// which charges its own queueing, etcd, and response costs before
-// invoking the callback.
+// then hands the request to the ApiServer, which charges its own
+// queueing, etcd, and response costs before invoking the callback.
 //
 // Fault handling mirrors client-go: transport-level failures
 // (kUnavailable from a crashed server, kDeadlineExceeded from one that
@@ -25,7 +22,6 @@
 
 #include "apiserver/apiserver.h"
 #include "apiserver/rate_limiter.h"
-#include "apiserver/shard.h"
 #include "common/active_tracker.h"
 #include "common/cost_model.h"
 #include "common/lane.h"
@@ -61,9 +57,7 @@ class KD_LANE_SEAM ApiClient {
   // limiter, on the wire, or being served) — the isolated stage time of
   // the paper's breakdown figures — plus the retry counters
   // "client.<client_name>.{retries,giveups,deadline_exceeded}_total".
-  // Writes route by object key through the plane's ShardRouter; lists
-  // fan out across every shard and merge.
-  ApiClient(sim::Engine& engine, ControlPlane& plane, std::string client_name,
+  ApiClient(sim::Engine& engine, ApiServer& server, std::string client_name,
             double qps, double burst, MetricsRecorder* metrics = nullptr,
             RetryPolicy retry = {});
 
@@ -75,20 +69,12 @@ class KD_LANE_SEAM ApiClient {
               std::function<void(Status)> done);
   void Get(const std::string& kind, const std::string& name,
            std::function<void(StatusOr<model::ApiObject>)> done);
-  // Whole-keyspace list: with one shard a plain list; with S shards,
-  // one list per shard inside a single retry unit (any shard's
-  // transport failure retries the whole fan-out), results merged in
-  // global key order.
+  // Lists `kind` with the store revision the snapshot was taken at
+  // (reflectors diff a relist against it).
   void List(const std::string& kind,
-            std::function<void(StatusOr<std::vector<model::ApiObject>>)> done);
-  // Single-shard list: one shard's slice of the kind, at that shard's
-  // store revision. Shard 0 of an unsharded client is exactly List.
-  // Per-shard reflectors (Informer sources, raw-watch relists) live on
-  // this.
-  void ListShardAt(int shard, const std::string& kind,
-                   std::function<void(StatusOr<std::vector<model::ApiObject>>,
-                                      std::uint64_t revision)>
-                       done);
+            std::function<void(StatusOr<std::vector<model::ApiObject>>,
+                               std::uint64_t revision)>
+                done);
 
   // Abandons every in-flight call and retry chain: each completes with
   // kCancelled (trackers settle; nothing re-sends). Invoked when the
@@ -106,16 +92,13 @@ class KD_LANE_SEAM ApiClient {
   // queued request, so component A's response can fire inside an
   // event chain that started in component B's lane.
   void SetLane(LaneId lane) { lane_ = lane; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  const ShardRouter& router() const { return router_; }
 
  private:
   // Applies rate limit + client serialization + uplink latency, then
-  // runs `send` (which must invoke a handler of `target`). The uplink
-  // is a sanctioned seam: `send` executes in the target server's lane,
-  // so every Handle*/commit touches server state from that lane only.
-  void Dispatch(ApiServer* target, std::size_t request_bytes,
-                std::function<void()> send);
+  // runs `send` (which must invoke a handler of the server). The uplink
+  // is a sanctioned seam: `send` executes in the server's lane, so
+  // every Handle*/commit touches server state from that lane only.
+  void Dispatch(std::size_t request_bytes, std::function<void()> send);
 
   static StatusCode ResultCode(const Status& s) { return s.code(); }
   template <typename T>
@@ -186,15 +169,8 @@ class KD_LANE_SEAM ApiClient {
     });
   }
 
-  ApiServer& ShardForKey(const std::string& key) {
-    return *shards_[static_cast<std::size_t>(router_.ShardForKey(key))];
-  }
-
   sim::Engine& engine_;
-  // One endpoint per shard of the plane; the router copies the plane's,
-  // so client and plane always agree on key placement.
-  std::vector<ApiServer*> shards_;
-  ShardRouter router_;
+  ApiServer& server_;
   std::string name_;
   TokenBucket limiter_;
   ActiveTracker tracker_;

@@ -24,11 +24,10 @@ void TokenBucket::Acquire(std::function<void()> fn) {
   Refill();
   if (waiting_.empty() && tokens_ >= 1.0) {
     tokens_ -= 1.0;
-    ++total_acquired_;
     fn();
     return;
   }
-  waiting_.push_back({std::move(fn), engine_.now()});
+  waiting_.push_back(std::move(fn));
   Pump();
 }
 
@@ -36,11 +35,9 @@ void TokenBucket::Pump() {
   Refill();
   while (!waiting_.empty() && tokens_ >= 1.0) {
     tokens_ -= 1.0;
-    ++total_acquired_;
-    Waiter w = std::move(waiting_.front());
+    std::function<void()> fn = std::move(waiting_.front());
     waiting_.pop_front();
-    total_wait_ += engine_.now() - w.enqueued_at;
-    w.fn();
+    fn();
   }
   if (waiting_.empty()) return;
   if (pending_timer_ != sim::kInvalidEventId) return;

@@ -5,7 +5,6 @@
 // beyond the burst wait in FIFO order for tokens refilled at `qps`.
 #pragma once
 
-#include <cstdint>
 #include <deque>
 #include <functional>
 
@@ -25,11 +24,6 @@ class TokenBucket {
   // Tokens currently available (after refill to now).
   double available();
 
-  // Total time Acquire()d callers spent waiting, for the benchmark
-  // breakdowns that attribute latency to rate limiting.
-  Duration total_wait() const { return total_wait_; }
-  std::uint64_t total_acquired() const { return total_acquired_; }
-
  private:
   void Refill();
   void Pump();
@@ -39,14 +33,8 @@ class TokenBucket {
   double burst_;
   double tokens_;
   Time last_refill_ = 0;
-  struct Waiter {
-    std::function<void()> fn;
-    Time enqueued_at;
-  };
-  std::deque<Waiter> waiting_;
+  std::deque<std::function<void()>> waiting_;
   sim::EventId pending_timer_ = sim::kInvalidEventId;
-  Duration total_wait_ = 0;
-  std::uint64_t total_acquired_ = 0;
 };
 
 }  // namespace kd::apiserver

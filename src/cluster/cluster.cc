@@ -1,7 +1,6 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/check.h"
 #include "common/strings.h"
@@ -13,33 +12,24 @@ namespace kd::cluster {
 using controllers::Mode;
 using model::ApiObject;
 
-int DefaultNumShards() {
-  // The CI shard-matrix knob, read once at cluster construction —
-  // never inside simulated time, so runs stay reproducible per value.
-  // kdlint: allow(R1) config knob read outside simulated time
-  const char* env = std::getenv("KD_SHARDS");
-  if (env == nullptr) return 1;
-  const int n = std::atoi(env);
-  return n < 1 ? 1 : n;
-}
-
 Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
     : engine_(engine), config_(std::move(config)) {
   KD_CHECK(config_.lane_groups <= 1 && config_.lane_threads <= 1,
            "the simulation engine is serial: lane_groups and "
            "lane_threads must be <= 1");
+  KD_CHECK(config_.num_shards == 1,
+           "the control plane is one API server: num_shards must be 1");
   network_ = std::make_unique<net::Network>(engine_);
-  control_plane_ = std::make_unique<apiserver::ControlPlane>(
-      engine_, config_.cost, config_.num_shards);
-  control_plane_->SetCommitObserver(
+  apiserver_ = std::make_unique<apiserver::ApiServer>(engine_, config_.cost);
+  apiserver_->SetCommitObserver(
       [this](const ApiObject* before, const ApiObject* after) {
         OnStoreCommit(before, after);
       });
   env_ = std::make_unique<runtime::Env>(runtime::Env{
-      engine_, *network_, *control_plane_, config_.cost, metrics_});
+      engine_, *network_, *apiserver_, config_.cost, metrics_});
 
   if (config_.mode == Mode::kKd) {
-    control_plane_->AddAdmissionHook(kubedirect::MakeReplicasGuard());
+    apiserver_->AddAdmissionHook(kubedirect::MakeReplicasGuard());
   }
 
   autoscaler_ = std::make_unique<controllers::Autoscaler>(*env_, config_.mode,
@@ -103,7 +93,7 @@ void Cluster::Boot() {
                                      config_.node_memory_mb);
     const std::string pool = PoolOfNode(i);
     if (!pool.empty()) model::SetNodePool(node, pool);
-    control_plane_->SeedObject(std::move(node));
+    apiserver_->SeedObject(std::move(node));
   }
   for (auto& kubelet : kubelets_) kubelet->Start();
   scheduler_->Start();
@@ -152,9 +142,9 @@ void Cluster::RegisterFunction(const std::string& name,
   if (config_.mode == Mode::kKd) {
     model::SetKubeDirectManaged(rs, true);
   }
-  control_plane_->SeedObject(std::move(deployment));
-  control_plane_->SeedObject(std::move(rs));
-  control_plane_->SeedObject(model::MakeService(name));
+  apiserver_->SeedObject(std::move(deployment));
+  apiserver_->SeedObject(std::move(rs));
+  apiserver_->SeedObject(model::MakeService(name));
 }
 
 void Cluster::ScaleTo(const std::string& function_name,
@@ -185,7 +175,7 @@ std::size_t Cluster::ReadyPodCount(const std::string& function_name) const {
 std::vector<std::string> Cluster::ReadyPodAddresses(
     const std::string& function_name) const {
   std::vector<std::string> out;
-  for (const ApiObject* pod : control_plane_->PeekAll(model::kKindPod)) {
+  for (const ApiObject* pod : apiserver_->PeekAll(model::kKindPod)) {
     if (model::GetLabel(*pod, "app") == function_name &&
         model::GetPodPhase(*pod) == model::PodPhase::kRunning) {
       out.push_back(model::GetPodIp(*pod));

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "apiserver/apiserver.h"
-#include "apiserver/shard.h"
 #include "common/cost_model.h"
 #include "common/metrics.h"
 #include "controllers/autoscaler.h"
@@ -38,10 +37,6 @@
 namespace kd::cluster {
 
 enum class SandboxKind { kStock, kDirigent };
-
-// Control-plane shard count for newly built clusters: the KD_SHARDS
-// environment variable (the CI S∈{1,4} matrix), defaulting to 1.
-int DefaultNumShards();
 
 // Heterogeneous node pools ("ondemand" vs "spot", scenario engine):
 // nodes are assigned to pools in index order, `count` nodes each; any
@@ -66,16 +61,16 @@ struct ClusterConfig {
   // Use the padded ~17 KB pod template (realistic wire sizes). Tests
   // that only exercise logic can switch to the minimal template.
   bool realistic_pod_template = true;
-  // Control-plane shards (S-way keyspace partitioning). 1 = the
-  // paper's single API server; every trace is byte-identical to the
-  // pre-sharding tree at 1.
-  int num_shards = DefaultNumShards();
   // Left from the removed parallel engine (DESIGN.md §9) because
   // perfbench/kdbench.cc still assigns 1 to both. The engine is serial,
   // so the constructor rejects any value above 1; nothing else reads
   // them.
   int lane_groups = 1;
   int lane_threads = 1;
+  // Left from the removed sharded control plane (DESIGN.md §6) because
+  // perfbench/kdbench.cc still assigns 1. There is one API server, so
+  // the constructor rejects any other value; nothing else reads it.
+  int num_shards = 1;
 
   static ClusterConfig K8s(int nodes) {
     ClusterConfig c;
@@ -137,7 +132,7 @@ class Cluster {
   // --- accessors -------------------------------------------------------
   sim::Engine& engine() { return engine_; }
   net::Network& network() { return *network_; }
-  apiserver::ControlPlane& apiserver() { return *control_plane_; }
+  apiserver::ApiServer& apiserver() { return *apiserver_; }
   runtime::Env& env() { return *env_; }
   MetricsRecorder& metrics() { return metrics_; }
   const ClusterConfig& config() const { return config_; }
@@ -178,7 +173,7 @@ class Cluster {
   ClusterConfig config_;
   MetricsRecorder metrics_;
   std::unique_ptr<net::Network> network_;
-  std::unique_ptr<apiserver::ControlPlane> control_plane_;
+  std::unique_ptr<apiserver::ApiServer> apiserver_;
   std::unique_ptr<runtime::Env> env_;
   std::unique_ptr<controllers::Autoscaler> autoscaler_;
   std::unique_ptr<controllers::DeploymentController> deployment_controller_;

@@ -11,7 +11,6 @@ const char* StatusCodeName(StatusCode code) {
     case StatusCode::kInvalidArgument: return "INVALID_ARGUMENT";
     case StatusCode::kPermissionDenied: return "PERMISSION_DENIED";
     case StatusCode::kUnavailable: return "UNAVAILABLE";
-    case StatusCode::kResourceExhausted: return "RESOURCE_EXHAUSTED";
     case StatusCode::kFailedPrecondition: return "FAILED_PRECONDITION";
     case StatusCode::kInternal: return "INTERNAL";
     case StatusCode::kDeadlineExceeded: return "DEADLINE_EXCEEDED";

@@ -23,7 +23,6 @@ enum class StatusCode {
   kInvalidArgument,
   kPermissionDenied,  // admission control rejection
   kUnavailable,       // disconnected / partitioned / server down
-  kResourceExhausted, // rate limited
   kFailedPrecondition,
   kInternal,
   kDeadlineExceeded,  // request timed out against a dead/unreachable server
@@ -75,9 +74,6 @@ inline Status PermissionDeniedError(std::string msg) {
 }
 inline Status UnavailableError(std::string msg) {
   return Status(StatusCode::kUnavailable, std::move(msg));
-}
-inline Status ResourceExhaustedError(std::string msg) {
-  return Status(StatusCode::kResourceExhausted, std::move(msg));
 }
 inline Status FailedPreconditionError(std::string msg) {
   return Status(StatusCode::kFailedPrecondition, std::move(msg));

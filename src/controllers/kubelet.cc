@@ -112,7 +112,8 @@ Kubelet::Kubelet(runtime::Env& env, Mode mode, std::string node_name,
     }
     // Adopt pods bound to us that predate the watch (restart path).
     harness_.api().List(
-        kKindPod, [this](StatusOr<std::vector<ApiObject>> result) {
+        kKindPod, [this](StatusOr<std::vector<ApiObject>> result,
+                         std::uint64_t) {
           if (!result.ok() || harness_.crashed()) return;
           for (auto& pod : *result) {
             if (model::GetNodeName(pod) == node_name_) {
@@ -145,7 +146,8 @@ void Kubelet::AdoptPublishedPods() {
   const std::uint64_t session = harness_.session();
   harness_.api().List(
       kKindPod,
-      [this, session](StatusOr<std::vector<ApiObject>> result) {
+      [this, session](StatusOr<std::vector<ApiObject>> result,
+                      std::uint64_t) {
         if (harness_.crashed() || harness_.session() != session) return;
         if (!result.ok()) {
           // API outage outlasted the client's retry budget: the adopt

@@ -63,7 +63,6 @@ void KdLink::Flush() {
     return;
   }
   const std::size_t bytes = SerializedBatchSize(pending_);
-  messages_sent_ += pending_.size();
   if (metrics_) {
     metrics_->Count("kd_messages_sent",
                     static_cast<std::int64_t>(pending_.size()));

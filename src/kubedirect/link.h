@@ -49,8 +49,6 @@ class KD_LANE_SEAM KdLink : public std::enable_shared_from_this<KdLink> {
 
   void Close();
 
-  std::uint64_t messages_sent() const { return messages_sent_; }
-
  private:
   using Batch = std::vector<WireMessage>;
 
@@ -83,8 +81,6 @@ class KD_LANE_SEAM KdLink : public std::enable_shared_from_this<KdLink> {
   std::deque<Inbound> inbound_;
   bool delivering_ = false;
   bool closed_ = false;
-
-  std::uint64_t messages_sent_ = 0;
 };
 
 using KdLinkPtr = std::shared_ptr<KdLink>;

@@ -4,7 +4,6 @@
 #pragma once
 
 #include "apiserver/apiserver.h"
-#include "apiserver/shard.h"
 #include "common/cost_model.h"
 #include "common/metrics.h"
 #include "net/network.h"
@@ -15,9 +14,7 @@ namespace kd::runtime {
 struct Env {
   sim::Engine& engine;
   net::Network& network;
-  // The (possibly sharded) control plane. Single-server tests wrap
-  // their ApiServer in a one-shard ControlPlane view.
-  apiserver::ControlPlane& apiserver;
+  apiserver::ApiServer& apiserver;
   const CostModel& cost;
   MetricsRecorder& metrics;
 };

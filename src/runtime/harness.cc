@@ -43,11 +43,7 @@ ControllerHarness::~ControllerHarness() {
   if (static_downstream_) static_downstream_->Stop();
   if (upstream_) upstream_->Stop();
   for (WatchBinding& watch : watches_) {
-    for (std::size_t s = 0; s < watch.shards.size(); ++s) {
-      if (watch.shards[s].active) {
-        env_.apiserver.shard(static_cast<int>(s)).Unwatch(watch.shards[s].id);
-      }
-    }
+    if (watch.active) env_.apiserver.Unwatch(watch.id);
   }
 }
 
@@ -72,8 +68,6 @@ void ControllerHarness::WatchFiltered(
   binding.filter = std::move(filter);
   binding.handler = std::move(handler);
   binding.when = when;
-  binding.shards.resize(
-      static_cast<std::size_t>(env_.apiserver.num_shards()));
   watches_.push_back(std::move(binding));
 }
 
@@ -109,12 +103,10 @@ std::unique_ptr<kubedirect::HierarchyClient> ControllerHarness::MakeClient(
       &handshake_fault_);
 }
 
-void ControllerHarness::ArmRawWatch(std::size_t index, int shard,
-                                    bool relist) {
+void ControllerHarness::ArmRawWatch(std::size_t index, bool relist) {
   WatchBinding& binding = watches_[index];
-  WatchShardState& st = binding.shards[static_cast<std::size_t>(shard)];
-  const std::uint64_t epoch = ++st.arm_epoch;
-  st.id = env_.apiserver.shard(shard).Watch(
+  const std::uint64_t epoch = ++binding.arm_epoch;
+  binding.id = env_.apiserver.Watch(
       binding.kind, binding.filter,
       [this, index](const apiserver::WatchEvent& e) {
         if (crashed_) return;
@@ -133,72 +125,55 @@ void ControllerHarness::ArmRawWatch(std::size_t index, int shard,
         }
         b.handler(e);
       },
-      [this, index, shard, epoch] { OnRawWatchBreak(index, shard, epoch); },
-      lane_);
-  if (st.id == 0) {
-    // Shard down: keep retrying until registration sticks.
+      [this, index, epoch] { OnRawWatchBreak(index, epoch); }, lane_);
+  if (binding.id == 0) {
+    // Server down: keep retrying until registration sticks.
     env_.engine.ScheduleAfter(
-        env_.cost.watch_retry_backoff, [this, index, shard, epoch, relist] {
-          if (crashed_ ||
-              watches_[index].shards[static_cast<std::size_t>(shard)]
-                      .arm_epoch != epoch) {
-            return;
-          }
-          ArmRawWatch(index, shard, relist);
+        env_.cost.watch_retry_backoff, [this, index, epoch, relist] {
+          if (crashed_ || watches_[index].arm_epoch != epoch) return;
+          ArmRawWatch(index, relist);
         });
     return;
   }
-  st.active = true;
-  if (relist) RelistRawWatch(index, shard, epoch);
+  binding.active = true;
+  if (relist) RelistRawWatch(index, epoch);
 }
 
-void ControllerHarness::OnRawWatchBreak(std::size_t index, int shard,
+void ControllerHarness::OnRawWatchBreak(std::size_t index,
                                         std::uint64_t epoch) {
   if (crashed_) return;
-  WatchShardState& st =
-      watches_[index].shards[static_cast<std::size_t>(shard)];
-  if (st.arm_epoch != epoch) return;
-  st.active = false;
-  st.id = 0;
-  const std::uint64_t next = ++st.arm_epoch;
-  env_.engine.ScheduleAfter(
-      env_.cost.watch_retry_backoff, [this, index, shard, next] {
-        if (crashed_ ||
-            watches_[index].shards[static_cast<std::size_t>(shard)]
-                    .arm_epoch != next) {
-          return;
-        }
-        ArmRawWatch(index, shard, /*relist=*/true);
-      });
+  WatchBinding& binding = watches_[index];
+  if (binding.arm_epoch != epoch) return;
+  binding.active = false;
+  binding.id = 0;
+  const std::uint64_t next = ++binding.arm_epoch;
+  env_.engine.ScheduleAfter(env_.cost.watch_retry_backoff, [this, index, next] {
+    if (crashed_ || watches_[index].arm_epoch != next) return;
+    ArmRawWatch(index, /*relist=*/true);
+  });
 }
 
-void ControllerHarness::RelistRawWatch(std::size_t index, int shard,
+void ControllerHarness::RelistRawWatch(std::size_t index,
                                        std::uint64_t epoch) {
-  api_.ListShardAt(
-      shard, watches_[index].kind,
-      [this, index, shard,
-       epoch](StatusOr<std::vector<model::ApiObject>> objects,
-              std::uint64_t revision) {
+  api_.List(
+      watches_[index].kind,
+      [this, index, epoch](StatusOr<std::vector<model::ApiObject>> objects,
+                           std::uint64_t revision) {
         WatchBinding& b = watches_[index];
-        WatchShardState& st = b.shards[static_cast<std::size_t>(shard)];
-        if (crashed_ || st.arm_epoch != epoch) return;
+        if (crashed_ || b.arm_epoch != epoch) return;
         sim::LaneScope lane_scope(env_.engine.lane_checker(), lane_);
         if (!objects.ok()) {
           // Crashed again before the list landed: restart the chain.
-          if (st.active) {
-            env_.apiserver.shard(shard).Unwatch(st.id);
-            st.active = false;
-            st.id = 0;
+          if (b.active) {
+            env_.apiserver.Unwatch(b.id);
+            b.active = false;
+            b.id = 0;
           }
-          const std::uint64_t next = ++st.arm_epoch;
+          const std::uint64_t next = ++b.arm_epoch;
           env_.engine.ScheduleAfter(
-              env_.cost.watch_retry_backoff, [this, index, shard, next] {
-                if (crashed_ ||
-                    watches_[index].shards[static_cast<std::size_t>(shard)]
-                            .arm_epoch != next) {
-                  return;
-                }
-                ArmRawWatch(index, shard, /*relist=*/true);
+              env_.cost.watch_retry_backoff, [this, index, next] {
+                if (crashed_ || watches_[index].arm_epoch != next) return;
+                ArmRawWatch(index, /*relist=*/true);
               });
           return;
         }
@@ -207,9 +182,6 @@ void ControllerHarness::RelistRawWatch(std::size_t index, int shard,
         // client-side: an in-scope object absent from the filtered
         // snapshot (deleted, or mutated out of scope) is a Deleted,
         // matched — as the server does — against its last seen state.
-        // The snapshot only covers this shard's slice, so keys the
-        // other shards own are skipped in the delete scan.
-        const bool sharded = env_.apiserver.num_shards() > 1;
         std::set<std::string> present;
         for (auto& obj : *objects) {
           if (b.filter && !b.filter(obj)) continue;
@@ -225,10 +197,6 @@ void ControllerHarness::RelistRawWatch(std::size_t index, int shard,
         }
         std::vector<model::ApiObject> deleted;
         for (const auto& [key, last] : b.last_seen) {
-          if (sharded &&
-              env_.apiserver.router().ShardForKey(key) != shard) {
-            continue;
-          }
           if (present.count(key) != 0) continue;
           // A shadow entry newer than the snapshot was delivered by the
           // fresh watch; the snapshot simply predates it.
@@ -269,9 +237,7 @@ void ControllerHarness::Start() {
   }
   for (std::size_t i = 0; i < watches_.size(); ++i) {
     if (!ModeMatches(watches_[i].when)) continue;
-    for (int s = 0; s < static_cast<int>(watches_[i].shards.size()); ++s) {
-      ArmRawWatch(i, s, /*relist=*/false);
-    }
+    ArmRawWatch(i, /*relist=*/false);
   }
 
   if (mode_ == Mode::kKd && have_upstream_spec_) {
@@ -308,15 +274,12 @@ void ControllerHarness::Crash() {
   loop_.Clear();
   for (SyncBinding& binding : syncs_) binding.informer->Stop();
   for (WatchBinding& binding : watches_) {
-    for (std::size_t s = 0; s < binding.shards.size(); ++s) {
-      WatchShardState& st = binding.shards[s];
-      if (st.active) {
-        env_.apiserver.shard(static_cast<int>(s)).Unwatch(st.id);
-        st.active = false;
-      }
-      st.id = 0;
-      ++st.arm_epoch;  // kills in-flight rearm/relist chains
+    if (binding.active) {
+      env_.apiserver.Unwatch(binding.id);
+      binding.active = false;
     }
+    binding.id = 0;
+    ++binding.arm_epoch;  // kills in-flight rearm/relist chains
     binding.last_seen.clear();
   }
   // Crash the endpoint first: connections die silently (no FIN), the

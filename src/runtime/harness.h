@@ -180,26 +180,19 @@ class KD_LANE_SEAM ControllerHarness {
     std::function<void()> on_synced;
     std::unique_ptr<Informer> informer;
   };
-  // One raw watch stream per control-plane shard. Each shard's stream
-  // breaks, retries, and relists independently (only that shard's
-  // slice of the keyspace is re-fetched).
-  struct WatchShardState {
-    apiserver::WatchId id = 0;
-    bool active = false;
-    // Invalidates retry/relist chains of a dead watch generation.
-    std::uint64_t arm_epoch = 0;
-  };
   struct WatchBinding {
     std::string kind;
     std::function<bool(const model::ApiObject&)> filter;
     std::function<void(const apiserver::WatchEvent&)> handler;
     When when;
-    std::vector<WatchShardState> shards;  // indexed by shard
-    // Shadow of the last state delivered per key (memory-only, shared
-    // across shards — keys are disjoint by routing). After a watch
-    // break the harness relists and diffs against this, synthesizing
-    // the Added/Modified/Deleted events missed during the outage —
-    // raw watches have no informer cache to diff with.
+    apiserver::WatchId id = 0;
+    bool active = false;
+    // Invalidates retry/relist chains of a dead watch generation.
+    std::uint64_t arm_epoch = 0;
+    // Shadow of the last state delivered per key (memory-only). After
+    // a watch break the harness relists and diffs against this,
+    // synthesizing the Added/Modified/Deleted events missed during the
+    // outage — raw watches have no informer cache to diff with.
     std::map<std::string, model::ApiObject> last_seen;
   };
 
@@ -212,12 +205,11 @@ class KD_LANE_SEAM ControllerHarness {
   // readiness or exemption may have changed.
   void RecountDownstream(const std::string& id);
 
-  // Raw-watch fault lifecycle, per shard: (re-)register the watch on
-  // that shard (retrying while it is down), optionally relist that
-  // shard's slice and diff afterwards.
-  void ArmRawWatch(std::size_t index, int shard, bool relist);
-  void OnRawWatchBreak(std::size_t index, int shard, std::uint64_t epoch);
-  void RelistRawWatch(std::size_t index, int shard, std::uint64_t epoch);
+  // Raw-watch fault lifecycle: (re-)register the watch (retrying while
+  // the server is down), optionally relist and diff afterwards.
+  void ArmRawWatch(std::size_t index, bool relist);
+  void OnRawWatchBreak(std::size_t index, std::uint64_t epoch);
+  void RelistRawWatch(std::size_t index, std::uint64_t epoch);
 
   Env& env_;
   Mode mode_;

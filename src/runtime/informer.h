@@ -3,29 +3,18 @@
 // dance of client-go reflectors, then merges watch events into the
 // ObjectCache, whose change handlers trigger the control loop.
 //
-// The informer runs one reflector *source* per control-plane shard —
-// its own watch stream, its own initial list, its own last-seen
-// revision, its own recovery chain. Sources are fully independent:
-// shard 2's watch break relists shard 2's slice of the keyspace and
-// never touches the caches fed by the other sources. With one shard
-// this is exactly the single-stream reflector.
-//
-// Fault domain: when a shard crashes, that source's watch stream
-// breaks (on_break). The source then re-establishes it
-// reflector-style — watch first, then a relist carrying the
-// snapshot's store revision — and diffs the snapshot against the
-// slice of the local cache the source owns, synthesizing the
+// Fault domain: when the API server crashes, the watch stream breaks
+// (on_break). The informer then re-establishes it reflector-style —
+// watch first, then a relist carrying the snapshot's store revision —
+// and diffs the snapshot against the local cache, synthesizing the
 // Added/Modified/Deleted mutations missed during the outage so the
-// control loop sees one consistent level-triggered stream. After a
-// source's first break, its merges are resourceVersion-guarded so a
-// stale snapshot or late event can never roll the cache backwards.
-// (The no-fault path is byte-identical to the pre-fault-domain
-// informer: no guards, no extra events.)
-//
-// Every piece of recovery state is per-source: a blip on one shard
-// cannot mask a concurrent blip on another, and (the latent single-
-// epoch bug) a second break arriving while a relist is in flight
-// invalidates only its own source's chain.
+// control loop sees one consistent level-triggered stream. After the
+// first break, merges are resourceVersion-guarded so a stale snapshot
+// or late event can never roll the cache backwards. (The no-fault path
+// is byte-identical to the pre-fault-domain informer: no guards, no
+// extra events.) A second break arriving while a relist is in flight
+// invalidates that relist's chain, so one outage window runs one
+// recovery.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +24,6 @@
 
 #include "apiserver/apiserver.h"
 #include "apiserver/client.h"
-#include "apiserver/shard.h"
 #include "common/lane.h"
 #include "common/metrics.h"
 #include "runtime/cache.h"
@@ -44,75 +32,53 @@ namespace kd::runtime {
 
 class KD_LANE_SEAM Informer {
  public:
-  // One source per shard of the plane. The client must be built over
-  // the same plane (its ListShardAt indices and the plane's shard
-  // indices must agree).
-  Informer(apiserver::ApiClient& client, apiserver::ControlPlane& plane,
+  // The client must be built over `server`.
+  Informer(apiserver::ApiClient& client, apiserver::ApiServer& server,
            ObjectCache& cache, MetricsRecorder* metrics = nullptr)
-      : client_(client), cache_(cache), metrics_(metrics) {
-    for (int i = 0; i < plane.num_shards(); ++i) {
-      servers_.push_back(&plane.shard(i));
-    }
-  }
+      : client_(client), server_(server), cache_(cache), metrics_(metrics) {}
   ~Informer() { Stop(); }
 
   Informer(const Informer&) = delete;
   Informer& operator=(const Informer&) = delete;
 
-  // Registers every source's watch, then lists each shard to seed the
-  // cache. `done` fires when the last source finished its initial
-  // sync. Watch-before-list means no event can be missed in the gap
-  // (events for objects the list also returns are harmless Upserts).
-  // If a shard is down, that source keeps retrying with
-  // watch_retry_backoff until it returns.
+  // Registers the watch, then lists to seed the cache. `done` fires
+  // when the initial sync finished. Watch-before-list means no event
+  // can be missed in the gap (events for objects the list also returns
+  // are harmless Upserts). If the server is down, the informer keeps
+  // retrying with watch_retry_backoff until it returns.
   void Start(const std::string& kind, std::function<void()> done = nullptr);
 
   void Stop();
 
-  bool synced() const { return started_ && pending_syncs_ == 0; }
-  // Watch-break recoveries completed (relist + diff applied), summed
-  // across sources.
-  std::uint64_t resyncs() const;
-  // Recoveries completed by one source — the sharded crash tests'
-  // "other shards never relisted" assertion.
-  std::uint64_t resyncs_for_shard(int shard) const {
-    return sources_[static_cast<std::size_t>(shard)].resyncs;
-  }
-  int num_sources() const { return static_cast<int>(servers_.size()); }
+  bool synced() const { return synced_; }
+  // Watch-break recoveries completed (relist + diff applied).
+  std::uint64_t resyncs() const { return resyncs_; }
 
  private:
-  // Per-shard reflector stream. All recovery state lives here so one
-  // source's break/relist chain can never invalidate another's.
-  struct Source {
-    apiserver::WatchId watch_id = 0;
-    // Set on this source's first watch break: from then on merges
-    // from this source are resourceVersion-guarded (never in the
-    // no-fault path, which keeps its event trace byte-identical).
-    bool guard = false;
-    // Invalidates an in-flight recovery chain when this source's
-    // watch breaks again mid-relist.
-    std::uint64_t resync_epoch = 0;
-    std::uint64_t resyncs = 0;
-  };
-
-  void StartSource(int s);
-  void RunInitialList(int s);
-  void HandleEvent(int s, const apiserver::WatchEvent& event);
-  void OnWatchBreak(int s);
-  void ScheduleRearm(int s);
-  void Rearm(int s);
-  void ApplySnapshot(int s, std::vector<model::ApiObject> objects,
+  void StartStream();
+  void RunInitialList();
+  void HandleEvent(const apiserver::WatchEvent& event);
+  void OnWatchBreak();
+  void ScheduleRearm();
+  void Rearm();
+  void ApplySnapshot(std::vector<model::ApiObject> objects,
                      std::uint64_t revision);
-  void FinishInitialSync();
 
   apiserver::ApiClient& client_;
-  std::vector<apiserver::ApiServer*> servers_;  // one per source
+  apiserver::ApiServer& server_;
   ObjectCache& cache_;
   MetricsRecorder* metrics_;
   std::string kind_;
-  std::vector<Source> sources_;
-  int pending_syncs_ = 0;
-  bool started_ = false;
+  apiserver::WatchId watch_id_ = 0;
+  // Set on the first watch break: from then on merges are
+  // resourceVersion-guarded (never in the no-fault path, which keeps
+  // its event trace byte-identical).
+  bool guard_ = false;
+  // Invalidates an in-flight recovery chain when the watch breaks
+  // again mid-relist.
+  std::uint64_t resync_epoch_ = 0;
+  std::uint64_t resyncs_ = 0;
+  bool synced_ = false;
   bool running_ = false;
   std::function<void()> done_;
   // Stale-closure guard: invalidates everything on Stop/Start.

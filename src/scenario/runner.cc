@@ -1,7 +1,6 @@
 #include "scenario/runner.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/strings.h"
 #include "model/objects.h"
@@ -47,8 +46,8 @@ void ScenarioRunner::Execute(const Op& op) {
     case Op::Kind::kFlashCrowd:
       // Load shaping happens plan-side (ArrivalPlan); nothing to arm.
       break;
-    case Op::Kind::kShardBlip:
-      DoShardBlip(op);
+    case Op::Kind::kApiServerBlip:
+      DoApiServerBlip(op);
       break;
     case Op::Kind::kPartition:
       DoPartition(op);
@@ -122,12 +121,9 @@ void ScenarioRunner::RespawnNode(const std::string& node) {
 void ScenarioRunner::DoRollingUpgrade(const Op& op) {
   // Downstream-first is the §4.2-safe direction: restart the leaves of
   // the hierarchy before the controllers that feed them.
-  std::vector<std::string> victims = {"scheduler", "replicaset",
-                                      "endpoints", "deployment",
-                                      "autoscaler"};
-  for (int i = 0; i < cluster_.apiserver().num_shards(); ++i) {
-    victims.push_back(StrFormat("shard:%d", i));
-  }
+  std::vector<std::string> victims = {"scheduler",  "replicaset",
+                                      "endpoints",  "deployment",
+                                      "autoscaler", "apiserver"};
   if (op.order == UpgradeOrder::kUpstreamFirst) {
     std::reverse(victims.begin(), victims.end());
   }
@@ -166,8 +162,8 @@ void ScenarioRunner::CrashVictim(const std::string& victim) {
     cluster_.deployment_controller().Crash();
   } else if (victim == "autoscaler") {
     cluster_.autoscaler().Crash();
-  } else if (StartsWith(victim, "shard:")) {
-    cluster_.apiserver().CrashShard(std::atoi(victim.c_str() + 6));
+  } else if (victim == "apiserver") {
+    cluster_.apiserver().Crash();
   }
 }
 
@@ -182,22 +178,16 @@ void ScenarioRunner::RestartVictim(const std::string& victim) {
     cluster_.deployment_controller().Restart();
   } else if (victim == "autoscaler") {
     cluster_.autoscaler().Restart();
-  } else if (StartsWith(victim, "shard:")) {
-    cluster_.apiserver().RestartShard(std::atoi(victim.c_str() + 6));
+  } else if (victim == "apiserver") {
+    cluster_.apiserver().Restart();
   }
 }
 
-void ScenarioRunner::DoShardBlip(const Op& op) {
-  if (op.shard >= cluster_.apiserver().num_shards()) {
-    Log(StrFormat("shard-blip skipped: shard %d of %d", op.shard,
-                  cluster_.apiserver().num_shards()));
-    return;
-  }
-  const int shard = op.shard;
-  cluster_.apiserver().CrashShard(shard);
-  cluster_.engine().ScheduleAfter(op.down, [this, shard] {
-    cluster_.apiserver().RestartShard(shard);
-    Log(StrFormat("shard %d back", shard));
+void ScenarioRunner::DoApiServerBlip(const Op& op) {
+  cluster_.apiserver().Crash();
+  cluster_.engine().ScheduleAfter(op.down, [this] {
+    cluster_.apiserver().Restart();
+    Log("apiserver back");
   });
 }
 

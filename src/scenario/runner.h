@@ -14,11 +14,11 @@
 //                     gateway's instances on it die abruptly. Optional
 //                     respawn reverses all three.
 //   rolling-upgrade — serial Crash()/Restart() over the controllers
-//                     and control-plane shards, in either hierarchy
-//                     order, with a settle pause between victims.
+//                     and the API server, in either hierarchy order,
+//                     with a settle pause between victims.
 //   flash-crowd     — plan-side only: load is shaped by ArrivalPlan
 //                     (schedule.h); at runtime the op is just logged.
-//   shard-blip      — CrashShard/RestartShard on one keyspace slice.
+//   apiserver-blip  — ApiServer::Crash/Restart: an API-server outage.
 //   partition       — net::Network::Partition/Heal on one link.
 //
 // Everything the runner schedules is armed from driver context with
@@ -80,7 +80,7 @@ class KD_LANE_SEAM ScenarioRunner {
   void Execute(const Op& op);
   void DoSpotReclaim(const Op& op);
   void DoRollingUpgrade(const Op& op);
-  void DoShardBlip(const Op& op);
+  void DoApiServerBlip(const Op& op);
   void DoPartition(const Op& op);
   // Notice expiry: the machine is actually taken away.
   void FinishReclaim(const std::string& node);

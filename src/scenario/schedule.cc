@@ -93,10 +93,6 @@ Status ApplyKeyValue(Op* op, const std::string& key,
   if (key == "hold") {
     return ParseDurationToken(value, &op->hold) ? OkStatus() : bad("hold");
   }
-  if (key == "shard") {
-    op->shard = std::atoi(value.c_str());
-    return op->shard >= 0 ? OkStatus() : bad("shard");
-  }
   if (key == "a") {
     op->a = value;
     return OkStatus();
@@ -146,8 +142,8 @@ StatusOr<Schedule> ParseSchedule(const std::string& text) {
       timed.op.kind = Op::Kind::kRollingUpgrade;
     } else if (kind == "flash-crowd") {
       timed.op.kind = Op::Kind::kFlashCrowd;
-    } else if (kind == "shard-blip") {
-      timed.op.kind = Op::Kind::kShardBlip;
+    } else if (kind == "apiserver-blip") {
+      timed.op.kind = Op::Kind::kApiServerBlip;
     } else if (kind == "partition") {
       timed.op.kind = Op::Kind::kPartition;
     } else {
@@ -184,9 +180,8 @@ std::string FormatOp(const Op& op) {
     case Op::Kind::kFlashCrowd:
       return StrFormat("flash-crowd factor=%.1f ramp=%.1fs hold=%.1fs",
                        op.factor, ToSeconds(op.ramp), ToSeconds(op.hold));
-    case Op::Kind::kShardBlip:
-      return StrFormat("shard-blip shard=%d down=%.1fs", op.shard,
-                       ToSeconds(op.down));
+    case Op::Kind::kApiServerBlip:
+      return StrFormat("apiserver-blip down=%.1fs", ToSeconds(op.down));
     case Op::Kind::kPartition:
       return StrFormat("partition a=%s b=%s duration=%.1fs", op.a.c_str(),
                        op.b.c_str(), ToSeconds(op.duration));

@@ -7,7 +7,7 @@
 //   at 30s spot-reclaim pool=spot fraction=0.5 notice=10s [respawn=40s]
 //   at 30s rolling-upgrade order=downstream-first pause=2s [down=500ms]
 //   at 30s flash-crowd factor=10 ramp=5s hold=20s
-//   at 30s shard-blip shard=1 down=5s
+//   at 30s apiserver-blip down=5s
 //   at 30s partition a=kd.scheduler b=kd.kubelet.node-0003 duration=10s
 //
 // Times accept `ms`/`s`/`m` suffixes; `#` starts a comment. Parsing is
@@ -43,7 +43,7 @@ struct KD_LANE_OWNED(scenario) Op {
     kSpotReclaim,
     kRollingUpgrade,
     kFlashCrowd,
-    kShardBlip,
+    kApiServerBlip,
     kPartition,
   };
   Kind kind = Kind::kSpotReclaim;
@@ -56,8 +56,9 @@ struct KD_LANE_OWNED(scenario) Op {
   Duration notice = 0;
   Duration respawn = 0;
 
-  // rolling-upgrade: serial controller+shard restarts, `down` of
-  // downtime per victim and `pause` of settle time between victims.
+  // rolling-upgrade: serial controller and API-server restarts, `down`
+  // of downtime per victim and `pause` of settle time between victims.
+  // apiserver-blip: crash the API server for `down`.
   UpgradeOrder order = UpgradeOrder::kDownstreamFirst;
   Duration pause = 0;
   Duration down = Milliseconds(500);
@@ -67,9 +68,6 @@ struct KD_LANE_OWNED(scenario) Op {
   double factor = 1.0;
   Duration ramp = 0;
   Duration hold = 0;
-
-  // shard-blip: crash control-plane shard `shard` for `down`.
-  int shard = 0;
 
   // partition: cut the network link a<->b for `duration`.
   std::string a;

@@ -81,7 +81,6 @@ class KD_LANE_OWNED(scenario) SloGuard {
   bool tripped(const std::string& guard) const {
     return tripped_.count(guard) > 0;
   }
-  bool any_tripped() const { return !tripped_.empty(); }
   // Every false→true transition, in observation order.
   const std::vector<Breach>& breaches() const { return breaches_; }
   bool clean() const { return breaches_.empty(); }

@@ -108,7 +108,6 @@ class Engine {
   // Hard cap on total events processed per Run*/Step sequence; guards
   // tests against livelock in buggy reconcile loops. 0 disables.
   void set_event_limit(std::uint64_t limit) { event_limit_ = limit; }
-  bool hit_event_limit() const { return hit_event_limit_; }
 
   // The simulation-layer entropy source (kdlint R1: ambient entropy is
   // banned outside src/sim, so deterministic jitter — e.g. retry

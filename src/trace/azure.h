@@ -59,8 +59,6 @@ class AzureTrace {
   const std::vector<TraceEvent>& events() const { return events_; }
   int num_functions() const { return num_functions_; }
   std::string FunctionName(int index) const;
-  // Mean arrival rate of one function (1/s) — test observability.
-  double FunctionRate(int index) const { return rates_.at(index); }
   Duration length() const { return length_; }
 
   // Per-minute invocation counts (the burstiness profile).

@@ -1,7 +1,12 @@
 // Tests for the API server substrate: rate limiter, CRUD + optimistic
-// concurrency, watch pub-sub, admission control, and cost accounting.
+// concurrency, watch pub-sub, admission control, APF fair queueing,
+// and cost accounting.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "apiserver/apf.h"
 #include "apiserver/apiserver.h"
 #include "apiserver/client.h"
 #include "model/objects.h"
@@ -65,11 +70,13 @@ TEST(TokenBucketTest, IdleRefillRestoresBurst) {
 TEST(TokenBucketTest, TracksWaitTime) {
   sim::Engine engine;
   TokenBucket bucket(engine, 10.0, 1.0);
-  bucket.Acquire([] {});
-  bucket.Acquire([] {});
+  std::vector<Time> fire_times;
+  bucket.Acquire([&] { fire_times.push_back(engine.now()); });
+  bucket.Acquire([&] { fire_times.push_back(engine.now()); });
   engine.Run();
-  EXPECT_GT(bucket.total_wait(), Milliseconds(90));
-  EXPECT_EQ(bucket.total_acquired(), 2u);
+  ASSERT_EQ(fire_times.size(), 2u);
+  // The second caller waits for a refill: one token at 10/s.
+  EXPECT_GE(fire_times[1] - fire_times[0], Milliseconds(90));
 }
 
 // --- ApiServer fixture ---------------------------------------------------
@@ -77,9 +84,8 @@ TEST(TokenBucketTest, TracksWaitTime) {
 class ApiServerTest : public ::testing::Test {
  protected:
   ApiServerTest()
-      : plane_(engine_, CostModel::Default()),
-        server_(plane_.shard(0)),
-        client_(engine_, plane_, "test-client", 1e6, 1e6) {}
+      : server_(engine_, CostModel::Default()),
+        client_(engine_, server_, "test-client", 1e6, 1e6) {}
 
   ApiObject NewDeployment(const std::string& name, int replicas) {
     return MakeDeployment(name, replicas, MinimalPodTemplateSpec(name));
@@ -102,8 +108,7 @@ class ApiServerTest : public ::testing::Test {
   }
 
   sim::Engine engine_;
-  ControlPlane plane_;
-  ApiServer& server_;  // the plane's one shard
+  ApiServer server_;
   ApiClient client_;
 };
 
@@ -183,7 +188,9 @@ TEST_F(ApiServerTest, ListFiltersByKind) {
   ASSERT_TRUE(CreateSync(node).ok());
   StatusOr<std::vector<ApiObject>> listed = InternalError("never");
   client_.List(kKindDeployment,
-               [&](StatusOr<std::vector<ApiObject>> r) { listed = std::move(r); });
+               [&](StatusOr<std::vector<ApiObject>> r, std::uint64_t) {
+                 listed = std::move(r);
+               });
   engine_.Run();
   ASSERT_TRUE(listed.ok());
   EXPECT_EQ(listed->size(), 2u);
@@ -314,9 +321,9 @@ TEST_F(ApiServerTest, SeedObjectBypassesCosts) {
 
 TEST(ApiClientRateLimitTest, LimiterThrottlesBeyondBurst) {
   sim::Engine engine;
-  ControlPlane plane(engine, CostModel::Default());
+  ApiServer server(engine, CostModel::Default());
   // 10 QPS, burst 5: 50 creates should take roughly 4.5 s.
-  ApiClient slow(engine, plane, "slow", 10.0, 5.0);
+  ApiClient slow(engine, server, "slow", 10.0, 5.0);
   int completed = 0;
   for (int i = 0; i < 50; ++i) {
     slow.Create(
@@ -335,8 +342,8 @@ TEST(ApiClientRateLimitTest, LimiterThrottlesBeyondBurst) {
 
 TEST(ApiClientRateLimitTest, LargeObjectsCostMoreThanSmall) {
   sim::Engine engine;
-  ControlPlane plane(engine, CostModel::Default());
-  ApiClient client(engine, plane, "c", 1e6, 1e6);
+  ApiServer server(engine, CostModel::Default());
+  ApiClient client(engine, server, "c", 1e6, 1e6);
 
   Time small_done = 0, large_done = 0;
   ApiObject small = MakeDeployment("small", 1, MinimalPodTemplateSpec("s"));
@@ -350,6 +357,91 @@ TEST(ApiClientRateLimitTest, LargeObjectsCostMoreThanSmall) {
   client.Create(large, [&](StatusOr<ApiObject>) { large_done = engine.now(); });
   engine.Run();
   EXPECT_GT(large_done - t0, small_latency);
+}
+
+// --- APF fair queueing -------------------------------------------------
+
+TEST(ApfQueueTest, DisabledRunsInline) {
+  ApfQueue apf;  // seats == 0: pass-through
+  bool ran = false;
+  apf.Submit("any", [&] { ran = true; });
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(apf.queued(), 0u);
+  EXPECT_EQ(apf.in_service(), 0);
+}
+
+TEST(ApfQueueTest, RoundRobinAcrossFlowsFifoWithin) {
+  ApfQueue apf;
+  apf.Configure(1);
+  std::vector<std::string> order;
+  auto submit = [&](const std::string& flow, const std::string& tag) {
+    apf.Submit(flow, [&order, tag] { order.push_back(tag); });
+  };
+  submit("b", "b1");  // seat free: runs inline
+  submit("b", "b2");
+  submit("a", "a1");
+  submit("a", "a2");
+  submit("c", "c1");
+  EXPECT_EQ(apf.queued(), 4u);
+  for (int i = 0; i < 4; ++i) apf.Release();
+  // One seat, three flows: the rotating cursor alternates a→b→c before
+  // returning to a's second request — no flow monopolizes the seat.
+  EXPECT_EQ(order, (std::vector<std::string>{"b1", "a1", "b2", "c1", "a2"}));
+  EXPECT_EQ(apf.queued(), 0u);
+}
+
+TEST(ApfQueueTest, ResetDropsQueuedWorkAndFreesSeats) {
+  ApfQueue apf;
+  apf.Configure(1);
+  int ran = 0;
+  apf.Submit("a", [&] { ++ran; });
+  apf.Submit("a", [&] { ++ran; });
+  EXPECT_EQ(ran, 1);
+  apf.Reset();  // crash: queued work dies with the process
+  EXPECT_EQ(apf.queued(), 0u);
+  EXPECT_EQ(apf.in_service(), 0);
+  apf.Submit("a", [&] { ++ran; });  // fresh incarnation admits again
+  EXPECT_EQ(ran, 2);
+}
+
+ApiObject NewPod(const std::string& name) {
+  ApiObject pod;
+  pod.kind = kKindPod;
+  pod.name = name;
+  model::SetPodPhase(pod, model::PodPhase::kPending);
+  return pod;
+}
+
+TEST(ApfServerTest, MouseFlowIsNotStarvedByElephantBacklog) {
+  sim::Engine engine;
+  CostModel cost = CostModel::Default();
+  cost.apf_seats = 1;  // one seat: the backlog is fully APF-ordered
+  ApiServer server(engine, cost);
+  ApiClient elephant(engine, server, "elephant", 1e6, 1e6);
+  ApiClient mouse(engine, server, "mouse", 1e6, 1e6);
+
+  std::vector<std::string> done_order;
+  auto record = [&](const std::string& name) {
+    return [&done_order, name](StatusOr<ApiObject>) {
+      done_order.push_back(name);
+    };
+  };
+  // The elephant floods eight writes, then the mouse posts one. Names
+  // are the same length so every request carries identical costs and
+  // arrival order is exactly issue order.
+  for (int i = 0; i < 8; ++i) {
+    const std::string name = "e" + std::to_string(i);
+    elephant.Create(NewPod(name), record(name));
+  }
+  mouse.Create(NewPod("m0"), record("m0"));
+  engine.Run();
+
+  ASSERT_EQ(done_order.size(), 9u);
+  EXPECT_EQ(done_order[0], "e0");  // admitted before the backlog formed
+  // Round-robin across flows: the mouse's lone request drains within
+  // its share (second dispatch from the queue), not behind all eight.
+  EXPECT_EQ(done_order[2], "m0");
+  EXPECT_GT(server.metrics().GetCount("apf.queue_depth_max"), 0);
 }
 
 }  // namespace

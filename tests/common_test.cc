@@ -51,8 +51,6 @@ TEST(StatusTest, AllConstructorsProduceMatchingCodes) {
   EXPECT_EQ(InvalidArgumentError("x").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(PermissionDeniedError("x").code(), StatusCode::kPermissionDenied);
   EXPECT_EQ(UnavailableError("x").code(), StatusCode::kUnavailable);
-  EXPECT_EQ(ResourceExhaustedError("x").code(),
-            StatusCode::kResourceExhausted);
   EXPECT_EQ(FailedPreconditionError("x").code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(InternalError("x").code(), StatusCode::kInternal);

@@ -51,7 +51,7 @@ INSTANTIATE_TEST_SUITE_P(
     Victims, CrashPointSweepTest,
     ::testing::Values(Victim::kEtcdPersist, Victim::kSchedulerHandshake,
                       Victim::kKubeletHandshake, Victim::kReplicaSetTombstone,
-                      Victim::kSchedulerTombstone, Victim::kShardApiserver),
+                      Victim::kSchedulerTombstone),
     [](const ::testing::TestParamInfo<Victim>& param_info) {
       std::string name = VictimName(param_info.param);
       for (char& c : name) {

@@ -43,18 +43,13 @@ namespace kd::crashpoint {
 //   kReplicaSetTombstone — every termination intent the ReplicaSet
 //                          controller records;
 //   kSchedulerTombstone  — every termination intent the Scheduler
-//                          records;
-//   kShardApiserver      — every persist of control-plane shard 1 in a
-//                          4-way sharded plane (the others stay up, so
-//                          the run also asserts shard fault isolation:
-//                          no non-victim informer source may relist).
+//                          records.
 enum class Victim {
   kEtcdPersist,
   kSchedulerHandshake,
   kKubeletHandshake,
   kReplicaSetTombstone,
   kSchedulerTombstone,
-  kShardApiserver,
 };
 
 inline const char* VictimName(Victim v) {
@@ -69,8 +64,6 @@ inline const char* VictimName(Victim v) {
       return "replicaset-tombstone";
     case Victim::kSchedulerTombstone:
       return "scheduler-tombstone";
-    case Victim::kShardApiserver:
-      return "shard-apiserver";
   }
   return "?";
 }
@@ -103,9 +96,6 @@ class Scenario {
     config.realistic_pod_template = false;
     config.node_cpu_milli = 4000;
     config.scheduler.cancel_after_failures = 5;
-    // The per-shard victim needs a sharded plane; every other victim
-    // keeps the single-server plane (and its golden fingerprints).
-    if (victim == Victim::kShardApiserver) config.num_shards = 4;
     cluster_ = std::make_unique<cluster::Cluster>(engine_, std::move(config));
     cluster_->network().set_send_observer(std::move(observer));
   }
@@ -154,8 +144,6 @@ class Scenario {
         return cluster_->replicaset_controller().harness().tombstone_fault();
       case Victim::kSchedulerTombstone:
         return cluster_->scheduler().harness().tombstone_fault();
-      case Victim::kShardApiserver:
-        return cluster_->apiserver().persist_fault(1);
     }
     return cluster_->apiserver().persist_fault();  // unreachable
   }
@@ -171,8 +159,6 @@ class Scenario {
         return cluster_->kubelet(0).harness().crashed();
       case Victim::kReplicaSetTombstone:
         return cluster_->replicaset_controller().harness().crashed();
-      case Victim::kShardApiserver:
-        return !cluster_->apiserver().ShardUp(1);
     }
     return false;
   }
@@ -191,9 +177,6 @@ class Scenario {
         break;
       case Victim::kReplicaSetTombstone:
         cluster_->replicaset_controller().Restart();
-        break;
-      case Victim::kShardApiserver:
-        cluster_->apiserver().RestartShard(1);
         break;
     }
     ++restarts_;
@@ -269,23 +252,9 @@ class Scenario {
     CheckInvariants();
   }
 
-  // The shared §4.4 battery (invariants.h) plus shard fault isolation.
+  // The shared §4.4 battery (invariants.h).
   void CheckInvariants() {
     invariants::CheckQuiescentInvariants(*cluster_, kNodes, "fn");
-    // Shard fault isolation (sharded victim only): a blip on shard 1
-    // may relist shard-1 sources, but no informer source on any other
-    // shard is allowed to — the per-source fault domain is the whole
-    // point of the per-shard reflector split.
-    if (victim_ == Victim::kShardApiserver) {
-      for (const auto& [name, value] : cluster_->metrics().counters()) {
-        if (name.rfind("informer.", 0) != 0) continue;
-        const std::size_t pos = name.find(".shard");
-        if (pos == std::string::npos) continue;
-        if (name.find(".relists_total") == std::string::npos) continue;
-        if (name.compare(pos, 8, ".shard1.") == 0) continue;
-        EXPECT_EQ(value, 0) << name << ": a non-victim shard relisted";
-      }
-    }
   }
 
   Victim victim_;

@@ -83,9 +83,8 @@ TEST(FaultPointTest, RearmClearsFired) {
 class PersistSeamTest : public ::testing::Test {
  protected:
   PersistSeamTest()
-      : plane_(engine_, CostModel::Default()),
-        server_(plane_.shard(0)),
-        client_(engine_, plane_, "seam-client", 1e6, 1e6) {}
+      : server_(engine_, CostModel::Default()),
+        client_(engine_, server_, "seam-client", 1e6, 1e6) {}
 
   ApiObject NewDeployment(const std::string& name) {
     return model::MakeDeployment(name, 1,
@@ -101,8 +100,7 @@ class PersistSeamTest : public ::testing::Test {
   }
 
   sim::Engine engine_;
-  apiserver::ControlPlane plane_;
-  apiserver::ApiServer& server_;  // the plane's one shard
+  apiserver::ApiServer server_;
   apiserver::ApiClient client_;
 };
 
@@ -164,8 +162,8 @@ class HarnessSeamTest : public ::testing::Test {
   HarnessSeamTest()
       : network_(engine_),
         cost_(CostModel::Default()),
-        plane_(engine_, cost_),
-        env_{engine_, network_, plane_, cost_, metrics_} {}
+        server_(engine_, cost_),
+        env_{engine_, network_, server_, cost_, metrics_} {}
 
   runtime::ControllerHarness::Options Opts(const std::string& name) {
     runtime::ControllerHarness::Options options;
@@ -194,7 +192,7 @@ class HarnessSeamTest : public ::testing::Test {
   sim::Engine engine_;
   net::Network network_;
   CostModel cost_;
-  apiserver::ControlPlane plane_;
+  apiserver::ApiServer server_;
   MetricsRecorder metrics_;
   runtime::Env env_;
 };

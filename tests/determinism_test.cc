@@ -13,10 +13,9 @@
 // identity (slot/generation) and is implementation-defined, so pinning
 // it would outlaw harmless engine-internal changes. Each test prints an
 // FNV-1a fingerprint of its trace and checks it against the golden
-// value pinned below for the control-plane shard count (KD_SHARDS) on
-// the serial engine: host-side optimisations must leave simulated time
-// byte-identical, so a fingerprint that moves means the simulation
-// itself changed.
+// value pinned below: host-side optimisations must leave simulated
+// time byte-identical, so a fingerprint that moves means the
+// simulation itself changed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -45,38 +44,25 @@ std::string Hex(std::uint64_t v) {
   return StrFormat("%016llx", static_cast<unsigned long long>(v));
 }
 
-// Golden fingerprints per shard count. Shard counts without entries
-// keep only the run-twice check.
 struct Golden {
-  int shards;
   const char* trace;
   std::uint64_t fingerprint;
 };
 constexpr Golden kGolden[] = {
-    {1, "kd-cluster", 0x4bf29dcd6393ed66ull},
-    {1, "faas-replay", 0x878fe408407f5b1bull},
-    {1, "crashpoint etcd-persist@4", 0x857d6c6591a3c835ull},
-    {1, "crashpoint scheduler-handshake@3", 0x060f478d8750c0bcull},
-    {1, "crashpoint replicaset-tombstone@1", 0xaea38a2dce25068eull},
-    {4, "kd-cluster", 0x31d56e50b326a975ull},
-    {4, "faas-replay", 0x0607bc1fa819cef4ull},
-    {4, "crashpoint etcd-persist@4", 0x0d6bebca768bffeaull},
-    {4, "crashpoint scheduler-handshake@3", 0x9df1458f4b372c93ull},
-    {4, "crashpoint replicaset-tombstone@1", 0xb8eb6c66d88c3c5aull},
+    {"kd-cluster", 0x4bf29dcd6393ed66ull},
+    {"faas-replay", 0x878fe408407f5b1bull},
+    {"crashpoint etcd-persist@4", 0x857d6c6591a3c835ull},
+    {"crashpoint scheduler-handshake@3", 0x060f478d8750c0bcull},
+    {"crashpoint replicaset-tombstone@1", 0xaea38a2dce25068eull},
 };
 
 void ExpectGoldenFingerprint(const std::string& trace, std::uint64_t actual) {
-  const int shards = cluster::DefaultNumShards();
-  bool pinned = false;
   for (const Golden& golden : kGolden) {
-    if (golden.shards != shards) continue;
-    pinned = true;
     if (trace != golden.trace) continue;
-    EXPECT_EQ(Hex(actual), Hex(golden.fingerprint))
-        << trace << " at KD_SHARDS=" << shards;
+    EXPECT_EQ(Hex(actual), Hex(golden.fingerprint)) << trace;
     return;
   }
-  if (pinned) ADD_FAILURE() << "no golden fingerprint for " << trace;
+  ADD_FAILURE() << "no golden fingerprint for " << trace;
 }
 
 TEST(DeterminismTest, KdClusterTraceIsByteIdenticalAcrossRuns) {

@@ -37,9 +37,8 @@ class HarnessTest : public ::testing::TestWithParam<Mode> {
   HarnessTest()
       : network_(engine_),
         cost_(CostModel::Default()),
-        plane_(engine_, cost_),
-        apiserver_(plane_.shard(0)),
-        env_{engine_, network_, plane_, cost_, metrics_} {}
+        apiserver_(engine_, cost_),
+        env_{engine_, network_, apiserver_, cost_, metrics_} {}
 
   Mode mode() const { return GetParam(); }
 
@@ -73,8 +72,7 @@ class HarnessTest : public ::testing::TestWithParam<Mode> {
   sim::Engine engine_;
   net::Network network_;
   CostModel cost_;
-  apiserver::ControlPlane plane_;
-  apiserver::ApiServer& apiserver_;  // the plane's one shard
+  apiserver::ApiServer apiserver_;
   MetricsRecorder metrics_;
   Env env_;
 };

@@ -6,7 +6,7 @@
 // at run time. The synthetic cases pin the checker's mechanics
 // (ownership breaches, same-epoch races, provenance, lane inheritance
 // through closure chains); the cluster walks assert the real tree —
-// boot, scale, controller crashes, shard blips — stays silent with
+// boot, scale, controller crashes, API-server blips — stays silent with
 // the checker enabled, and that enabling it never perturbs the event
 // trace (the determinism fingerprint is the repo's oracle).
 #include <gtest/gtest.h>
@@ -249,18 +249,18 @@ void DriveClusterWalk(sim::Engine& engine, cluster::Cluster& cluster) {
   cluster.ScaleTo("fn-b", 6);
   engine.RunFor(Seconds(10));
 
-  // Fault mix: controller crashes, a node crash, and a shard blip —
-  // the seams that re-scope lanes (net delivery, informer relist,
-  // harness lifecycle) all fire on the recovery paths.
+  // Fault mix: controller crashes, a node crash, and an API-server
+  // blip — the seams that re-scope lanes (net delivery, informer
+  // relist, harness lifecycle) all fire on the recovery paths.
   cluster.scheduler().Crash();
   engine.RunFor(Seconds(2));
   cluster.scheduler().Restart();
   cluster.kubelet(0).Crash();
   engine.RunFor(Seconds(2));
   cluster.kubelet(0).Restart();
-  cluster.apiserver().CrashShard(0);
+  cluster.apiserver().Crash();
   engine.RunFor(Seconds(2));
-  cluster.apiserver().RestartShard(0);
+  cluster.apiserver().Restart();
   cluster.ScaleTo("fn-a", 4);
   engine.RunFor(Seconds(20));
 }

@@ -64,12 +64,11 @@ void RecordCacheEvents(runtime::ObjectCache& cache,
 
 TEST(OutageRelistTest, InformerSynthesizesOneEventPerMissedMutation) {
   sim::Engine engine;
-  apiserver::ControlPlane plane(engine, CostModel::Default());
-  ApiServer& server = plane.shard(0);
-  ApiClient client(engine, plane, "informer", 1e6, 1e6);
+  ApiServer server(engine, CostModel::Default());
+  ApiClient client(engine, server, "informer", 1e6, 1e6);
   MetricsRecorder metrics;
   runtime::ObjectCache cache;
-  runtime::Informer informer(client, plane, cache, &metrics);
+  runtime::Informer informer(client, server, cache, &metrics);
 
   server.SeedObject(Deploy("mutated", 1));
   server.SeedObject(Deploy("deleted", 1));
@@ -86,7 +85,7 @@ TEST(OutageRelistTest, InformerSynthesizesOneEventPerMissedMutation) {
   // below as events — the post-restart relist must synthesize them.
   server.Crash();
   server.Restart();
-  ApiClient writer(engine, plane, "writer", 1e6, 1e6);
+  ApiClient writer(engine, server, "writer", 1e6, 1e6);
   writer.Create(Deploy("created", 2), [](StatusOr<ApiObject> r) {
     ASSERT_TRUE(r.ok());
   });
@@ -130,11 +129,10 @@ TEST(OutageRelistTest, InformerSynthesizesOneEventPerMissedMutation) {
 
 TEST(OutageRelistTest, InformerCacheMatchesServerAfterRecovery) {
   sim::Engine engine;
-  apiserver::ControlPlane plane(engine, CostModel::Default());
-  ApiServer& server = plane.shard(0);
-  ApiClient client(engine, plane, "informer", 1e6, 1e6);
+  ApiServer server(engine, CostModel::Default());
+  ApiClient client(engine, server, "informer", 1e6, 1e6);
   runtime::ObjectCache cache;
-  runtime::Informer informer(client, plane, cache, nullptr);
+  runtime::Informer informer(client, server, cache, nullptr);
   for (int i = 0; i < 8; ++i) server.SeedObject(Deploy(StrFormat("d%d", i), 1));
   informer.Start(kKindDeployment);
   engine.RunFor(Seconds(1));
@@ -161,16 +159,54 @@ TEST(OutageRelistTest, InformerCacheMatchesServerAfterRecovery) {
   EXPECT_EQ(informer.resyncs(), 2u);
 }
 
+// A second break that lands while the first recovery's relist is on
+// the wire must invalidate that relist: the informer runs exactly one
+// recovery for the two outages, and the cache still reconverges.
+TEST(OutageRelistTest, SecondBreakDuringRelistRunsOneRecovery) {
+  sim::Engine engine;
+  const CostModel cost = CostModel::Default();
+  ApiServer server(engine, cost);
+  ApiClient client(engine, server, "informer", 1e6, 1e6);
+  runtime::ObjectCache cache;
+  runtime::Informer informer(client, server, cache, nullptr);
+  for (int i = 0; i < 8; ++i) server.SeedObject(Deploy(StrFormat("d%d", i), 1));
+  informer.Start(kKindDeployment);
+  engine.RunFor(Seconds(1));
+
+  const Time first_crash = engine.now();
+  server.Crash();
+  engine.RunFor(Milliseconds(100));
+  server.Restart();
+  // The break is delivered after watch_delivery_latency and the rearm
+  // waits watch_retry_backoff: just past that, the relist is in flight.
+  engine.RunUntil(first_crash + cost.watch_delivery_latency +
+                  cost.watch_retry_backoff + Microseconds(100));
+
+  server.Crash();
+  engine.RunFor(Milliseconds(200));
+  server.Restart();
+  server.SeedObject(Deploy("late", 2));
+  engine.RunFor(Seconds(60));
+
+  std::vector<const ApiObject*> truth = server.PeekAll(kKindDeployment);
+  std::vector<const ApiObject*> view = cache.List(kKindDeployment);
+  ASSERT_EQ(view.size(), truth.size());
+  for (std::size_t i = 0; i < truth.size(); ++i) {
+    EXPECT_EQ(view[i]->Key(), truth[i]->Key());
+    EXPECT_EQ(view[i]->resource_version, truth[i]->resource_version);
+  }
+  EXPECT_EQ(informer.resyncs(), 1u);
+}
+
 // --- raw filtered-watch shadow relist ---------------------------------
 
 TEST(OutageRelistTest, RawFilteredWatchSynthesizesScopedEvents) {
   sim::Engine engine;
   net::Network network(engine);
   CostModel cost = CostModel::Default();
-  apiserver::ControlPlane plane(engine, cost);
-  ApiServer& server = plane.shard(0);
+  ApiServer server(engine, cost);
   MetricsRecorder metrics;
-  runtime::Env env{engine, network, plane, cost, metrics};
+  runtime::Env env{engine, network, server, cost, metrics};
 
   runtime::ControllerHarness::Options options;
   options.name = "raw-watcher";
@@ -199,7 +235,7 @@ TEST(OutageRelistTest, RawFilteredWatchSynthesizesScopedEvents) {
   engine.RunFor(Milliseconds(100));
 
   // Live events populate the shadow state the relist diffs against.
-  ApiClient writer(engine, plane, "writer", 1e6, 1e6);
+  ApiClient writer(engine, server, "writer", 1e6, 1e6);
   writer.Create(pod("stays", "in"), [](StatusOr<ApiObject>) {});
   writer.Create(pod("leaves-scope", "in"), [](StatusOr<ApiObject>) {});
   writer.Create(pod("removed", "in"), [](StatusOr<ApiObject>) {});
@@ -247,10 +283,9 @@ TEST(OutageRelistTest, RawFilteredWatchSynthesizesScopedEvents) {
 Time RunGiveUpClock(std::uint64_t seed, std::uint64_t* retries_out) {
   sim::Engine engine;
   engine.SeedRng(seed);
-  apiserver::ControlPlane plane(engine, CostModel::Default());
-  ApiServer& server = plane.shard(0);
+  ApiServer server(engine, CostModel::Default());
   MetricsRecorder metrics;
-  ApiClient client(engine, plane, "retrier", 1e6, 1e6, &metrics);
+  ApiClient client(engine, server, "retrier", 1e6, 1e6, &metrics);
   server.SeedObject(Deploy("fn", 1));
   server.Crash();
 
@@ -292,10 +327,9 @@ TEST(OutageRetryTest, BackoffSequenceIsSeededAndBounded) {
 
 TEST(OutageRetryTest, RetriesRideOutAShortOutage) {
   sim::Engine engine;
-  apiserver::ControlPlane plane(engine, CostModel::Default());
-  ApiServer& server = plane.shard(0);
+  ApiServer server(engine, CostModel::Default());
   MetricsRecorder metrics;
-  ApiClient client(engine, plane, "rider", 1e6, 1e6, &metrics);
+  ApiClient client(engine, server, "rider", 1e6, 1e6, &metrics);
   server.SeedObject(Deploy("fn", 3));
 
   server.Crash();
@@ -318,10 +352,9 @@ TEST(OutageRetryTest, RetriesRideOutAShortOutage) {
 
 TEST(OutageDeadlineTest, RequestsExpireInArrivalOrder) {
   sim::Engine engine;
-  apiserver::ControlPlane plane(engine, CostModel::Default());
-  ApiServer& server = plane.shard(0);
+  ApiServer server(engine, CostModel::Default());
   // No retries: observe each request's single attempt.
-  ApiClient client(engine, plane, "plain", 1e6, 1e6, nullptr,
+  ApiClient client(engine, server, "plain", 1e6, 1e6, nullptr,
                    apiserver::RetryPolicy::None());
   server.Crash();
 

@@ -4,10 +4,10 @@
 // Each walk drives the full Kd cluster through a random interleaving
 // of the spec's actions (scaling commands, controller crashes +
 // restarts, link disconnections via partition/heal, pod evictions,
-// API-server and per-shard blips, arbitrary time advancement), then
-// closes with the Liveness
-// Assumption (§4.4): the narrow waist becomes totally connected long
-// enough for end-to-end message passing. The checker then asserts:
+// API-server blips and outages, arbitrary time advancement), then
+// closes with the Liveness Assumption (§4.4): the narrow waist becomes
+// totally connected long enough for end-to-end message passing. The
+// checker then asserts:
 //
 //   KdConvergence — |ready pods| == last scaling command;
 //   KdSafety      — pod state agrees along the chain (a predicate that
@@ -70,7 +70,7 @@ class ModelWalk {
   explicit ModelWalk(std::uint64_t seed) : rng_(seed) {
     // LaneSilence: the runtime lane checker rides every walk — no
     // event may touch state owned by another component instance's
-    // lane across the whole crash/blip/partition/shard action mix.
+    // lane across the whole crash/blip/partition action mix.
     engine_.lane_checker().Enable();
     ClusterConfig config = ClusterConfig::Kd(kNodes);
     config.realistic_pod_template = false;
@@ -161,7 +161,8 @@ class ModelWalk {
         PartitionRandomLink(/*heal=*/true);
         break;
       }
-      case 7: {  // API-server blip: crash + immediate restart
+      case 7:
+      case 11: {  // API-server blip: crash + immediate restart
         // Every watch breaks and every informer relists; committed
         // state survives (etcd-backed store).
         cluster_->apiserver().Crash();
@@ -228,16 +229,6 @@ class ModelWalk {
         }
         break;
       }
-      case 11: {  // shard blip: crash + restart one control-plane shard
-        // Only that shard's keyspace slice breaks its watches; sources
-        // on the other shards must ride through untouched. With one
-        // shard (the default matrix leg) this degenerates to case 7.
-        const int s = static_cast<int>(
-            rng_.UniformInt(cluster_->apiserver().num_shards()));
-        cluster_->apiserver().CrashShard(s);
-        cluster_->apiserver().RestartShard(s);
-        break;
-      }
       case 12: {  // spot-reclaim notice / completion (scenario catalog)
         const int k = static_cast<int>(rng_.UniformInt(kNodes));
         const std::string node = Cluster::NodeName(k);
@@ -263,9 +254,7 @@ class ModelWalk {
         break;
       }
       case 13: {  // one rolling-upgrade step (downstream-first cursor)
-        const int victims = 5 + cluster_->apiserver().num_shards();
-        const int v = upgrade_cursor_ % victims;
-        switch (v) {
+        switch (upgrade_cursor_ % 6) {
           case 0:
             cluster_->scheduler().Crash();
             cluster_->scheduler().Restart();
@@ -287,9 +276,9 @@ class ModelWalk {
             cluster_->autoscaler().Crash();
             cluster_->autoscaler().Restart();
             break;
-          default:
-            cluster_->apiserver().CrashShard(v - 5);
-            cluster_->apiserver().RestartShard(v - 5);
+          case 5:
+            cluster_->apiserver().Crash();
+            cluster_->apiserver().Restart();
             break;
         }
         ++upgrade_cursor_;

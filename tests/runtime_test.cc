@@ -249,11 +249,10 @@ TEST_F(ControlLoopTest, ClearCancelsDelayedRequeues) {
 
 TEST(InformerTest, InitialListSeedsCacheThenWatchKeepsItFresh) {
   sim::Engine engine;
-  apiserver::ControlPlane plane(engine, CostModel::Default());
-  apiserver::ApiServer& server = plane.shard(0);
-  apiserver::ApiClient client(engine, plane, "informer", 1e6, 1e6);
+  apiserver::ApiServer server(engine, CostModel::Default());
+  apiserver::ApiClient client(engine, server, "informer", 1e6, 1e6);
   ObjectCache cache;
-  Informer informer(client, plane, cache);
+  Informer informer(client, server, cache);
 
   server.SeedObject(MakeDeployment("pre", 1, MinimalPodTemplateSpec("pre")));
 
@@ -265,7 +264,7 @@ TEST(InformerTest, InitialListSeedsCacheThenWatchKeepsItFresh) {
   EXPECT_NE(cache.Get("Deployment/pre"), nullptr);
 
   // Subsequent API writes flow through the watch.
-  apiserver::ApiClient writer(engine, plane, "writer", 1e6, 1e6);
+  apiserver::ApiClient writer(engine, server, "writer", 1e6, 1e6);
   writer.Create(MakeDeployment("post", 2, MinimalPodTemplateSpec("post")),
                 [](StatusOr<ApiObject>) {});
   engine.Run();
@@ -279,11 +278,10 @@ TEST(InformerTest, InitialListSeedsCacheThenWatchKeepsItFresh) {
 
 TEST(InformerTest, StopUnsubscribes) {
   sim::Engine engine;
-  apiserver::ControlPlane plane(engine, CostModel::Default());
-  apiserver::ApiServer& server = plane.shard(0);
-  apiserver::ApiClient client(engine, plane, "informer", 1e6, 1e6);
+  apiserver::ApiServer server(engine, CostModel::Default());
+  apiserver::ApiClient client(engine, server, "informer", 1e6, 1e6);
   ObjectCache cache;
-  Informer informer(client, plane, cache);
+  Informer informer(client, server, cache);
   informer.Start(model::kKindDeployment);
   engine.Run();
   informer.Stop();

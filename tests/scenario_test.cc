@@ -52,7 +52,7 @@ TEST(ScheduleParseTest, ParsesEveryOpKind) {
       "at 30s spot-reclaim pool=spot fraction=0.5 notice=10s respawn=40s\n"
       "at 45s rolling-upgrade order=upstream-first pause=2s down=250ms\n"
       "at 1m flash-crowd factor=10 ramp=5s hold=20s\n"
-      "at 90s shard-blip shard=1 down=5s\n"
+      "at 90s apiserver-blip down=5s\n"
       "at 100s partition a=kd.scheduler b=kd.kubelet.node-0003 "
       "duration=10s\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
@@ -77,8 +77,7 @@ TEST(ScheduleParseTest, ParsesEveryOpKind) {
   EXPECT_EQ(schedule.ops[2].op.ramp, Seconds(5));
   EXPECT_EQ(schedule.ops[2].op.hold, Seconds(20));
 
-  EXPECT_EQ(schedule.ops[3].op.kind, Op::Kind::kShardBlip);
-  EXPECT_EQ(schedule.ops[3].op.shard, 1);
+  EXPECT_EQ(schedule.ops[3].op.kind, Op::Kind::kApiServerBlip);
   EXPECT_EQ(schedule.ops[3].op.down, Seconds(5));
 
   EXPECT_EQ(schedule.ops[4].op.kind, Op::Kind::kPartition);
@@ -90,7 +89,7 @@ TEST(ScheduleParseTest, ParsesEveryOpKind) {
 TEST(ScheduleParseTest, DurationSuffixes) {
   const StatusOr<Schedule> parsed = ParseSchedule(
       "at 1500ms spot-reclaim pool=p fraction=1 notice=2s respawn=1m\n"
-      "at 3 shard-blip shard=0 down=500ms\n");  // bare number = seconds
+      "at 3 apiserver-blip down=500ms\n");  // bare number = seconds
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   EXPECT_EQ(parsed->ops[0].at, Milliseconds(1500));
   EXPECT_EQ(parsed->ops[0].op.notice, Seconds(2));
@@ -103,7 +102,7 @@ TEST(ScheduleParseTest, IgnoresCommentsAndBlankLines) {
   const StatusOr<Schedule> parsed = ParseSchedule(
       "# a full-line comment\n"
       "\n"
-      "at 5s shard-blip shard=0 down=1s  # trailing comment\n"
+      "at 5s apiserver-blip down=1s  # trailing comment\n"
       "   \n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   ASSERT_EQ(parsed->ops.size(), 1u);
@@ -126,6 +125,7 @@ TEST(ScheduleParseTest, RejectsMalformedInput) {
       "at 5s rolling-upgrade order=sideways",      // unknown order
       "at 5s spot-reclaim pool",                   // not key=value
       "at 5s spot-reclaim color=red",              // unknown key
+      "at 5s apiserver-blip shard=1 down=1s",      // unknown key
       "at 5s spot-reclaim notice=soon",            // bad duration
   };
   int line = 0;
@@ -222,7 +222,10 @@ TEST(SloGuardTest, DefaultLimitsNeverTrip) {
     guard.Observe(Seconds(epoch), terrible);
   }
   EXPECT_TRUE(guard.clean());
-  EXPECT_FALSE(guard.any_tripped());
+  for (const char* name :
+       {"cold-p99", "endpoint-staleness", "lost-invocations"}) {
+    EXPECT_FALSE(guard.tripped(name)) << name;
+  }
 }
 
 TEST(SloGuardTest, ColdP99TripsAndClears) {
@@ -374,7 +377,7 @@ TEST(ScenarioTraceTest, EmptyScheduleLeavesTraceUntouched) {
 TEST(ScenarioTraceTest, FixedScheduleIsByteIdenticalAcrossRuns) {
   const std::string schedule =
       "at 2s spot-reclaim pool=spot fraction=0.67 notice=3s respawn=5s\n"
-      "at 4s shard-blip shard=0 down=2s\n"
+      "at 4s apiserver-blip down=2s\n"
       "at 6s partition a=kd.scheduler b=kd.kubelet.node-0001 duration=2s\n"
       "at 9s rolling-upgrade order=downstream-first pause=300ms down=150ms\n";
   std::vector<std::string> log_first, log_second;

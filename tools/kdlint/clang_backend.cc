@@ -634,21 +634,18 @@ bool RunClangMode(const std::vector<std::string>& files,
     clang_visitChildren(clang_getTranslationUnitCursor(tu), Visit, &ctx);
     clang_disposeTranslationUnit(tu);
 
-    // R6 and R0 are purely lexical (a `%` near a shard-named
-    // identifier; a suppression comment with no reason), so clang mode
-    // reuses the token rules rather than duplicating an AST walk;
-    // AnalyzeSource applies suppressions itself, and re-applying them
-    // below is idempotent.
+    // R0 is purely lexical (a suppression comment with no reason), so
+    // clang mode reuses the token rule rather than duplicating an AST
+    // walk; AnalyzeSource applies suppressions itself, and re-applying
+    // them below is idempotent.
     {
       std::string lex_source;
       if (ReadAll(file, lex_source)) {
         Options lexical = opts;
         lexical.rules.clear();
-        for (const char* rule : {"R6", "R0"}) {
-          if ((opts.rules.empty() || opts.rules.count(rule) > 0) &&
-              RuleAppliesTo(opts, rule, file)) {
-            lexical.rules.insert(rule);
-          }
+        if ((opts.rules.empty() || opts.rules.count("R0") > 0) &&
+            RuleAppliesTo(opts, "R0", file)) {
+          lexical.rules.insert("R0");
         }
         if (!lexical.rules.empty()) {
           std::vector<Finding> lex =

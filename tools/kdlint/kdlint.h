@@ -12,7 +12,7 @@
 //   R4  closures passed to sim::Engine::Schedule* must not capture [&]
 //       or smuggle `this` through a blanket [=] copy default
 //   R5  controller policy classes never mutate ObjectCache directly
-//   R6  shard routing goes through ShardRouter (no hand-rolled modulo)
+//   R6  retired with the sharded control plane; the ID is not reused
 //   R7  lane ownership: code in a KD_LANE_OWNED class may not reach
 //       another lane's state except through a KD_LANE_SEAM conduit
 //   R8  no raw pointer/reference to another lane's KD_LANE_OWNED state
@@ -43,7 +43,7 @@ namespace kdlint {
 struct Finding {
   std::string file;
   int line = 0;
-  std::string rule;     // "R1".."R6"
+  std::string rule;     // "R0".."R9"
   std::string message;
   bool suppressed = false;
   std::string suppress_reason;  // inline reason text or "baseline"

@@ -183,7 +183,7 @@ int Main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, cli)) return Usage(argv[0]);
   if (cli.capabilities) {
     std::cout << "modes: token" << (ClangModeAvailable() ? " clang" : "")
-              << "\nrules: R0 R1 R2 R3 R4 R5 R6 R7 R8 R9\n"
+              << "\nrules: R0 R1 R2 R3 R4 R5 R7 R8 R9\n"
               << "outputs: text json sarif\n";
     return 0;
   }

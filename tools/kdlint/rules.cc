@@ -417,38 +417,6 @@ void RunR5(const std::string& path, const Tokens& t, const Decls& decls,
   }
 }
 
-// R6 over one token stream: shard routing must go through ShardRouter.
-// A `%` with a shard-named identifier in arm's reach is hand-rolled
-// keyspace partitioning (`hash % num_shards`, `shard = h % S`); such
-// arithmetic outside src/apiserver silently diverges from the router's
-// mapping the moment its hash or clamping changes, so every other
-// layer must ask the router instead. Purely lexical on purpose: the
-// rule needs no types, only the operator and a nearby name.
-void RunR6(const std::string& path, const Tokens& t,
-           std::vector<Finding>& out) {
-  constexpr std::size_t kWindow = 4;  // tokens on either side of `%`
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind != TokKind::kPunct || t[i].text != "%") continue;
-    const std::size_t lo = i > kWindow ? i - kWindow : 0;
-    const std::size_t hi = std::min(t.size(), i + kWindow + 1);
-    std::string culprit;
-    for (std::size_t j = lo; j < hi && culprit.empty(); ++j) {
-      if (t[j].kind == TokKind::kIdent &&
-          ContainsNoCase(t[j].text, "shard")) {
-        culprit = t[j].text;
-      }
-    }
-    if (culprit.empty()) continue;
-    out.push_back({path, t[i].line, "R6",
-                   "shard arithmetic on '" + culprit +
-                       "' - the key->shard mapping must go through "
-                       "apiserver::ShardRouter so every layer agrees on "
-                       "the partitioning (and S=1 stays hash-free)",
-                   false,
-                   ""});
-  }
-}
-
 // R9 over one token stream: no raw threading primitives. Most of the
 // banned names (mutex, lock_guard, once_flag, the thread_local
 // keyword...) are unambiguous; `thread` and `atomic` are ordinary
@@ -852,8 +820,6 @@ bool RuleAppliesTo(const Options& opts, const std::string& rule,
   if (!under("src/")) return false;       // tests/bench own their idioms
   if (rule == "R1") return !under("src/sim/");  // the engine owns time
   if (rule == "R5") return under("src/controllers/") || under("src/faas/");
-  // The router itself is the one place allowed to do shard arithmetic.
-  if (rule == "R6") return !under("src/apiserver/");
   return true;
 }
 
@@ -924,7 +890,6 @@ std::vector<Finding> AnalyzeSource(const std::string& path,
   if (want("R2")) RunR2(path, toks, decls, out);
   if (want("R4")) RunR4(path, toks, out);
   if (want("R5")) RunR5(path, toks, decls, out);
-  if (want("R6")) RunR6(path, toks, out);
   if (want("R9")) RunR9(path, toks, out);
   if ((want("R7") || want("R8")) && !opts.lane_of.empty()) {
     std::map<std::string, std::string> lane_vars;
@@ -1004,7 +969,6 @@ std::string ToSarif(const std::vector<Finding>& findings) {
       {"R3", "no pointer values as container keys"},
       {"R4", "no blanket [&] / this-smuggling [=] captures into Schedule*"},
       {"R5", "controllers never mutate ObjectCache directly"},
-      {"R6", "shard routing goes through ShardRouter"},
       {"R7", "events may only reach state owned by their lane"},
       {"R8", "no raw cross-lane handles stored or captured across events"},
       {"R9", "no raw threading primitives: the simulator is single-threaded"},
