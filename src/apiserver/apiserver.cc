@@ -403,8 +403,7 @@ WatchId ApiServer::Watch(const std::string& kind, WatchCallback cb) {
   return Watch(kind, nullptr, std::move(cb), nullptr, kNoLane);
 }
 
-WatchId ApiServer::Watch(const std::string& kind,
-                         std::function<bool(const model::ApiObject&)> filter,
+WatchId ApiServer::Watch(const std::string& kind, WatchFilter filter,
                          WatchCallback cb, WatchBreakCallback on_break,
                          LaneId lane) {
   if (!up_) return 0;  // nothing to connect to; caller retries

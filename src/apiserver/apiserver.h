@@ -47,6 +47,8 @@ struct WatchEvent {
 };
 
 using WatchCallback = std::function<void(const WatchEvent&)>;
+// Server-side watch filter (a field selector); null passes everything.
+using WatchFilter = std::function<bool(const model::ApiObject&)>;
 // Invoked once when the server crashes and the watch stream dies; the
 // subscriber must re-Watch (and re-list) after the server returns.
 using WatchBreakCallback = std::function<void()>;
@@ -107,9 +109,8 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   // `on_break` (optional) fires when the server crashes and the stream
   // dies with it. `lane` (optional) is the subscriber's lane: event
   // deliveries execute there (sim/lane_checker.h).
-  WatchId Watch(const std::string& kind,
-                std::function<bool(const model::ApiObject&)> filter,
-                WatchCallback cb, WatchBreakCallback on_break = nullptr,
+  WatchId Watch(const std::string& kind, WatchFilter filter, WatchCallback cb,
+                WatchBreakCallback on_break = nullptr,
                 LaneId lane = kNoLane);
   void Unwatch(WatchId id);
 
@@ -230,7 +231,7 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   Time etcd_free_ = 0;
 
   struct Watcher {
-    std::function<bool(const model::ApiObject&)> filter;  // may be null
+    WatchFilter filter;  // may be null
     WatchCallback cb;
     WatchBreakCallback on_break;  // may be null
     LaneId lane = kNoLane;  // deliveries execute in this lane

@@ -50,17 +50,6 @@ double Sample::Quantile(double q) const {
   return values_[lo] * (1.0 - frac) + values_[lo + 1] * frac;
 }
 
-std::vector<std::pair<double, double>> Sample::Cdf(int points) const {
-  std::vector<std::pair<double, double>> out;
-  if (values_.empty() || points <= 0) return out;
-  out.reserve(static_cast<std::size_t>(points) + 1);
-  for (int i = 0; i <= points; ++i) {
-    const double q = static_cast<double>(i) / static_cast<double>(points);
-    out.emplace_back(Quantile(q), q);
-  }
-  return out;
-}
-
 const Sample& MetricsRecorder::GetSample(const std::string& name) const {
   static const Sample kEmpty;
   auto it = samples_.find(name);
@@ -83,16 +72,6 @@ Duration MetricsRecorder::GetSpan(const std::string& name) const {
   const Span& span = it->second;
   if (span.first_start < 0 || span.last_stop < span.first_start) return 0;
   return span.last_stop - span.first_start;
-}
-
-Time MetricsRecorder::GetFirstStart(const std::string& name) const {
-  auto it = spans_.find(name);
-  return it == spans_.end() ? -1 : it->second.first_start;
-}
-
-Time MetricsRecorder::GetLastStop(const std::string& name) const {
-  auto it = spans_.find(name);
-  return it == spans_.end() ? -1 : it->second.last_stop;
 }
 
 void MetricsRecorder::Clear() {

@@ -37,10 +37,6 @@ class Sample {
   double Median() const { return Quantile(0.5); }
   double P99() const { return Quantile(0.99); }
 
-  // Evenly spaced CDF points (value at each of `points` quantiles),
-  // used to print the CDF figures.
-  std::vector<std::pair<double, double>> Cdf(int points = 100) const;
-
   const std::vector<double>& values() const { return values_; }
   void Clear() { values_.clear(); sorted_ = false; }
 
@@ -106,8 +102,6 @@ class MetricsRecorder {
   void MarkStop(const std::string& name, Time t);
   // Makespan (last stop - first start); 0 if never marked.
   Duration GetSpan(const std::string& name) const;
-  Time GetFirstStart(const std::string& name) const;
-  Time GetLastStop(const std::string& name) const;
 
   // Bulk read access for the benches' report printers.
   const std::map<std::string, std::int64_t>& counters() const {

@@ -75,15 +75,6 @@ class Rng {
     return -mean * std::log(u);
   }
 
-  // Pareto (heavy tail) with scale x_m and shape alpha.
-  double Pareto(double x_m, double alpha) {
-    double u;
-    do {
-      u = UniformDouble();
-    } while (u <= 0.0);
-    return x_m / std::pow(u, 1.0 / alpha);
-  }
-
   double Normal(double mean, double stddev) {
     // Box-Muller; one value per call keeps the stream independent of
     // caller interleaving.

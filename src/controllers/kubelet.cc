@@ -25,59 +25,39 @@ Kubelet::Kubelet(runtime::Env& env, Mode mode, std::string node_name,
                 .qps = env.cost.kubelet_qps,
                 .burst = env.cost.kubelet_burst,
                 .api_metrics = false}) {
-  // Drain signal: the Scheduler marks our Node invalid when it cannot
-  // reach us (§4.3 "Cancellation").
-  node_watch_cache_.AddChangeHandler([this](const std::string& key,
-                                            const ApiObject* before,
-                                            const ApiObject* after) {
-    (void)key;
+  // This node's API objects. Kd: the Scheduler marks our Node invalid
+  // when it cannot reach us (§4.3 "Cancellation"). K8s: a pod bound
+  // here starts; a deleted one stops (the API server already removed
+  // the object).
+  watch_cache_.AddChangeHandler([this](const std::string& key,
+                                       const ApiObject* before,
+                                       const ApiObject* after) {
     (void)before;
-    if (after == nullptr || after->name != node_name_) return;
-    if (model::IsNodeInvalid(*after)) DrainAllKdPods();
+    if (mode_ == Mode::kKd) {
+      if (after != nullptr && model::IsNodeInvalid(*after)) DrainAllKdPods();
+      return;
+    }
+    if (after != nullptr) {
+      OnPodBound(*after);
+      return;
+    }
+    // kdlint: allow(R5) kubelet-local pod table: the sandboxes, fed by the bound-pod watch (K8s) / ingress (Kd), not an API mirror
+    cache_.Remove(key);
+    starting_.erase(key);
+    published_.erase(key);
   });
 
   // Kd mode: ReplicaSet templates for dynamic materialization.
   harness_.SyncKind(cache_, kKindReplicaSet,
                     runtime::ControllerHarness::When::kKdOnly);
-  harness_.TrackCache(node_watch_cache_);
-
-  // Drain watch: only THIS node's object matters.
   const std::string me = node_name_;
   harness_.WatchFiltered(
-      kKindNode, [me](const ApiObject& node) { return node.name == me; },
-      [this](const apiserver::WatchEvent& event) {
-        if (event.type == apiserver::WatchEventType::kDeleted) {
-          // kdlint: allow(R5) drain-watch mirror: raw watch events are this cache's only feed
-          node_watch_cache_.Remove(event.object.Key());
-        } else {
-          // kdlint: allow(R5) drain-watch mirror: raw watch events are this cache's only feed
-          node_watch_cache_.Upsert(event.object);
-        }
-      },
+      watch_cache_, kKindNode,
+      [me](const ApiObject& node) { return node.name == me; },
       runtime::ControllerHarness::When::kKdOnly);
-
-  // K8s mode: field-selector watch on pods bound to this node.
   harness_.WatchFiltered(
-      kKindPod,
+      watch_cache_, kKindPod,
       [me](const ApiObject& pod) { return model::GetNodeName(pod) == me; },
-      [this](const apiserver::WatchEvent& event) {
-        switch (event.type) {
-          case apiserver::WatchEventType::kAdded:
-          case apiserver::WatchEventType::kModified:
-            OnPodBound(event.object);
-            break;
-          case apiserver::WatchEventType::kDeleted: {
-            // The API server already removed the object; just stop the
-            // container locally.
-            const std::string key = event.object.Key();
-            // kdlint: allow(R5) kubelet-local pod table: fed by the raw watch (K8s) / ingress (Kd), not informer-synced
-            cache_.Remove(key);
-            starting_.erase(key);
-            published_.erase(key);
-            break;
-          }
-        }
-      },
       runtime::ControllerHarness::When::kK8sOnly);
 
   runtime::ControllerHarness::UpstreamSpec upstream;
@@ -103,24 +83,12 @@ Kubelet::Kubelet(runtime::Env& env, Mode mode, std::string node_name,
       harness_.api().Get(kKindNode, node_name_,
                          [this](StatusOr<ApiObject> result) {
                            if (result.ok() && !harness_.crashed()) {
-                             // kdlint: allow(R5) drain-watch mirror: raw watch events are this cache's only feed
-                             node_watch_cache_.Upsert(std::move(*result));
+                             // kdlint: allow(R5) field-selector watch cache: its owner seeds it, the server has no filtered List
+                             watch_cache_.Upsert(std::move(*result));
                            }
                          });
-      AdoptPublishedPods();
-      return;
     }
-    // Adopt pods bound to us that predate the watch (restart path).
-    harness_.api().List(
-        kKindPod, [this](StatusOr<std::vector<ApiObject>> result,
-                         std::uint64_t) {
-          if (!result.ok() || harness_.crashed()) return;
-          for (auto& pod : *result) {
-            if (model::GetNodeName(pod) == node_name_) {
-              OnPodBound(std::move(pod));
-            }
-          }
-        });
+    AdoptBoundPods();
   });
 
   harness_.OnCrash([this] {
@@ -137,12 +105,14 @@ Kubelet::Kubelet(runtime::Env& env, Mode mode, std::string node_name,
   });
 }
 
-void Kubelet::AdoptPublishedPods() {
+void Kubelet::AdoptBoundPods() {
   // Crash recovery: containers of *published* pods outlive a Kubelet
   // restart (they are real processes); re-adopt them from the API
   // server. Unpublished pods died with us (the TLA+ spec's
-  // RunningPods' = APIPods). Only then open the upstream server — a
-  // handshake answered before this completes would miss the survivors.
+  // RunningPods' = APIPods). Kd: only then open the upstream server —
+  // a handshake answered before this completes would miss the
+  // survivors. K8s: the watch only carries what changes after it is
+  // armed, so pods bound earlier arrive through this list.
   const std::uint64_t session = harness_.session();
   harness_.api().List(
       kKindPod,
@@ -159,16 +129,20 @@ void Kubelet::AdoptPublishedPods() {
                                           harness_.session() != session) {
                                         return;
                                       }
-                                      AdoptPublishedPods();
+                                      AdoptBoundPods();
                                     });
           return;
         }
         for (auto& pod : *result) {
-          if (model::GetNodeName(pod) == node_name_) {
-            published_.insert(pod.Key());
-            // kdlint: allow(R5) kubelet-local pod table: fed by the raw watch (K8s) / ingress (Kd), not informer-synced
-            cache_.Upsert(std::move(pod));
+          if (model::GetNodeName(pod) != node_name_) continue;
+          if (mode_ == Mode::kK8s) {
+            // kdlint: allow(R5) field-selector watch cache: its owner seeds it, the server has no filtered List
+            watch_cache_.Upsert(std::move(pod));
+            continue;
           }
+          published_.insert(pod.Key());
+          // kdlint: allow(R5) kubelet-local pod table: the sandboxes, fed by the bound-pod watch (K8s) / ingress (Kd), not an API mirror
+          cache_.Upsert(std::move(pod));
         }
         harness_.SetBaselineSynced(true);
         harness_.MaybeStartUpstream();
@@ -211,7 +185,7 @@ void Kubelet::OnPodBound(ApiObject pod) {
     return;  // already running/terminating; nothing to start
   }
   if (model::IsTerminating(pod)) return;
-  // kdlint: allow(R5) kubelet-local pod table: fed by the raw watch (K8s) / ingress (Kd), not informer-synced
+  // kdlint: allow(R5) kubelet-local pod table: the sandboxes, fed by the bound-pod watch (K8s) / ingress (Kd), not an API mirror
   cache_.Upsert(std::move(pod));
   if (starting_.count(key)) return;
   StartSandbox(key);
@@ -260,7 +234,7 @@ void Kubelet::OnSandboxReady(const std::string& pod_key) {
   ApiObject running = *pod;
   model::SetPodPhase(running, model::PodPhase::kRunning);
   model::SetPodIp(running, AssignIp());
-  // kdlint: allow(R5) kubelet-local pod table: fed by the raw watch (K8s) / ingress (Kd), not informer-synced
+  // kdlint: allow(R5) kubelet-local pod table: the sandboxes, fed by the bound-pod watch (K8s) / ingress (Kd), not an API mirror
   cache_.Upsert(running);
   env_.metrics.Count("sandboxes_started");
   auto started = start_times_.find(pod_key);
@@ -397,7 +371,7 @@ void Kubelet::Terminate(const std::string& pod_key, bool notify_upstream) {
     return;
   }
   env_.metrics.Count("pods_terminated");
-  // kdlint: allow(R5) kubelet-local pod table: fed by the raw watch (K8s) / ingress (Kd), not informer-synced
+  // kdlint: allow(R5) kubelet-local pod table: the sandboxes, fed by the bound-pod watch (K8s) / ingress (Kd), not an API mirror
   cache_.Remove(pod_key);
   const bool was_published = published_.erase(pod_key) > 0;
   // The container takes kubelet_terminate to actually die; only then do

@@ -1,13 +1,13 @@
 // The Kubelet — step ⑤ of the critical path (Fig. 1), the tail of the
 // narrow waist and the source of truth of the hierarchical cache.
 //
-// Receives bound pods (filtered watch in K8s mode; direct messages in
-// Kd mode), creates the sandbox through a configurable sandbox manager
-// model (stock containerd-style vs Dirigent's lean manager — the
-// K8s+/Kd+ baselines of Fig. 8), and *publishes* ready pods through
-// the API server in both modes: the paper's prototype keeps step ⑤ on
-// the API server for ecosystem compatibility, and the Kubelet's API
-// rate limits still apply (§7 "Stability").
+// Receives bound pods (field-selector informer in K8s mode; direct
+// messages in Kd mode), creates the sandbox through a configurable
+// sandbox manager model (stock containerd-style vs Dirigent's lean
+// manager — the K8s+/Kd+ baselines of Fig. 8), and *publishes* ready
+// pods through the API server in both modes: the paper's prototype
+// keeps step ⑤ on the API server for ecosystem compatibility, and the
+// Kubelet's API rate limits still apply (§7 "Stability").
 //
 // Termination: executes Tombstones, evictions, and node drains; every
 // removal emits the upstream invalidation signal that drives the
@@ -76,12 +76,14 @@ class KD_LANE_OWNED(kubelet) Kubelet {
   // — an earlier attempt or a parallel eviction delete won).
   void DeletePublished(const std::string& pod_key);
   void DrainAllKdPods();
-  // Crash recovery (Kd): re-adopts this node's published pods from the
-  // API server, retrying until it succeeds, then opens the upstream
-  // server. Serving a handshake before the adopt completes would show
-  // the Scheduler an empty version map and make it invalidate pods
-  // that are in fact still running here.
-  void AdoptPublishedPods();
+  // Start and crash recovery: lists the pods bound to this node,
+  // retrying until the list succeeds. K8s: seeds watch_cache_ with
+  // them (bound before the watch, or during an outage). Kd: re-adopts
+  // the published ones, then opens the upstream server. Serving a
+  // handshake before the adopt completes would show the Scheduler an
+  // empty version map and make it invalidate pods that are in fact
+  // still running here.
+  void AdoptBoundPods();
   std::string AssignIp();
 
   // --- direct endpoint stream (kd_direct_endpoint_publish) ----------
@@ -100,10 +102,11 @@ class KD_LANE_OWNED(kubelet) Kubelet {
   SandboxParams sandbox_;
   runtime::ControllerHarness harness_;
   runtime::ObjectCache cache_;  // its pods (+ ReplicaSets in Kd mode)
-  // Kd mode: this node's own API object, fed by a server-side filtered
-  // watch (a full Node list sync per kubelet would be O(M^2)
-  // cluster-wide at boot). Carries the drain signal (§4.3).
-  runtime::ObjectCache node_watch_cache_;
+  // The API server's objects for this node, fed by a field-selector
+  // informer (a full list sync per kubelet would be O(M^2)
+  // cluster-wide at boot): the Node in Kd mode, which carries the
+  // drain signal (§4.3); the pods bound here in K8s mode.
+  runtime::ObjectCache watch_cache_;
 
   // Sandbox startup pipeline: bounded concurrency, FIFO admission.
   std::deque<std::string> sandbox_queue_;

@@ -146,9 +146,6 @@ ConnHandle::ConnHandle(std::shared_ptr<Connection> conn, int side)
 bool ConnHandle::connected() const {
   return conn_->open() && !conn_->side_closed(side_);
 }
-const std::string& ConnHandle::local_address() const {
-  return conn_->address(side_);
-}
 const std::string& ConnHandle::peer_address() const {
   return conn_->address(1 - side_);
 }

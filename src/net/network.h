@@ -81,7 +81,6 @@ class KD_LANE_SEAM ConnHandle {
   ConnHandle(std::shared_ptr<Connection> conn, int side);
 
   bool connected() const;
-  const std::string& local_address() const;
   const std::string& peer_address() const;
 
   // Queues `payload` for ordered delivery to the peer. Fails with

@@ -1,7 +1,5 @@
 #include "runtime/harness.h"
 
-#include <set>
-
 namespace kd::runtime {
 
 ControllerHarness::ControllerHarness(Env& env, Mode mode, Options options)
@@ -42,33 +40,26 @@ ControllerHarness::~ControllerHarness() {
   }
   if (static_downstream_) static_downstream_->Stop();
   if (upstream_) upstream_->Stop();
-  for (WatchBinding& watch : watches_) {
-    if (watch.active) env_.apiserver.Unwatch(watch.id);
-  }
 }
 
 void ControllerHarness::SyncKind(ObjectCache& cache, std::string kind,
                                  When when, std::function<void()> on_synced) {
   TrackCache(cache);
-  SyncBinding binding;
-  binding.cache = &cache;
-  binding.kind = std::move(kind);
-  binding.when = when;
-  binding.on_synced = std::move(on_synced);
-  binding.informer =
-      std::make_unique<Informer>(api_, env_.apiserver, cache, &env_.metrics);
-  syncs_.push_back(std::move(binding));
+  if (!ModeMatches(when)) return;
+  syncs_.push_back({std::move(kind), std::move(on_synced),
+                    std::make_unique<Informer>(api_, env_.apiserver, cache,
+                                               &env_.metrics)});
 }
 
-void ControllerHarness::WatchFiltered(
-    std::string kind, std::function<bool(const model::ApiObject&)> filter,
-    std::function<void(const apiserver::WatchEvent&)> handler, When when) {
-  WatchBinding binding;
-  binding.kind = std::move(kind);
-  binding.filter = std::move(filter);
-  binding.handler = std::move(handler);
-  binding.when = when;
-  watches_.push_back(std::move(binding));
+void ControllerHarness::WatchFiltered(ObjectCache& cache, std::string kind,
+                                      apiserver::WatchFilter filter,
+                                      When when) {
+  TrackCache(cache);
+  if (!ModeMatches(when)) return;
+  syncs_.push_back({std::move(kind), nullptr,
+                    std::make_unique<Informer>(api_, env_.apiserver, cache,
+                                               &env_.metrics,
+                                               std::move(filter))});
 }
 
 void ControllerHarness::SetReconciler(ControlLoop::Reconciler reconcile) {
@@ -103,113 +94,6 @@ std::unique_ptr<kubedirect::HierarchyClient> ControllerHarness::MakeClient(
       &handshake_fault_);
 }
 
-void ControllerHarness::ArmRawWatch(std::size_t index, bool relist) {
-  WatchBinding& binding = watches_[index];
-  const std::uint64_t epoch = ++binding.arm_epoch;
-  binding.id = env_.apiserver.Watch(
-      binding.kind, binding.filter,
-      [this, index](const apiserver::WatchEvent& e) {
-        if (crashed_) return;
-        // Sanctioned seam: raw-watch delivery runs the policy handler
-        // in this controller's lane.
-        sim::LaneScope lane_scope(env_.engine.lane_checker(), lane_);
-        WatchBinding& b = watches_[index];
-        switch (e.type) {
-          case apiserver::WatchEventType::kAdded:
-          case apiserver::WatchEventType::kModified:
-            b.last_seen[e.object.Key()] = e.object;
-            break;
-          case apiserver::WatchEventType::kDeleted:
-            b.last_seen.erase(e.object.Key());
-            break;
-        }
-        b.handler(e);
-      },
-      [this, index, epoch] { OnRawWatchBreak(index, epoch); }, lane_);
-  if (binding.id == 0) {
-    // Server down: keep retrying until registration sticks.
-    env_.engine.ScheduleAfter(
-        env_.cost.watch_retry_backoff, [this, index, epoch, relist] {
-          if (crashed_ || watches_[index].arm_epoch != epoch) return;
-          ArmRawWatch(index, relist);
-        });
-    return;
-  }
-  binding.active = true;
-  if (relist) RelistRawWatch(index, epoch);
-}
-
-void ControllerHarness::OnRawWatchBreak(std::size_t index,
-                                        std::uint64_t epoch) {
-  if (crashed_) return;
-  WatchBinding& binding = watches_[index];
-  if (binding.arm_epoch != epoch) return;
-  binding.active = false;
-  binding.id = 0;
-  const std::uint64_t next = ++binding.arm_epoch;
-  env_.engine.ScheduleAfter(env_.cost.watch_retry_backoff, [this, index, next] {
-    if (crashed_ || watches_[index].arm_epoch != next) return;
-    ArmRawWatch(index, /*relist=*/true);
-  });
-}
-
-void ControllerHarness::RelistRawWatch(std::size_t index,
-                                       std::uint64_t epoch) {
-  api_.List(
-      watches_[index].kind,
-      [this, index, epoch](StatusOr<std::vector<model::ApiObject>> objects,
-                           std::uint64_t revision) {
-        WatchBinding& b = watches_[index];
-        if (crashed_ || b.arm_epoch != epoch) return;
-        sim::LaneScope lane_scope(env_.engine.lane_checker(), lane_);
-        if (!objects.ok()) {
-          // Crashed again before the list landed: restart the chain.
-          if (b.active) {
-            env_.apiserver.Unwatch(b.id);
-            b.active = false;
-            b.id = 0;
-          }
-          const std::uint64_t next = ++b.arm_epoch;
-          env_.engine.ScheduleAfter(
-              env_.cost.watch_retry_backoff, [this, index, next] {
-                if (crashed_ || watches_[index].arm_epoch != next) return;
-                ArmRawWatch(index, /*relist=*/true);
-              });
-          return;
-        }
-        // Diff the snapshot against the shadow map, synthesizing the
-        // events the broken watch missed. The filter is applied
-        // client-side: an in-scope object absent from the filtered
-        // snapshot (deleted, or mutated out of scope) is a Deleted,
-        // matched — as the server does — against its last seen state.
-        std::set<std::string> present;
-        for (auto& obj : *objects) {
-          if (b.filter && !b.filter(obj)) continue;
-          present.insert(obj.Key());
-          auto it = b.last_seen.find(obj.Key());
-          if (it == b.last_seen.end()) {
-            b.last_seen[obj.Key()] = obj;
-            b.handler({apiserver::WatchEventType::kAdded, std::move(obj)});
-          } else if (obj.resource_version > it->second.resource_version) {
-            it->second = obj;
-            b.handler({apiserver::WatchEventType::kModified, std::move(obj)});
-          }
-        }
-        std::vector<model::ApiObject> deleted;
-        for (const auto& [key, last] : b.last_seen) {
-          if (present.count(key) != 0) continue;
-          // A shadow entry newer than the snapshot was delivered by the
-          // fresh watch; the snapshot simply predates it.
-          if (last.resource_version > revision) continue;
-          deleted.push_back(last);
-        }
-        for (auto& last : deleted) {
-          b.last_seen.erase(last.Key());
-          b.handler({apiserver::WatchEventType::kDeleted, std::move(last)});
-        }
-      });
-}
-
 void ControllerHarness::Start() {
   // Lifecycle runs in the component's own lane: informer seeding,
   // cache clears, and policy hooks count as the owner's touches even
@@ -232,12 +116,7 @@ void ControllerHarness::Start() {
   }
 
   for (SyncBinding& binding : syncs_) {
-    if (!ModeMatches(binding.when)) continue;
     binding.informer->Start(binding.kind, binding.on_synced);
-  }
-  for (std::size_t i = 0; i < watches_.size(); ++i) {
-    if (!ModeMatches(watches_[i].when)) continue;
-    ArmRawWatch(i, /*relist=*/false);
   }
 
   if (mode_ == Mode::kKd && have_upstream_spec_) {
@@ -273,15 +152,6 @@ void ControllerHarness::Crash() {
   for (ObjectCache* cache : tracked_caches_) cache->Clear();
   loop_.Clear();
   for (SyncBinding& binding : syncs_) binding.informer->Stop();
-  for (WatchBinding& binding : watches_) {
-    if (binding.active) {
-      env_.apiserver.Unwatch(binding.id);
-      binding.active = false;
-    }
-    binding.id = 0;
-    ++binding.arm_epoch;  // kills in-flight rearm/relist chains
-    binding.last_seen.clear();
-  }
   // Crash the endpoint first: connections die silently (no FIN), the
   // peers detect the loss via keepalive timeout — then tear down the
   // link objects locally.

@@ -14,10 +14,10 @@
 //
 // Shared lifecycle semantics:
 //   - Crash(): policy hook first (drop soft state), then tombstones,
-//     tracked caches, control loop, informers, raw watches, the
-//     network endpoint (connections die silently; peers detect the
-//     loss via keepalive), and finally the Kd links — the exact
-//     teardown order every hand-written controller used.
+//     tracked caches, control loop, informers, the network endpoint
+//     (connections die silently; peers detect the loss via
+//     keepalive), and finally the Kd links — the exact teardown order
+//     every hand-written controller used.
 //   - Restart()/Start(): re-wires in declaration order and bumps the
 //     session epoch (used e.g. for crash-unique pod names).
 //   - §4.2 downstream-first recovery: an upstream declared with
@@ -94,15 +94,14 @@ class KD_LANE_SEAM ControllerHarness {
 
   // --- declarative wiring (call once, from the policy constructor) --
   // Informer-syncs `kind` into `cache` at every Start when the mode
-  // matches. `cache` is auto-tracked for crash clearing.
+  // matches. `cache` is auto-tracked for crash clearing in every mode.
   void SyncKind(ObjectCache& cache, std::string kind, When when = When::kBoth,
                 std::function<void()> on_synced = nullptr);
-  // Raw server-side filtered watch (no List; kubelet-style). The
-  // handler is only invoked while not crashed.
-  void WatchFiltered(std::string kind,
-                     std::function<bool(const model::ApiObject&)> filter,
-                     std::function<void(const apiserver::WatchEvent&)> handler,
-                     When when = When::kBoth);
+  // Field-selector informer (kubelet-style): feeds `cache` with the
+  // objects of `kind` that `filter` admits. It runs no initial List;
+  // the policy seeds `cache` itself. Tracked like SyncKind's cache.
+  void WatchFiltered(ObjectCache& cache, std::string kind,
+                     apiserver::WatchFilter filter, When when = When::kBoth);
   void SetReconciler(ControlLoop::Reconciler reconcile);
   void ServeUpstream(UpstreamSpec spec);
   void ConnectDownstream(DownstreamSpec spec);
@@ -173,27 +172,12 @@ class KD_LANE_SEAM ControllerHarness {
   FaultPoint& tombstone_fault() { return tombstone_fault_; }
 
  private:
+  // Built only for the declarations whose mode matches (the mode is
+  // fixed at construction).
   struct SyncBinding {
-    ObjectCache* cache;
     std::string kind;
-    When when;
     std::function<void()> on_synced;
     std::unique_ptr<Informer> informer;
-  };
-  struct WatchBinding {
-    std::string kind;
-    std::function<bool(const model::ApiObject&)> filter;
-    std::function<void(const apiserver::WatchEvent&)> handler;
-    When when;
-    apiserver::WatchId id = 0;
-    bool active = false;
-    // Invalidates retry/relist chains of a dead watch generation.
-    std::uint64_t arm_epoch = 0;
-    // Shadow of the last state delivered per key (memory-only). After
-    // a watch break the harness relists and diffs against this,
-    // synthesizing the Added/Modified/Deleted events missed during the
-    // outage — raw watches have no informer cache to diff with.
-    std::map<std::string, model::ApiObject> last_seen;
   };
 
   bool ModeMatches(When when) const {
@@ -204,12 +188,6 @@ class KD_LANE_SEAM ControllerHarness {
   // Re-derives whether link `id` counts as unsettled after its
   // readiness or exemption may have changed.
   void RecountDownstream(const std::string& id);
-
-  // Raw-watch fault lifecycle: (re-)register the watch (retrying while
-  // the server is down), optionally relist and diff afterwards.
-  void ArmRawWatch(std::size_t index, bool relist);
-  void OnRawWatchBreak(std::size_t index, std::uint64_t epoch);
-  void RelistRawWatch(std::size_t index, std::uint64_t epoch);
 
   Env& env_;
   Mode mode_;
@@ -224,7 +202,6 @@ class KD_LANE_SEAM ControllerHarness {
   ObjectCache scratch_;  // intentionally empty (level-triggered links)
 
   std::vector<SyncBinding> syncs_;
-  std::vector<WatchBinding> watches_;
   std::vector<ObjectCache*> tracked_caches_;
   std::function<void()> on_start_;
   std::function<void()> on_crash_;

@@ -17,14 +17,26 @@ void Informer::Start(const std::string& kind, std::function<void()> done) {
   StartStream();
 }
 
+bool Informer::ArmWatch() {
+  // Deliveries already scheduled when Stop() ran still fire; the
+  // session capture drops them, so a crashed owner's cache stays empty.
+  const std::uint64_t session = session_;
+  watch_id_ = server_.Watch(
+      kind_, filter_,
+      [this, session](const apiserver::WatchEvent& event) {
+        if (session == session_) HandleEvent(event);
+      },
+      [this, session] {
+        if (session == session_) OnWatchBreak();
+      },
+      cache_.bound_lane());
+  return watch_id_ != 0;
+}
+
 void Informer::StartStream() {
   // Arm the watch first (free registration). If the server is down the
   // registration is refused; keep retrying until it sticks, then list.
-  watch_id_ = server_.Watch(
-      kind_, nullptr,
-      [this](const apiserver::WatchEvent& event) { HandleEvent(event); },
-      [this] { OnWatchBreak(); }, cache_.bound_lane());
-  if (watch_id_ == 0) {
+  if (!ArmWatch()) {
     const std::uint64_t session = session_;
     server_.engine().ScheduleAfter(server_.cost().watch_retry_backoff,
                                    [this, session] {
@@ -35,7 +47,7 @@ void Informer::StartStream() {
                                    });
     return;
   }
-  RunInitialList();
+  if (!filter_) RunInitialList();
 }
 
 void Informer::RunInitialList() {
@@ -137,11 +149,7 @@ void Informer::Rearm() {
   // Reflector order: watch first, then list, so nothing committed
   // between the two is missed (duplicates are absorbed by the guarded
   // merge).
-  watch_id_ = server_.Watch(
-      kind_, nullptr,
-      [this](const apiserver::WatchEvent& event) { HandleEvent(event); },
-      [this] { OnWatchBreak(); }, cache_.bound_lane());
-  if (watch_id_ == 0) {
+  if (!ArmWatch()) {
     ScheduleRearm();  // Still down.
     return;
   }
@@ -175,6 +183,8 @@ void Informer::ApplySnapshot(std::vector<model::ApiObject> objects,
   sim::LaneScope lane_scope(cache_.lane_checker(), cache_.bound_lane());
   std::set<std::string> snapshot_keys;
   for (auto& obj : objects) {
+    // Out of scope: a cached copy is removed below as deleted.
+    if (filter_ && !filter_(obj)) continue;
     snapshot_keys.insert(obj.Key());
     const model::ApiObject* cached = cache_.Get(obj.Key());
     if (cached != nullptr &&

@@ -15,11 +15,24 @@
 // extra events.) A second break arriving while a relist is in flight
 // invalidates that relist's chain, so one outage window runs one
 // recovery.
+//
+// Field selectors: an informer built with a WatchFilter watches only
+// the objects the filter admits (how a Kubelet follows its own Node
+// or the Pods bound to it) and diffs relists within that scope, so an
+// object that left scope during an outage surfaces as a Deleted. The
+// server has no filtered List and a full List per subscriber would
+// cost O(cluster), so a filtered informer runs no initial List and
+// never reports synced(): its owner seeds the cache.
+//
+// Crash safety: Stop() invalidates the session, and a watch event or
+// break still in flight from the stopped session is dropped, so a
+// crashed controller's cache takes no more events.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apiserver/apiserver.h"
@@ -32,20 +45,27 @@ namespace kd::runtime {
 
 class KD_LANE_SEAM Informer {
  public:
-  // The client must be built over `server`.
+  // The client must be built over `server`. A non-null `filter` makes
+  // this a field-selector informer (see above).
   Informer(apiserver::ApiClient& client, apiserver::ApiServer& server,
-           ObjectCache& cache, MetricsRecorder* metrics = nullptr)
-      : client_(client), server_(server), cache_(cache), metrics_(metrics) {}
+           ObjectCache& cache, MetricsRecorder* metrics = nullptr,
+           apiserver::WatchFilter filter = nullptr)
+      : client_(client),
+        server_(server),
+        cache_(cache),
+        metrics_(metrics),
+        filter_(std::move(filter)) {}
   ~Informer() { Stop(); }
 
   Informer(const Informer&) = delete;
   Informer& operator=(const Informer&) = delete;
 
-  // Registers the watch, then lists to seed the cache. `done` fires
-  // when the initial sync finished. Watch-before-list means no event
-  // can be missed in the gap (events for objects the list also returns
-  // are harmless Upserts). If the server is down, the informer keeps
-  // retrying with watch_retry_backoff until it returns.
+  // Registers the watch, then (unfiltered only) lists to seed the
+  // cache. `done` fires when the initial sync finished.
+  // Watch-before-list means no event can be missed in the gap (events
+  // for objects the list also returns are harmless Upserts). If the
+  // server is down, the informer keeps retrying with
+  // watch_retry_backoff until it returns.
   void Start(const std::string& kind, std::function<void()> done = nullptr);
 
   void Stop();
@@ -56,6 +76,8 @@ class KD_LANE_SEAM Informer {
 
  private:
   void StartStream();
+  // Registers the watch. Returns false while the server is down.
+  bool ArmWatch();
   void RunInitialList();
   void HandleEvent(const apiserver::WatchEvent& event);
   void OnWatchBreak();
@@ -68,6 +90,7 @@ class KD_LANE_SEAM Informer {
   apiserver::ApiServer& server_;
   ObjectCache& cache_;
   MetricsRecorder* metrics_;
+  apiserver::WatchFilter filter_;  // null = the whole kind
   std::string kind_;
   apiserver::WatchId watch_id_ = 0;
   // Set on the first watch break: from then on merges are

@@ -2,7 +2,8 @@
 // the two anomalies of §4.1 (regression tests that KubeDirect's design
 // avoids them), crash-restart of every controller, partitions with
 // autonomous recovery (§4.2), synchronous preemption and node
-// cancellation (§4.3), and eviction-driven replacement.
+// cancellation (§4.3), eviction-driven replacement, and a K8s-mode
+// Kubelet restart during a long API-server outage.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -411,6 +412,37 @@ TEST_F(KdFailureTest, MultiPointFailureEventuallyConverges) {
       Seconds(240)))
       << "ready=" << cluster->ReadyPodCount("fn");
   EXPECT_EQ(cluster->apiserver().PeekAll(kKindPod).size(), 4u);
+}
+
+// A K8s Kubelet restarted while the API server is down must re-adopt
+// its pods once the server returns, even when the outage outlasts the
+// client's retry budget (about 75 s: 6 attempts with a 10 s deadline
+// each, plus backoff). Its watch never broke, so no relist brings the
+// pods back; only the Kubelet's own adopt list can.
+TEST(K8sFailureTest, KubeletRestartedDuringLongOutageReadoptsPods) {
+  sim::Engine engine;
+  ClusterConfig config = ClusterConfig::K8s(2);
+  config.realistic_pod_template = false;
+  Cluster cluster(engine, std::move(config));
+  cluster.Boot();
+  cluster.RegisterFunction("fn");
+  cluster.ScaleTo("fn", 4);
+  ASSERT_TRUE(cluster.RunUntil(
+      [&] { return cluster.ReadyPodCount("fn") == 4; }, Seconds(120)));
+
+  cluster.kubelet(0).Crash();
+  cluster.apiserver().Crash();
+  cluster.kubelet(0).Restart();
+  engine.RunFor(Seconds(120));
+  cluster.apiserver().Restart();
+  engine.RunFor(Seconds(60));
+
+  std::size_t bound = 0;
+  for (const ApiObject* pod : cluster.apiserver().PeekAll(kKindPod)) {
+    if (model::GetNodeName(*pod) == Cluster::NodeName(0)) ++bound;
+  }
+  EXPECT_GT(bound, 0u);
+  EXPECT_EQ(cluster.kubelet(0).running_pods(), bound);
 }
 
 }  // namespace

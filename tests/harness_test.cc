@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "apiserver/apiserver.h"
+#include "apiserver/client.h"
 #include "common/rng.h"
 #include "model/objects.h"
 #include "net/network.h"
@@ -110,10 +111,14 @@ TEST_P(HarnessTest, CrashClearsSyncedCacheAndRestartResyncs) {
 
 TEST_P(HarnessTest, WatchEventsStopAtCrashAndResumeOnRestart) {
   int events = 0;
+  ObjectCache cache;
+  cache.AddChangeHandler(
+      [&](const std::string&, const ApiObject*, const ApiObject*) {
+        ++events;
+      });
   ControllerHarness harness(env_, mode(), Opts("watch"));
-  harness.WatchFiltered(
-      model::kKindPod, [](const ApiObject&) { return true; },
-      [&](const apiserver::WatchEvent&) { ++events; });
+  harness.WatchFiltered(cache, model::kKindPod,
+                        [](const ApiObject&) { return true; });
   harness.Start();
   apiserver_.SeedObject(Pod("p1"));
   engine_.RunFor(Seconds(1));
@@ -128,6 +133,36 @@ TEST_P(HarnessTest, WatchEventsStopAtCrashAndResumeOnRestart) {
   apiserver_.SeedObject(Pod("p3"));
   engine_.RunFor(Seconds(1));
   EXPECT_EQ(events, 2);
+}
+
+// A watch event still in flight when its controller crashes must not
+// reach it: the crash cleared the cache, and the restart's initial List
+// never removes a key it does not return, so a late event would leave
+// a ghost entry, and a handler it fires could enqueue a reconcile.
+TEST_P(HarnessTest, CrashDropsWatchEventsInFlight) {
+  ObjectCache cache;
+  ControllerHarness harness(env_, mode(), Opts("inflight"));
+  harness.SyncKind(cache, model::kKindPod);
+  int changes_while_crashed = 0;
+  cache.AddChangeHandler(
+      [&](const std::string&, const ApiObject*, const ApiObject*) {
+        if (harness.crashed()) ++changes_while_crashed;
+      });
+  harness.Start();
+  engine_.RunFor(Seconds(1));
+
+  // The seed's event is delivered watch_delivery_latency from now.
+  apiserver_.SeedObject(Pod("p1"));
+  harness.Crash();
+  engine_.RunFor(Milliseconds(100));
+  apiserver::ApiClient writer(engine_, apiserver_, "writer", 1e6, 1e6);
+  writer.Delete(model::kKindPod, "p1", [](Status) {});
+  engine_.RunFor(Seconds(1));
+
+  harness.Restart();
+  engine_.RunFor(Seconds(10));
+  EXPECT_EQ(changes_while_crashed, 0);
+  EXPECT_EQ(cache.Get("Pod/p1"), nullptr);
 }
 
 TEST_P(HarnessTest, CrashHookRunsBeforeCacheTeardown) {

@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 
 #ifndef KDLINT_BINARY
@@ -370,15 +371,16 @@ TEST(KdlintTest, SweepIsCleanInEveryAvailableMode) {
 }
 
 TEST(KdlintTest, LiveSuppressionInventoryCarriesReasons) {
-  // The audited exception inventory: every suppression in the product
-  // tree must parse out of --show-suppressed --json with a non-empty
-  // reason (R0 enforces this at lint time; this test asserts the
-  // inventory end to end on the live tree).
+  // The audited exception inventory (LINT.md): every suppression in the
+  // product tree must parse out of --show-suppressed --json with a
+  // non-empty reason, and the count per rule is pinned, so a new
+  // suppression fails here until its diff updates the pin. Token mode
+  // is the one every build carries.
   const RunResult r =
-      RunKdlint("--json --repo-scope --show-suppressed " +
+      RunKdlint("--mode=token --json --repo-scope --show-suppressed " +
                 std::string(KDLINT_SOURCE_DIR) + "/src");
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  std::size_t entries = 0;
+  std::map<std::string, int> per_rule;
   std::size_t pos = 0;
   while ((pos = r.output.find("\"suppressed\":true", pos)) !=
          std::string::npos) {
@@ -388,12 +390,16 @@ TEST(KdlintTest, LiveSuppressionInventoryCarriesReasons) {
         line_start + 1, line_end - line_start - 1);
     EXPECT_EQ(entry.find("\"reason\":\"\""), std::string::npos)
         << "suppression without a reason: " << entry;
-    ++entries;
+    const std::string rule_key = "\"rule\":\"";
+    const std::size_t rule_at = entry.find(rule_key);
+    ASSERT_NE(rule_at, std::string::npos) << entry;
+    const std::size_t rule_start = rule_at + rule_key.size();
+    ++per_rule[entry.substr(rule_start,
+                            entry.find('"', rule_start) - rule_start)];
     pos += 1;
   }
-  // The tree carries a curated set of annotated exceptions (see
-  // LINT.md); an empty inventory would mean the parse failed.
-  EXPECT_GT(entries, 0u) << r.output;
+  const std::map<std::string, int> pinned = {{"R5", 25}};
+  EXPECT_EQ(per_rule, pinned) << r.output;
 }
 
 }  // namespace

@@ -4,11 +4,11 @@
 // determinism of a scripted outage schedule.
 //
 // The core contract under test: a crash/restart loses no committed
-// state and every consumer reconverges — informers and raw filtered
-// watches synthesize exactly the events they missed (no duplicates, no
-// phantom churn for untouched objects), retries are paced by the
-// engine's seeded RNG (bit-reproducible), and degraded-mode clients
-// fail predictably instead of hanging.
+// state and every consumer reconverges — informers, with or without a
+// field selector, synthesize exactly the events they missed (no
+// duplicates, no phantom churn for untouched objects), retries are
+// paced by the engine's seeded RNG (bit-reproducible), and
+// degraded-mode clients fail predictably instead of hanging.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -161,14 +161,15 @@ TEST(OutageRelistTest, InformerCacheMatchesServerAfterRecovery) {
 
 // A second break that lands while the first recovery's relist is on
 // the wire must invalidate that relist: the informer runs exactly one
-// recovery for the two outages, and the cache still reconverges.
-TEST(OutageRelistTest, SecondBreakDuringRelistRunsOneRecovery) {
+// recovery for the two outages, and the cache still reconverges to the
+// store contents in the informer's scope.
+void RunSecondBreakDuringRelist(const apiserver::WatchFilter& filter) {
   sim::Engine engine;
   const CostModel cost = CostModel::Default();
   ApiServer server(engine, cost);
   ApiClient client(engine, server, "informer", 1e6, 1e6);
   runtime::ObjectCache cache;
-  runtime::Informer informer(client, server, cache, nullptr);
+  runtime::Informer informer(client, server, cache, nullptr, filter);
   for (int i = 0; i < 8; ++i) server.SeedObject(Deploy(StrFormat("d%d", i), 1));
   informer.Start(kKindDeployment);
   engine.RunFor(Seconds(1));
@@ -188,7 +189,10 @@ TEST(OutageRelistTest, SecondBreakDuringRelistRunsOneRecovery) {
   server.SeedObject(Deploy("late", 2));
   engine.RunFor(Seconds(60));
 
-  std::vector<const ApiObject*> truth = server.PeekAll(kKindDeployment);
+  std::vector<const ApiObject*> truth;
+  for (const ApiObject* obj : server.PeekAll(kKindDeployment)) {
+    if (!filter || filter(*obj)) truth.push_back(obj);
+  }
   std::vector<const ApiObject*> view = cache.List(kKindDeployment);
   ASSERT_EQ(view.size(), truth.size());
   for (std::size_t i = 0; i < truth.size(); ++i) {
@@ -198,9 +202,22 @@ TEST(OutageRelistTest, SecondBreakDuringRelistRunsOneRecovery) {
   EXPECT_EQ(informer.resyncs(), 1u);
 }
 
-// --- raw filtered-watch shadow relist ---------------------------------
+TEST(OutageRelistTest, SecondBreakDuringRelistRunsOneRecovery) {
+  {
+    SCOPED_TRACE("unfiltered");
+    RunSecondBreakDuringRelist(nullptr);
+  }
+  {
+    // A field selector that leaves one Deployment out of scope.
+    SCOPED_TRACE("filtered");
+    RunSecondBreakDuringRelist(
+        [](const ApiObject& obj) { return obj.name != "d3"; });
+  }
+}
 
-TEST(OutageRelistTest, RawFilteredWatchSynthesizesScopedEvents) {
+// --- field-selector informer relist -----------------------------------
+
+TEST(OutageRelistTest, FilteredInformerSynthesizesScopedEvents) {
   sim::Engine engine;
   net::Network network(engine);
   CostModel cost = CostModel::Default();
@@ -209,9 +226,9 @@ TEST(OutageRelistTest, RawFilteredWatchSynthesizesScopedEvents) {
   runtime::Env env{engine, network, server, cost, metrics};
 
   runtime::ControllerHarness::Options options;
-  options.name = "raw-watcher";
-  options.client_id = "raw-watcher";
-  options.address = "kd.test.raw-watcher";
+  options.name = "watcher";
+  options.client_id = "watcher";
+  options.address = "kd.test.watcher";
   options.qps = cost.controller_qps;
   options.burst = cost.controller_burst;
   runtime::ControllerHarness harness(env, runtime::Mode::kKd, options);
@@ -224,17 +241,16 @@ TEST(OutageRelistTest, RawFilteredWatchSynthesizesScopedEvents) {
     model::SetLabel(p, "scope", scope);
     return p;
   };
-  std::vector<std::pair<apiserver::WatchEventType, std::string>> seen;
-  harness.WatchFiltered(
-      kKindPod,
-      [](const ApiObject& p) { return model::GetLabel(p, "scope") == "in"; },
-      [&seen](const apiserver::WatchEvent& ev) {
-        seen.emplace_back(ev.type, ev.object.Key());
-      });
+  runtime::ObjectCache cache;
+  std::vector<CacheEvent> seen;
+  RecordCacheEvents(cache, seen);
+  harness.WatchFiltered(cache, kKindPod, [](const ApiObject& p) {
+    return model::GetLabel(p, "scope") == "in";
+  });
   harness.Start();
   engine.RunFor(Milliseconds(100));
 
-  // Live events populate the shadow state the relist diffs against.
+  // Live events populate the cache the relist diffs against.
   ApiClient writer(engine, server, "writer", 1e6, 1e6);
   writer.Create(pod("stays", "in"), [](StatusOr<ApiObject>) {});
   writer.Create(pod("leaves-scope", "in"), [](StatusOr<ApiObject>) {});
@@ -261,16 +277,17 @@ TEST(OutageRelistTest, RawFilteredWatchSynthesizesScopedEvents) {
   // appears, "elsewhere" never does, and both the deletion and the
   // departure from scope surface as Deleted.
   int added = 0, deleted = 0;
-  for (const auto& [type, key] : seen) {
-    if (type == apiserver::WatchEventType::kAdded) {
+  for (const CacheEvent& e : seen) {
+    if (e.kind == CacheEvent::kAdded) {
       ++added;
-      EXPECT_EQ(key, "Pod/joined");
-    } else if (type == apiserver::WatchEventType::kDeleted) {
+      EXPECT_EQ(e.key, "Pod/joined");
+    } else if (e.kind == CacheEvent::kDeleted) {
       ++deleted;
-      EXPECT_TRUE(key == "Pod/removed" || key == "Pod/leaves-scope") << key;
+      EXPECT_TRUE(e.key == "Pod/removed" || e.key == "Pod/leaves-scope")
+          << e.key;
     }
-    EXPECT_NE(key, "Pod/elsewhere");
-    EXPECT_NE(key, "Pod/stays");  // untouched: no synthesized churn
+    EXPECT_NE(e.key, "Pod/elsewhere");
+    EXPECT_NE(e.key, "Pod/stays");  // untouched: no synthesized churn
   }
   EXPECT_EQ(added, 1);
   EXPECT_EQ(deleted, 2);
