@@ -207,7 +207,7 @@ class KD_LANE_OWNED(apiserver) ApiServer {
 
   // The objects of `kind`: keys are "Kind/name" and the store is
   // sorted, so one kind is the contiguous key range prefixed "Kind/"
-  // (the ObjectCache::List idiom) — O(log store + kind population).
+  // — O(log store + kind population).
   std::ranges::subrange<Store::const_iterator> KindRange(
       const std::string& kind) const;
 

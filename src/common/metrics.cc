@@ -50,23 +50,23 @@ double Sample::Quantile(double q) const {
   return values_[lo] * (1.0 - frac) + values_[lo + 1] * frac;
 }
 
-const Sample& MetricsRecorder::GetSample(const std::string& name) const {
+const Sample& MetricsRecorder::GetSample(std::string_view name) const {
   static const Sample kEmpty;
   auto it = samples_.find(name);
   return it == samples_.end() ? kEmpty : it->second;
 }
 
-void MetricsRecorder::MarkStart(const std::string& name, Time t) {
-  auto& span = spans_[name];
+void MetricsRecorder::MarkStart(std::string_view name, Time t) {
+  auto& span = Slot(spans_, name);
   if (span.first_start < 0 || t < span.first_start) span.first_start = t;
 }
 
-void MetricsRecorder::MarkStop(const std::string& name, Time t) {
-  auto& span = spans_[name];
+void MetricsRecorder::MarkStop(std::string_view name, Time t) {
+  auto& span = Slot(spans_, name);
   if (t > span.last_stop) span.last_stop = t;
 }
 
-Duration MetricsRecorder::GetSpan(const std::string& name) const {
+Duration MetricsRecorder::GetSpan(std::string_view name) const {
   auto it = spans_.find(name);
   if (it == spans_.end()) return 0;
   const Span& span = it->second;

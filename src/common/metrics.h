@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/time.h"
@@ -50,19 +52,26 @@ class Sample {
 // Accumulates named counters and duration samples for one simulation
 // run. Controllers record how long each unit of work took; benches read
 // the recorder afterwards to print the paper's breakdown rows.
+//
+// Names are looked up as string_view through transparent comparators,
+// so recording under a literal or a name built once allocates nothing;
+// only a name's first use stores a copy.
 class MetricsRecorder {
  public:
-  void Count(const std::string& name, std::int64_t delta = 1) {
-    counters_[name] += delta;
+  template <typename V>
+  using Series = std::map<std::string, V, std::less<>>;
+
+  void Count(std::string_view name, std::int64_t delta = 1) {
+    Slot(counters_, name) += delta;
   }
-  std::int64_t GetCount(const std::string& name) const {
+  std::int64_t GetCount(std::string_view name) const {
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
   // Monotone high-water gauge, stored alongside counters so it prints
   // with them (e.g. "<loop>.queue_depth_max").
-  void RecordMax(const std::string& name, std::int64_t v) {
-    auto& cur = counters_[name];
+  void RecordMax(std::string_view name, std::int64_t v) {
+    auto& cur = Slot(counters_, name);
     if (v > cur) cur = v;
   }
   // Per-incarnation counters: a component that crash-restarts resets
@@ -70,44 +79,46 @@ class MetricsRecorder {
   // counters zero on restart), so sweep summaries report per-
   // incarnation counts. Lifetime totals (e.g. "apiserver.crashes") are
   // recorded by the harness, not the process, and are never reset.
-  void ResetCounter(const std::string& name) { counters_.erase(name); }
-  void ResetCounterPrefix(const std::string& prefix) {
+  void ResetCounter(std::string_view name) {
+    auto it = counters_.find(name);
+    if (it != counters_.end()) counters_.erase(it);
+  }
+  void ResetCounterPrefix(std::string_view prefix) {
     auto it = counters_.lower_bound(prefix);
-    while (it != counters_.end() && it->first.compare(0, prefix.size(),
-                                                      prefix) == 0) {
+    while (it != counters_.end() && it->first.starts_with(prefix)) {
       it = counters_.erase(it);
     }
   }
 
-  void RecordDuration(const std::string& name, Duration d) {
-    samples_[name].Add(ToMillis(d));
+  void RecordDuration(std::string_view name, Duration d) {
+    Slot(samples_, name).Add(ToMillis(d));
   }
-  void RecordValue(const std::string& name, double v) { samples_[name].Add(v); }
-  const Sample& GetSample(const std::string& name) const;
-  bool HasSample(const std::string& name) const {
-    return samples_.count(name) > 0;
+  void RecordValue(std::string_view name, double v) {
+    Slot(samples_, name).Add(v);
+  }
+  const Sample& GetSample(std::string_view name) const;
+  bool HasSample(std::string_view name) const {
+    return samples_.find(name) != samples_.end();
   }
 
   // Interval markers: Start/Stop pairs keyed by (name) accumulate busy
   // time, used for "time controller X spent" measurements.
-  void AddBusy(const std::string& name, Duration d) { busy_[name] += d; }
-  Duration GetBusy(const std::string& name) const {
+  void AddBusy(std::string_view name, Duration d) { Slot(busy_, name) += d; }
+  Duration GetBusy(std::string_view name) const {
     auto it = busy_.find(name);
     return it == busy_.end() ? 0 : it->second;
   }
 
   // Records the earliest Start and latest Stop observed under `name`;
   // the span is the makespan of that stage across pipelining.
-  void MarkStart(const std::string& name, Time t);
-  void MarkStop(const std::string& name, Time t);
+  void MarkStart(std::string_view name, Time t);
+  void MarkStop(std::string_view name, Time t);
   // Makespan (last stop - first start); 0 if never marked.
-  Duration GetSpan(const std::string& name) const;
+  Duration GetSpan(std::string_view name) const;
 
   // Bulk read access for the benches' report printers.
-  const std::map<std::string, std::int64_t>& counters() const {
-    return counters_;
-  }
-  const std::map<std::string, Sample>& samples() const { return samples_; }
+  const Series<std::int64_t>& counters() const { return counters_; }
+  const Series<Sample>& samples() const { return samples_; }
 
   void Clear();
 
@@ -116,10 +127,22 @@ class MetricsRecorder {
     Time first_start = -1;
     Time last_stop = -1;
   };
-  std::map<std::string, std::int64_t> counters_;
-  std::map<std::string, Sample> samples_;
-  std::map<std::string, Duration> busy_;
-  std::map<std::string, Span> spans_;
+
+  // The value under `name`, value-initialized on first use: operator[]
+  // for a string_view key, which std::map does not take.
+  template <typename V>
+  static V& Slot(Series<V>& series, std::string_view name) {
+    auto it = series.lower_bound(name);
+    if (it == series.end() || it->first != name) {
+      it = series.emplace_hint(it, std::string(name), V{});
+    }
+    return it->second;
+  }
+
+  Series<std::int64_t> counters_;
+  Series<Sample> samples_;
+  Series<Duration> busy_;
+  Series<Span> spans_;
 };
 
 }  // namespace kd

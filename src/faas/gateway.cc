@@ -7,8 +7,20 @@ namespace kd::faas {
 Gateway::Gateway(sim::Engine& engine, Duration route_latency)
     : engine_(engine), route_latency_(route_latency) {}
 
-void Gateway::RegisterFunction(const FunctionSpec& spec) {
-  functions_[spec.name].spec = spec;
+Gateway::FunctionId Gateway::RegisterFunction(const FunctionSpec& spec) {
+  auto [it, added] = functions_.try_emplace(spec.name);
+  FunctionState& state = it->second;
+  if (added) {
+    state.id = by_id_.size();
+    by_id_.push_back(&state);
+  }
+  state.spec = spec;
+  return state.id;
+}
+
+const Gateway::FunctionState& Gateway::State(FunctionId function) const {
+  KD_CHECK(function < by_id_.size(), "unknown function handle");
+  return *by_id_[function];
 }
 
 void Gateway::UpdateEndpoints(const std::string& function,
@@ -61,9 +73,8 @@ void Gateway::Invoke(Invocation inv) {
     StartOn(state, address, std::move(inv), /*was_queued=*/false);
     return;
   }
-  const std::string function = inv.function;
   state.queue.push_back({std::move(inv)});
-  if (on_queued_) on_queued_(function);
+  if (on_queued_) on_queued_(state.spec.name);
 }
 
 void Gateway::StartOn(FunctionState& state, const std::string& address,
@@ -80,13 +91,11 @@ void Gateway::StartOn(FunctionState& state, const std::string& address,
   record.completed = record.started + inv.duration;
   record.cold_start = was_queued;
 
-  const std::string function = inv.function;
   const std::uint64_t id = next_request_id_++;
   instance.inflight.emplace(id, std::move(inv));
-  engine_.ScheduleAt(record.completed, [this, function, address, id, record] {
-    auto it = functions_.find(function);
-    if (it == functions_.end()) return;
-    FunctionState& state2 = it->second;
+  // The state is a map node that never moves, so the timer may hold it.
+  engine_.ScheduleAt(record.completed, [this, &state2 = state, address, id,
+                                        record] {
     auto inst_it = state2.instances.find(address);
     if (inst_it == state2.instances.end() ||
         inst_it->second.inflight.erase(id) == 0) {
@@ -148,16 +157,12 @@ std::int64_t Gateway::Demand(const std::string& function) const {
          static_cast<std::int64_t>(it->second.queue.size());
 }
 
-std::int64_t Gateway::Queued(const std::string& function) const {
-  auto it = functions_.find(function);
-  return it == functions_.end()
-             ? 0
-             : static_cast<std::int64_t>(it->second.queue.size());
+std::int64_t Gateway::Queued(FunctionId function) const {
+  return static_cast<std::int64_t>(State(function).queue.size());
 }
 
-std::int64_t Gateway::Executing(const std::string& function) const {
-  auto it = functions_.find(function);
-  return it == functions_.end() ? 0 : it->second.executing;
+std::int64_t Gateway::Executing(FunctionId function) const {
+  return State(function).executing;
 }
 
 std::vector<std::string> Gateway::Endpoints(const std::string& function) const {

@@ -27,7 +27,15 @@ class KD_LANE_OWNED(faas) Gateway {
  public:
   Gateway(sim::Engine& engine, Duration route_latency = MicrosecondsF(200));
 
-  void RegisterFunction(const FunctionSpec& spec);
+  // A registered function's handle: its name resolved once. Handles
+  // are dense indexes in registration order and stay valid for the
+  // gateway's lifetime, so the autoscaler's per-evaluation reads never
+  // look a function up by name.
+  using FunctionId = std::size_t;
+
+  // Registers `spec` and returns its handle. Registering a name again
+  // replaces its spec and returns the same handle.
+  FunctionId RegisterFunction(const FunctionSpec& spec);
 
   // Full-list endpoint update from the discovery path (Backend sink).
   void UpdateEndpoints(const std::string& function,
@@ -47,10 +55,11 @@ class KD_LANE_OWNED(faas) Gateway {
   // instance).
   void Invoke(Invocation inv);
 
-  // Demand signal for the autoscaler: executing + queued requests.
+  // Executing + queued requests: what is still pending for `function`.
   std::int64_t Demand(const std::string& function) const;
-  std::int64_t Queued(const std::string& function) const;
-  std::int64_t Executing(const std::string& function) const;
+  // The autoscaler's reads, through the handle RegisterFunction gave.
+  std::int64_t Queued(FunctionId function) const;
+  std::int64_t Executing(FunctionId function) const;
   std::size_t EndpointCount(const std::string& function) const;
   // Live (non-retired) instance addresses — what the gateway would
   // route to right now (the SloGuard's endpoint-staleness probe).
@@ -82,6 +91,7 @@ class KD_LANE_OWNED(faas) Gateway {
     Invocation inv;
   };
   struct FunctionState {
+    FunctionId id = 0;
     FunctionSpec spec;
     std::map<std::string, Instance> instances;
     std::deque<PendingRequest> queue;
@@ -93,11 +103,15 @@ class KD_LANE_OWNED(faas) Gateway {
   void StartOn(FunctionState& state, const std::string& address,
                Invocation inv, bool was_queued);
   std::string FindFreeInstance(const FunctionState& state) const;
+  const FunctionState& State(FunctionId function) const;
 
   sim::Engine& engine_;
   Duration route_latency_;
   std::function<void(const std::string&)> on_queued_;
+  // By name, in name order (the order FailInstances walks). Map nodes
+  // never move, so by_id_ and the completion timers point into it.
   std::map<std::string, FunctionState> functions_;
+  std::vector<FunctionState*> by_id_;
   std::vector<RequestRecord> records_;
   std::uint64_t total_invocations_ = 0;
   std::uint64_t queued_starts_ = 0;

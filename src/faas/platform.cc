@@ -19,8 +19,7 @@ Platform::Platform(sim::Engine& engine, Backend& backend,
 
 void Platform::RegisterFunction(const FunctionSpec& spec) {
   backend_.RegisterFunction(spec);
-  gateway_.RegisterFunction(spec);
-  policy_.RegisterFunction(spec);
+  policy_.RegisterFunction(spec, gateway_.RegisterFunction(spec));
 }
 
 void Platform::Start() { policy_.Start(); }

@@ -9,8 +9,10 @@ AutoscalePolicy::AutoscalePolicy(sim::Engine& engine, Gateway& gateway,
     : engine_(engine), gateway_(gateway), backend_(backend),
       params_(params) {}
 
-void AutoscalePolicy::RegisterFunction(const FunctionSpec& spec) {
+void AutoscalePolicy::RegisterFunction(const FunctionSpec& spec,
+                                       Gateway::FunctionId fn) {
   FunctionState& state = functions_[spec.name];
+  state.fn = fn;
   state.concurrency = std::max(1, spec.concurrency);
 }
 
@@ -43,8 +45,9 @@ void AutoscalePolicy::Tick() {
 void AutoscalePolicy::Evaluate(const std::string& function,
                                FunctionState& state) {
   const Time now = engine_.now();
-  const std::int64_t demand = gateway_.Demand(function);
-  state.demand_window.emplace_back(now, demand);
+  const std::int64_t queued = gateway_.Queued(state.fn);
+  const std::int64_t executing = gateway_.Executing(state.fn);
+  state.demand_window.emplace_back(now, executing + queued);
   const Time horizon = now - params_.scale_down_window;
   while (!state.demand_window.empty() &&
          state.demand_window.front().first < horizon) {
@@ -57,8 +60,7 @@ void AutoscalePolicy::Evaluate(const std::string& function,
       (peak + state.concurrency - 1) / state.concurrency;
   // Panic: sustained queueing means upscaling is not keeping up —
   // overshoot to compensate (and pay for it in cold starts).
-  if (gateway_.Queued(function) > gateway_.Executing(function) &&
-      params_.panic_factor > 1.0) {
+  if (queued > executing && params_.panic_factor > 1.0) {
     desired = static_cast<std::int64_t>(
         static_cast<double>(desired) * params_.panic_factor + 0.5);
   }

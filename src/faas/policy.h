@@ -55,7 +55,9 @@ class AutoscalePolicy {
   AutoscalePolicy(sim::Engine& engine, Gateway& gateway, Backend& backend,
                   PolicyParams params);
 
-  void RegisterFunction(const FunctionSpec& spec);
+  // `fn` is the function's gateway handle, through which every
+  // evaluation reads its queued and executing counts.
+  void RegisterFunction(const FunctionSpec& spec, Gateway::FunctionId fn);
 
   // Begins the periodic evaluation loop and hooks the gateway's
   // queue-growth signal.
@@ -67,6 +69,7 @@ class AutoscalePolicy {
 
  private:
   struct FunctionState {
+    Gateway::FunctionId fn = 0;
     int concurrency = 1;
     std::deque<std::pair<Time, std::int64_t>> demand_window;
     std::int64_t last_desired = 0;

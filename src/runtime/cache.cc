@@ -1,5 +1,7 @@
 #include "runtime/cache.h"
 
+#include <algorithm>
+
 namespace kd::runtime {
 
 const model::ApiObject* ObjectCache::Get(const std::string& key) const {
@@ -9,33 +11,43 @@ const model::ApiObject* ObjectCache::Get(const std::string& key) const {
   return &it->second.object;
 }
 
-// Keys are "Kind/name" and entries_ is sorted, so all objects of one
-// kind occupy the contiguous range of keys prefixed "Kind/". Scanning
-// just that range keeps List/VisibleCount O(kind population) instead of
-// O(total entries) — these run inside controller reconcile loops.
+// Keys are "Kind/name", so a kind's objects are the entries prefixed
+// "Kind/". The table has no order to range over; the views that promise
+// key order collect their entries and sort them here, which is cheap
+// because they run on relists, handshakes and drains, never per event.
+std::vector<const ObjectCache::Table::value_type*> ObjectCache::SortedEntries(
+    std::string_view prefix, bool invalid) const {
+  std::vector<const Table::value_type*> out;
+  for (const Table::value_type& slot : entries_) {
+    if (slot.second.invalid == invalid &&
+        std::string_view(slot.first).starts_with(prefix)) {
+      out.push_back(&slot);
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const Table::value_type* a, const Table::value_type* b) {
+              return a->first < b->first;
+            });
+  return out;
+}
+
 std::vector<const model::ApiObject*> ObjectCache::List(
     const std::string& kind) const {
   TouchLane(kind + "/*", /*write=*/false);
-  std::vector<const model::ApiObject*> out;
   const std::string prefix = kind + "/";
-  for (auto it = entries_.lower_bound(prefix);
-       it != entries_.end() &&
-       it->first.compare(0, prefix.size(), prefix) == 0;
-       ++it) {
-    if (!it->second.invalid) out.push_back(&it->second.object);
+  std::vector<const model::ApiObject*> out;
+  for (const Table::value_type* slot : SortedEntries(prefix, false)) {
+    out.push_back(&slot->second.object);
   }
   return out;
 }
 
 std::size_t ObjectCache::VisibleCount(const std::string& kind) const {
   TouchLane(kind + "/*", /*write=*/false);
-  std::size_t n = 0;
   const std::string prefix = kind + "/";
-  for (auto it = entries_.lower_bound(prefix);
-       it != entries_.end() &&
-       it->first.compare(0, prefix.size(), prefix) == 0;
-       ++it) {
-    if (!it->second.invalid) ++n;
+  std::size_t n = 0;
+  for (const auto& [key, entry] : entries_) {
+    if (!entry.invalid && key.starts_with(prefix)) ++n;
   }
   return n;
 }
@@ -49,11 +61,10 @@ void ObjectCache::FireChange(const std::string& key,
 void ObjectCache::Upsert(model::ApiObject obj) {
   const std::string key = obj.Key();
   TouchLane(key, /*write=*/true);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    auto [ins, ok] = entries_.emplace(key, Entry{std::move(obj), false});
-    (void)ok;
-    FireChange(key, nullptr, &ins->second.object);
+  // One lookup; try_emplace leaves `obj` untouched when the key exists.
+  auto [it, added] = entries_.try_emplace(key, std::move(obj), false);
+  if (added) {
+    FireChange(key, nullptr, &it->second.object);
     return;
   }
   const bool was_visible = !it->second.invalid;
@@ -97,8 +108,8 @@ void ObjectCache::DropInvalid(const std::string& key) {
 std::vector<std::string> ObjectCache::InvalidKeys() const {
   TouchLane("*", /*write=*/false);
   std::vector<std::string> out;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.invalid) out.push_back(key);
+  for (const Table::value_type* slot : SortedEntries("", true)) {
+    out.push_back(slot->first);
   }
   return out;
 }
@@ -111,8 +122,8 @@ void ObjectCache::Clear() {
 void ObjectCache::ForEachVisible(
     const std::function<void(const model::ApiObject&)>& fn) const {
   TouchLane("*", /*write=*/false);
-  for (const auto& [key, entry] : entries_) {
-    if (!entry.invalid) fn(entry.object);
+  for (const Table::value_type* slot : SortedEntries("", false)) {
+    fn(slot->second.object);
   }
 }
 

@@ -11,13 +11,23 @@
 // objects are hidden from Get/List — equivalent to deleted for the
 // control loop — but remembered, so late incoming updates for them can
 // be ignored until the further upstream acknowledges the invalidation.
+//
+// Storage is one hash table keyed by object key: the point operations
+// (Get, Upsert, Remove and the invalid-mark calls) run on every watch
+// event and Kd message, the ordered views only on a relist, handshake
+// or drain. The views that promise key order (List, ForEachVisible,
+// InvalidKeys) sort a snapshot when called, so the table's hash order
+// never reaches a caller (kdlint R2). An entry's node never moves, so
+// a pointer from Get stays valid until its key leaves the cache,
+// however many other keys arrive (an Upsert of the same key replaces
+// the object in place).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/lane.h"
@@ -42,6 +52,7 @@ class ObjectCache {
   const model::ApiObject* Get(const std::string& key) const;
 
   // All visible objects of `kind`, in key order (deterministic).
+  // O(entries) plus the sort of the kind's objects.
   std::vector<const model::ApiObject*> List(const std::string& kind) const;
   std::size_t VisibleCount(const std::string& kind) const;
 
@@ -89,7 +100,13 @@ class ObjectCache {
     model::ApiObject object;
     bool invalid = false;
   };
+  using Table = std::unordered_map<std::string, Entry>;
 
+  // The entries whose key starts with `prefix` and whose invalid mark
+  // equals `invalid`, sorted by key: the one place the ordered views
+  // read the table.
+  std::vector<const Table::value_type*> SortedEntries(std::string_view prefix,
+                                                      bool invalid) const;
   void FireChange(const std::string& key, const model::ApiObject* before,
                   const model::ApiObject* after);
 
@@ -98,7 +115,7 @@ class ObjectCache {
     if (checker_ != nullptr) checker_->Touch(this, site_, lane_, key, write);
   }
 
-  std::map<std::string, Entry> entries_;
+  Table entries_;
   std::vector<ChangeHandler> handlers_;
   sim::LaneChecker* checker_ = nullptr;
   LaneId lane_ = kNoLane;

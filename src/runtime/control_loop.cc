@@ -5,7 +5,9 @@ namespace kd::runtime {
 ControlLoop::ControlLoop(sim::Engine& engine, const CostModel& cost,
                          std::string name, MetricsRecorder* metrics)
     : engine_(engine), cost_(cost), name_(std::move(name)),
-      metrics_(metrics), tracker_(metrics, name_ + ".active") {}
+      metrics_(metrics),
+      reconcile_metric_(name_ + ".reconcile"),
+      tracker_(metrics, name_ + ".active") {}
 
 void ControlLoop::Enqueue(const std::string& key) {
   if (queued_keys_.count(key)) return;
@@ -56,7 +58,7 @@ void ControlLoop::Dispatch(std::uint64_t generation) {
   ++processed_;
   const Duration busy = cost_.reconcile_base + extra;
   busy_until_ = engine_.now() + busy;
-  if (metrics_) metrics_->AddBusy(name_ + ".reconcile", busy);
+  if (metrics_) metrics_->AddBusy(reconcile_metric_, busy);
   // The item stays "active" until its busy window ends.
   const std::uint64_t gen = generation_;
   engine_.ScheduleAt(busy_until_, [this, gen] {

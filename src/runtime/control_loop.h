@@ -66,6 +66,9 @@ class KD_LANE_SEAM ControlLoop {
   // Membership-only dedup set; never iterated, so hashing order is
   // irrelevant to determinism.
   std::unordered_set<std::string> queued_keys_;
+  // "<name>.reconcile", the busy-time metric every dispatch records;
+  // built once.
+  const std::string reconcile_metric_;
   // High-water mark of the queue depth, recorded as the
   // "<name>.queue_depth_max" gauge in the MetricsRecorder.
   std::size_t depth_max_ = 0;

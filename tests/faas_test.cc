@@ -27,10 +27,10 @@ class GatewayTest : public ::testing::Test {
 };
 
 TEST_F(GatewayTest, DispatchesToFreeInstance) {
-  gateway_.RegisterFunction(Fn("f"));
+  const Gateway::FunctionId f = gateway_.RegisterFunction(Fn("f"));
   gateway_.UpdateEndpoints("f", {"10.0.0.1"});
   gateway_.Invoke({"f", engine_.now(), Milliseconds(10)});
-  EXPECT_EQ(gateway_.Executing("f"), 1);
+  EXPECT_EQ(gateway_.Executing(f), 1);
   engine_.Run();
   ASSERT_EQ(gateway_.records().size(), 1u);
   const RequestRecord& r = gateway_.records()[0];
@@ -40,12 +40,12 @@ TEST_F(GatewayTest, DispatchesToFreeInstance) {
 }
 
 TEST_F(GatewayTest, QueuesWhenNoCapacity) {
-  gateway_.RegisterFunction(Fn("f"));
+  const Gateway::FunctionId f = gateway_.RegisterFunction(Fn("f"));
   gateway_.UpdateEndpoints("f", {"a"});
   gateway_.Invoke({"f", engine_.now(), Milliseconds(100)});
   gateway_.Invoke({"f", engine_.now(), Milliseconds(100)});
-  EXPECT_EQ(gateway_.Executing("f"), 1);
-  EXPECT_EQ(gateway_.Queued("f"), 1);
+  EXPECT_EQ(gateway_.Executing(f), 1);
+  EXPECT_EQ(gateway_.Queued(f), 1);
   EXPECT_EQ(gateway_.Demand("f"), 2);
   engine_.Run();
   ASSERT_EQ(gateway_.records().size(), 2u);
@@ -56,18 +56,19 @@ TEST_F(GatewayTest, QueuesWhenNoCapacity) {
 }
 
 TEST_F(GatewayTest, ConcurrencySharesInstance) {
-  gateway_.RegisterFunction(Fn("f", /*concurrency=*/2));
+  const Gateway::FunctionId f =
+      gateway_.RegisterFunction(Fn("f", /*concurrency=*/2));
   gateway_.UpdateEndpoints("f", {"a"});
   gateway_.Invoke({"f", engine_.now(), Milliseconds(50)});
   gateway_.Invoke({"f", engine_.now(), Milliseconds(50)});
-  EXPECT_EQ(gateway_.Executing("f"), 2);
-  EXPECT_EQ(gateway_.Queued("f"), 0);
+  EXPECT_EQ(gateway_.Executing(f), 2);
+  EXPECT_EQ(gateway_.Queued(f), 0);
 }
 
 TEST_F(GatewayTest, NewEndpointDrainsQueue) {
-  gateway_.RegisterFunction(Fn("f"));
+  const Gateway::FunctionId f = gateway_.RegisterFunction(Fn("f"));
   gateway_.Invoke({"f", engine_.now(), Milliseconds(10)});
-  EXPECT_EQ(gateway_.Queued("f"), 1);
+  EXPECT_EQ(gateway_.Queued(f), 1);
   engine_.RunFor(Milliseconds(30));  // cold wait
   gateway_.UpdateEndpoints("f", {"a"});
   engine_.Run();
@@ -77,13 +78,13 @@ TEST_F(GatewayTest, NewEndpointDrainsQueue) {
 }
 
 TEST_F(GatewayTest, RetiredInstanceTakesNoNewWorkButDrains) {
-  gateway_.RegisterFunction(Fn("f"));
+  const Gateway::FunctionId f = gateway_.RegisterFunction(Fn("f"));
   gateway_.UpdateEndpoints("f", {"a"});
   gateway_.Invoke({"f", engine_.now(), Milliseconds(100)});
   gateway_.UpdateEndpoints("f", {});  // scaled to zero
   EXPECT_EQ(gateway_.EndpointCount("f"), 0u);
   gateway_.Invoke({"f", engine_.now(), Milliseconds(10)});
-  EXPECT_EQ(gateway_.Queued("f"), 1);  // not routed to the retired one
+  EXPECT_EQ(gateway_.Queued(f), 1);  // not routed to the retired one
   engine_.Run();
   // First request completed on the draining instance.
   ASSERT_GE(gateway_.records().size(), 1u);
@@ -91,13 +92,13 @@ TEST_F(GatewayTest, RetiredInstanceTakesNoNewWorkButDrains) {
 }
 
 TEST_F(GatewayTest, LeastLoadedRouting) {
-  gateway_.RegisterFunction(Fn("f", 4));
+  const Gateway::FunctionId f = gateway_.RegisterFunction(Fn("f", 4));
   gateway_.UpdateEndpoints("f", {"a", "b"});
   for (int i = 0; i < 4; ++i) {
     gateway_.Invoke({"f", engine_.now(), Seconds(1)});
   }
-  EXPECT_EQ(gateway_.Executing("f"), 4);
-  EXPECT_EQ(gateway_.Queued("f"), 0);  // spread 2+2 across instances
+  EXPECT_EQ(gateway_.Executing(f), 4);
+  EXPECT_EQ(gateway_.Queued(f), 0);  // spread 2+2 across instances
 }
 
 TEST_F(GatewayTest, OnQueuedFires) {
@@ -106,6 +107,84 @@ TEST_F(GatewayTest, OnQueuedFires) {
   gateway_.set_on_queued([&](const std::string&) { ++fired; });
   gateway_.Invoke({"f", engine_.now(), Milliseconds(1)});
   EXPECT_EQ(fired, 1);
+}
+
+TEST_F(GatewayTest, RegisteringTwiceKeepsTheHandle) {
+  const Gateway::FunctionId f = gateway_.RegisterFunction(Fn("f"));
+  const Gateway::FunctionId g = gateway_.RegisterFunction(Fn("g"));
+  EXPECT_NE(f, g);
+  // The second registration replaces the spec under the same handle.
+  EXPECT_EQ(gateway_.RegisterFunction(Fn("f", /*concurrency=*/2)), f);
+  gateway_.UpdateEndpoints("f", {"a"});
+  gateway_.Invoke({"f", engine_.now(), Milliseconds(10)});
+  gateway_.Invoke({"f", engine_.now(), Milliseconds(10)});
+  EXPECT_EQ(gateway_.Executing(f), 2);
+  EXPECT_EQ(gateway_.Executing(g), 0);
+}
+
+// The handle's counts add up to the by-name Demand, through queueing,
+// retirement and drain, and the requeue of an abrupt instance loss.
+TEST_F(GatewayTest, HandleCountsMatchByName) {
+  gateway_.RegisterFunction(Fn("other"));
+  const Gateway::FunctionId f = gateway_.RegisterFunction(Fn("f"));
+  std::vector<std::string> signalled;
+  gateway_.set_on_queued(
+      [&](const std::string& fn) { signalled.push_back(fn); });
+  const auto expect_counts = [&](std::int64_t queued, std::int64_t executing,
+                                 const char* where) {
+    SCOPED_TRACE(where);
+    EXPECT_EQ(gateway_.Queued(f), queued);
+    EXPECT_EQ(gateway_.Executing(f), executing);
+    EXPECT_EQ(gateway_.Demand("f"), queued + executing);
+  };
+
+  gateway_.UpdateEndpoints("f", {"a", "b"});
+  for (int i = 0; i < 3; ++i) {
+    gateway_.Invoke({"f", engine_.now(), Milliseconds(100)});
+  }
+  expect_counts(1, 2, "two routed, one queued");
+  EXPECT_EQ(signalled, std::vector<std::string>{"f"});
+
+  gateway_.UpdateEndpoints("f", {"b"});  // "a" retires and drains
+  engine_.RunFor(Milliseconds(50));
+  gateway_.FailInstances({"b"});  // its request goes back to the head
+  expect_counts(2, 1, "b failed, a draining");
+
+  engine_.RunFor(Milliseconds(60));  // "a" drained and dropped
+  expect_counts(2, 0, "a drained");
+  ASSERT_EQ(gateway_.records().size(), 1u);
+
+  gateway_.UpdateEndpoints("f", {"c"});
+  expect_counts(1, 1, "c took the requeued request");
+  engine_.Run();
+  expect_counts(0, 0, "all done");
+  EXPECT_EQ(gateway_.records().size(), 3u);
+  EXPECT_EQ(gateway_.requeued_on_failure(), 1u);
+}
+
+// A request on an instance that fails is requeued; its completion
+// timer must then settle nothing, even when an instance with the same
+// address is back by the time it fires.
+TEST_F(GatewayTest, CompletionOnFailedInstanceSettlesNothing) {
+  const Gateway::FunctionId f = gateway_.RegisterFunction(Fn("f"));
+  gateway_.UpdateEndpoints("f", {"a"});
+  gateway_.Invoke({"f", engine_.now(), Milliseconds(100)});  // ends at 100
+  gateway_.FailInstances({"a"});
+  engine_.RunFor(Milliseconds(30));
+  gateway_.UpdateEndpoints("f", {"a"});  // the requeued request: 30-130
+  engine_.RunFor(Milliseconds(10));
+  gateway_.Invoke({"f", engine_.now(), Milliseconds(10)});  // waits
+  engine_.RunFor(Milliseconds(70));  // t=110: the dead timer has fired
+  EXPECT_EQ(gateway_.Executing(f), 1);
+  EXPECT_EQ(gateway_.Queued(f), 1);
+  EXPECT_TRUE(gateway_.records().empty());
+
+  engine_.Run();
+  ASSERT_EQ(gateway_.records().size(), 2u);
+  EXPECT_EQ(gateway_.records()[0].started, Milliseconds(30));
+  EXPECT_EQ(gateway_.records()[0].completed, Milliseconds(130));
+  EXPECT_EQ(gateway_.records()[1].started, Milliseconds(130));
+  EXPECT_EQ(gateway_.Executing(f), 0);
 }
 
 // --- DirigentBackend ------------------------------------------------------

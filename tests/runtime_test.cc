@@ -1,8 +1,14 @@
 // Tests for the controller runtime: object cache (incl. invalid
-// marks), control loop (dedup, crash clear), informer sync.
+// marks, and seeded walks against an ordered reference), control loop
+// (dedup, crash clear), informer sync.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "apiserver/client.h"
+#include "common/rng.h"
 #include "runtime/cache.h"
 #include "runtime/control_loop.h"
 #include "runtime/informer.h"
@@ -144,6 +150,160 @@ TEST(ObjectCacheTest, ClearWipesEverything) {
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_TRUE(cache.InvalidKeys().empty());
+}
+
+// --- ObjectCache oracle ----------------------------------------------
+//
+// Seeded walks of cache operations against a reference the test keeps
+// in a std::map, so its key order is the one the ordered views promise.
+// After every step each read must agree with the reference, and the
+// change handler must have seen exactly the transitions the reference
+// predicts.
+
+struct RefEntry {
+  std::uint64_t version = 0;  // identifies the stored object
+  bool invalid = false;
+};
+
+// "PodX" shares the "Pod" prefix but not the "Pod/" one.
+const char* const kWalkKinds[] = {"Pod", "PodX", "Node", "A"};
+// The empty name, a shared prefix, a digit and a byte above 0x7f
+// (which sorts after ASCII: the order is unsigned).
+const char* const kWalkNames[] = {"", "a", "ab", "a0", "b", "z", "\xc3\xa9"};
+
+ApiObject WalkObject(const std::string& kind, const std::string& name,
+                     std::uint64_t version) {
+  ApiObject obj;
+  obj.kind = kind;
+  obj.name = name;
+  obj.resource_version = version;
+  return obj;
+}
+
+// The change handler's view of a transition: versions, 0 for null.
+struct Transition {
+  std::string key;
+  std::uint64_t before = 0;
+  std::uint64_t after = 0;
+  bool operator==(const Transition&) const = default;
+};
+
+void ExpectCacheMatches(const ObjectCache& cache,
+                        const std::map<std::string, RefEntry>& ref,
+                        const std::string& where) {
+  SCOPED_TRACE(where);
+  std::vector<std::string> visible;
+  std::vector<std::string> invalid;
+  for (const auto& [key, entry] : ref) {
+    (entry.invalid ? invalid : visible).push_back(key);
+  }
+  for (const char* kind : kWalkKinds) {
+    for (const char* name : kWalkNames) {
+      const std::string key = ApiObject::MakeKey(kind, name);
+      auto it = ref.find(key);
+      const ApiObject* got = cache.Get(key);
+      if (it == ref.end() || it->second.invalid) {
+        EXPECT_EQ(got, nullptr) << key;
+      } else {
+        ASSERT_NE(got, nullptr) << key;
+        EXPECT_EQ(got->resource_version, it->second.version) << key;
+        EXPECT_EQ(got->Key(), key);
+      }
+      EXPECT_EQ(cache.IsInvalid(key),
+                it != ref.end() && it->second.invalid)
+          << key;
+    }
+    const std::string prefix = std::string(kind) + "/";
+    std::vector<std::string> want;
+    for (const std::string& key : visible) {
+      if (key.starts_with(prefix)) want.push_back(key);
+    }
+    std::vector<std::string> listed;
+    for (const ApiObject* obj : cache.List(kind)) listed.push_back(obj->Key());
+    EXPECT_EQ(listed, want) << kind;
+    EXPECT_EQ(cache.VisibleCount(kind), want.size()) << kind;
+  }
+  EXPECT_EQ(cache.size(), visible.size());
+  std::vector<std::string> visited;
+  cache.ForEachVisible(
+      [&](const ApiObject& obj) { visited.push_back(obj.Key()); });
+  EXPECT_EQ(visited, visible);
+  EXPECT_EQ(cache.InvalidKeys(), invalid);
+}
+
+TEST(ObjectCacheTest, RandomWalkMatchesOrderedReference) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    ObjectCache cache;
+    std::map<std::string, RefEntry> ref;
+    std::vector<Transition> seen;
+    cache.AddChangeHandler([&](const std::string& key, const ApiObject* before,
+                               const ApiObject* after) {
+      seen.push_back({key, before ? before->resource_version : 0,
+                      after ? after->resource_version : 0});
+    });
+    std::uint64_t next_version = 1;
+    for (int step = 0; step < 300; ++step) {
+      const std::string kind = kWalkKinds[rng.UniformInt(std::size(kWalkKinds))];
+      const std::string name = kWalkNames[rng.UniformInt(std::size(kWalkNames))];
+      const std::string key = ApiObject::MakeKey(kind, name);
+      auto it = ref.find(key);
+      const bool exists = it != ref.end();
+      const bool visible = exists && !it->second.invalid;
+      const std::uint64_t old_version = visible ? it->second.version : 0;
+      std::vector<Transition> want;
+      std::string op;
+      const std::uint64_t roll = rng.UniformInt(100);
+      if (roll < 40) {
+        op = "Upsert";
+        const std::uint64_t version = next_version++;
+        cache.Upsert(WalkObject(kind, name, version));
+        ref[key] = {version, false};
+        want.push_back({key, old_version, version});
+      } else if (roll < 55) {
+        op = "Remove";
+        cache.Remove(key);
+        if (exists) ref.erase(it);
+        if (visible) want.push_back({key, old_version, 0});
+      } else if (roll < 75) {
+        op = "MarkInvalid";
+        cache.MarkInvalid(key);
+        if (visible) {
+          it->second.invalid = true;
+          want.push_back({key, old_version, 0});
+        }
+      } else if (roll < 97) {
+        op = "DropInvalid";
+        cache.DropInvalid(key);
+        if (exists && it->second.invalid) ref.erase(it);
+      } else {
+        op = "Clear";
+        cache.Clear();  // fires no handlers
+        ref.clear();
+      }
+      const std::string where = "seed " + std::to_string(seed) + " step " +
+                                std::to_string(step) + " " + op + " " + key;
+      EXPECT_EQ(seen, want) << where;
+      seen.clear();
+      ExpectCacheMatches(cache, ref, where);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(ObjectCacheTest, GetPointerSurvivesRehash) {
+  ObjectCache cache;
+  cache.Upsert(WalkObject(kKindPod, "keep", 7));
+  const ApiObject* kept = cache.Get("Pod/keep");
+  ASSERT_NE(kept, nullptr);
+  for (int i = 0; i < 4000; ++i) {
+    cache.Upsert(WalkObject(i % 2 ? "Node" : kKindPod,
+                            "n" + std::to_string(i), 100 + i));
+    if (i % 3 == 0) cache.Remove("Pod/n" + std::to_string(i / 2));
+  }
+  EXPECT_EQ(cache.Get("Pod/keep"), kept);
+  EXPECT_EQ(kept->name, "keep");
+  EXPECT_EQ(kept->resource_version, 7u);
 }
 
 // --- ControlLoop ------------------------------------------------------
