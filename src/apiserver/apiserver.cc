@@ -99,7 +99,7 @@ void ApiServer::Broadcast(WatchEventType type, const model::ApiObject& obj) {
           if (epoch != epoch_) return;
           cb(event);
         });
-    metrics_.Count("watch_events");
+    watch_events_.Add();
   }
 }
 
@@ -114,7 +114,7 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
   if (!up_) {
     // Dead server: the request neither queues nor commits — it hangs
     // until the client-side per-attempt deadline expires.
-    metrics_.Count("api_deadline_exceeded");
+    deadline_exceeded_.Add();
     engine_.ScheduleSeamAfter(reply_lane, cost_.api_request_deadline,
                               [respond = std::move(respond)]() mutable {
                                 respond({DeadlineExceededError(
@@ -123,8 +123,8 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
                               });
     return;
   }
-  metrics_.Count(is_write ? "api_writes" : "api_reads");
-  metrics_.Count("api_bytes_in", static_cast<std::int64_t>(request_bytes));
+  (is_write ? writes_ : reads_).Add();
+  bytes_in_.Add(static_cast<std::int64_t>(request_bytes));
   const Time arrival = engine_.now();
 
   // Registered until the response is delivered; Crash() fails every
@@ -135,8 +135,7 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
   const std::uint64_t id = next_request_id_++;
   const std::uint64_t epoch = epoch_;
   pending_.emplace(id, respond_shared);
-  metrics_.RecordMax("api.inflight_max",
-                     static_cast<std::int64_t>(pending_.size()));
+  inflight_max_.RecordMax(static_cast<std::int64_t>(pending_.size()));
 
   auto finish = [this, id, epoch, arrival, response_bytes, reply_lane,
                  respond_shared](CommitResult result, Time commit_done) {
@@ -144,15 +143,14 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
         static_cast<double>(response_bytes) * cost_.serialize_ns_per_byte);
     const Time respond_at =
         commit_done + response_ser + cost_.api_network_latency;
-    metrics_.Count("api_bytes_out",
-                   static_cast<std::int64_t>(response_bytes));
+    bytes_out_.Add(static_cast<std::int64_t>(response_bytes));
     engine_.ScheduleSeamAt(reply_lane, respond_at,
                            [this, id, epoch, arrival, respond_shared,
                             result = std::move(result)]() mutable {
                              if (epoch != epoch_) return;
                              pending_.erase(id);
-                             metrics_.RecordDuration("api_call_latency",
-                                                     engine_.now() - arrival);
+                             call_latency_.RecordDuration(engine_.now() -
+                                                          arrival);
                              (*respond_shared)(std::move(result));
                            });
   };
@@ -190,8 +188,7 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
         });
   });
   if (apf_.enabled()) {
-    metrics_.RecordMax("apf.queue_depth_max",
-                       static_cast<std::int64_t>(apf_.queued()));
+    apf_queue_depth_max_.RecordMax(static_cast<std::int64_t>(apf_.queued()));
   }
 }
 
@@ -200,7 +197,7 @@ void ApiServer::Crash() {
   up_ = false;
   ++epoch_;
   outage_started_at_ = engine_.now();
-  metrics_.Count("apiserver.crashes");
+  crashes_.Add();
   // Every in-flight request fails fast — the TCP connections reset, so
   // clients learn after one network latency, not a full deadline.
   for (auto& [id, respond] : pending_) {
@@ -237,8 +234,8 @@ void ApiServer::Restart() {
   persist_fault_.Disarm();
   metrics_.ResetCounter("api_deadline_exceeded");
   const Duration outage = engine_.now() - outage_started_at_;
-  metrics_.RecordValue("apiserver.outage_seconds", ToSeconds(outage));
-  metrics_.Count("apiserver.restarts");
+  outage_seconds_.RecordValue(ToSeconds(outage));
+  restarts_.Add();
   // Fresh process over the persisted store: empty worker pool, empty
   // etcd pipeline, no watchers. store_/revision_ replay from etcd.
   std::fill(worker_free_.begin(), worker_free_.end(), Time{0});

@@ -258,6 +258,27 @@ class KD_LANE_OWNED(apiserver) ApiServer {
 
   std::vector<AdmissionHook> admission_hooks_;
   MetricsRecorder metrics_;
+  MetricsRecorder::Counter watch_events_ =
+      metrics_.ResolveCounter("watch_events");
+  MetricsRecorder::Counter deadline_exceeded_ =
+      metrics_.ResolveCounter("api_deadline_exceeded");
+  MetricsRecorder::Counter writes_ = metrics_.ResolveCounter("api_writes");
+  MetricsRecorder::Counter reads_ = metrics_.ResolveCounter("api_reads");
+  MetricsRecorder::Counter bytes_in_ = metrics_.ResolveCounter("api_bytes_in");
+  MetricsRecorder::Counter bytes_out_ =
+      metrics_.ResolveCounter("api_bytes_out");
+  MetricsRecorder::Counter inflight_max_ =
+      metrics_.ResolveCounter("api.inflight_max");
+  MetricsRecorder::Counter apf_queue_depth_max_ =
+      metrics_.ResolveCounter("apf.queue_depth_max");
+  MetricsRecorder::Counter crashes_ =
+      metrics_.ResolveCounter("apiserver.crashes");
+  MetricsRecorder::Counter restarts_ =
+      metrics_.ResolveCounter("apiserver.restarts");
+  MetricsRecorder::Samples call_latency_ =
+      metrics_.ResolveSamples("api_call_latency");
+  MetricsRecorder::Samples outage_seconds_ =
+      metrics_.ResolveSamples("apiserver.outage_seconds");
   LaneId lane_ = kNoLane;
 };
 

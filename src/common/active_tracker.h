@@ -8,7 +8,7 @@
 // throughput limit (rate limiter + processing).
 #pragma once
 
-#include <string>
+#include <string_view>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -18,8 +18,11 @@ namespace kd {
 
 class ActiveTracker {
  public:
-  ActiveTracker(MetricsRecorder* metrics, std::string name)
-      : metrics_(metrics), name_(std::move(name)) {}
+  // Records into `metrics` under `name`; a null recorder records
+  // nothing.
+  ActiveTracker(MetricsRecorder* metrics, std::string_view name)
+      : busy_(metrics != nullptr ? metrics->ResolveBusy(name)
+                                 : MetricsRecorder::Busy()) {}
 
   void Inc(Time now) {
     if (pending_ == 0) active_since_ = now;
@@ -29,24 +32,19 @@ class ActiveTracker {
   void Dec(Time now) {
     KD_CHECK(pending_ > 0, "ActiveTracker::Dec without matching Inc");
     --pending_;
-    if (pending_ == 0 && metrics_ != nullptr) {
-      metrics_->AddBusy(name_, now - active_since_);
-    }
+    if (pending_ == 0) busy_.Add(now - active_since_);
   }
 
   // Flattens state (crash/restart).
   void Reset(Time now) {
-    if (pending_ > 0 && metrics_ != nullptr) {
-      metrics_->AddBusy(name_, now - active_since_);
-    }
+    if (pending_ > 0) busy_.Add(now - active_since_);
     pending_ = 0;
   }
 
   int pending() const { return pending_; }
 
  private:
-  MetricsRecorder* metrics_;
-  std::string name_;
+  MetricsRecorder::Busy busy_;
   int pending_ = 0;
   Time active_since_ = 0;
 };

@@ -1,6 +1,5 @@
 #include "common/metrics.h"
 
-#include <cassert>
 #include <numeric>
 
 namespace kd {
@@ -52,33 +51,37 @@ double Sample::Quantile(double q) const {
 
 const Sample& MetricsRecorder::GetSample(std::string_view name) const {
   static const Sample kEmpty;
-  auto it = samples_.find(name);
-  return it == samples_.end() ? kEmpty : it->second;
+  auto it = samples_.series.find(name);
+  return it == samples_.series.end() ? kEmpty : it->second;
 }
 
-void MetricsRecorder::MarkStart(std::string_view name, Time t) {
-  auto& span = Slot(spans_, name);
-  if (span.first_start < 0 || t < span.first_start) span.first_start = t;
+void MetricsRecorder::ResetCounter(std::string_view name) {
+  auto it = counters_.series.find(name);
+  if (it != counters_.series.end()) counters_.series.erase(it);
+  ++counters_.epoch;
 }
 
-void MetricsRecorder::MarkStop(std::string_view name, Time t) {
-  auto& span = Slot(spans_, name);
-  if (t > span.last_stop) span.last_stop = t;
+void MetricsRecorder::ResetCounterPrefix(std::string_view prefix) {
+  auto it = counters_.series.lower_bound(prefix);
+  while (it != counters_.series.end() && it->first.starts_with(prefix)) {
+    it = counters_.series.erase(it);
+  }
+  ++counters_.epoch;
 }
 
 Duration MetricsRecorder::GetSpan(std::string_view name) const {
-  auto it = spans_.find(name);
-  if (it == spans_.end()) return 0;
-  const Span& span = it->second;
-  if (span.first_start < 0 || span.last_stop < span.first_start) return 0;
-  return span.last_stop - span.first_start;
+  auto it = spans_.series.find(name);
+  if (it == spans_.series.end()) return 0;
+  const Marks& marks = it->second;
+  if (marks.first_start < 0 || marks.last_stop < marks.first_start) return 0;
+  return marks.last_stop - marks.first_start;
 }
 
 void MetricsRecorder::Clear() {
-  counters_.clear();
-  samples_.clear();
-  busy_.clear();
-  spans_.clear();
+  counters_.Clear();
+  samples_.Clear();
+  busy_.Clear();
+  spans_.Clear();
 }
 
 }  // namespace kd

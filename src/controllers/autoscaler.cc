@@ -82,7 +82,7 @@ Duration Autoscaler::Reconcile(const std::string& deployment_name) {
     // Upgrade-pause anti-flap: defer the scale-down until the hold
     // window expires; the deferred reconcile re-reads desired_, so a
     // demand recovery in the meantime simply wins.
-    env_.metrics.Count("autoscaler.scale_down_held");
+    scale_down_held_.Add();
     harness_.loop().EnqueueAfter(
         deployment_name,
         steady_since_ + options_.scale_down_hold - env_.engine.now());
@@ -94,7 +94,7 @@ Duration Autoscaler::Reconcile(const std::string& deployment_name) {
 
 void Autoscaler::SendScale(const std::string& deployment_name,
                            std::int64_t replicas) {
-  env_.metrics.MarkStart("autoscaler", env_.engine.now());
+  span_.MarkStart(env_.engine.now());
   if (mode_ == Mode::kKd) {
     kubedirect::HierarchyClient* downstream = harness_.downstream();
     if (downstream == nullptr || !downstream->ready()) {
@@ -109,7 +109,7 @@ void Autoscaler::SendScale(const std::string& deployment_name,
     downstream->SendUpsert(msg);
     last_sent_[deployment_name] = replicas;
     last_applied_[deployment_name] = replicas;
-    env_.metrics.MarkStop("autoscaler", env_.engine.now());
+    span_.MarkStop(env_.engine.now());
     return;
   }
 
@@ -124,7 +124,7 @@ void Autoscaler::SendScale(const std::string& deployment_name,
   if (model::GetReplicas(*cached) == replicas) {
     last_sent_[deployment_name] = replicas;
     last_applied_[deployment_name] = replicas;
-    env_.metrics.MarkStop("autoscaler", env_.engine.now());
+    span_.MarkStop(env_.engine.now());
     return;
   }
   ApiObject updated = *cached;
@@ -133,7 +133,7 @@ void Autoscaler::SendScale(const std::string& deployment_name,
   last_applied_[deployment_name] = replicas;
   harness_.api().Update(
       updated, [this, deployment_name](StatusOr<ApiObject> result) {
-        env_.metrics.MarkStop("autoscaler", env_.engine.now());
+        span_.MarkStop(env_.engine.now());
         if (!result.ok()) {
           // Conflict or transient failure: forget the send and retry
           // with the refreshed cache (level-triggered).

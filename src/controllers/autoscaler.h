@@ -76,6 +76,9 @@ class KD_LANE_OWNED(autoscaler) Autoscaler {
   AutoscalerOptions options_;
   runtime::ControllerHarness harness_;
   runtime::ObjectCache cache_;  // Deployments (informer view)
+  MetricsRecorder::Span span_ = env_.metrics.ResolveSpan("autoscaler");
+  MetricsRecorder::Counter scale_down_held_ =
+      env_.metrics.ResolveCounter("autoscaler.scale_down_held");
 
   // Desired per deployment (the policy's latest word) and the last
   // value successfully handed downstream. The forward link to the

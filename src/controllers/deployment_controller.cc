@@ -116,7 +116,7 @@ Duration DeploymentController::Reconcile(const std::string& deployment_name) {
     return 0;
   }
 
-  env_.metrics.MarkStart("deployment", env_.engine.now());
+  span_.MarkStart(env_.engine.now());
   if (mode_ == Mode::kKd) {
     const std::string rs_key = rs->Key();
     auto sent = last_sent_.find(rs_key);
@@ -130,19 +130,19 @@ Duration DeploymentController::Reconcile(const std::string& deployment_name) {
     msg.attrs.emplace("spec.replicas", kubedirect::KdValue::Literal(desired));
     downstream->SendUpsert(msg);
     last_sent_[rs_key] = desired;
-    env_.metrics.MarkStop("deployment", env_.engine.now());
+    span_.MarkStop(env_.engine.now());
     return 0;
   }
 
   if (model::GetReplicas(*rs) == desired) {
-    env_.metrics.MarkStop("deployment", env_.engine.now());
+    span_.MarkStop(env_.engine.now());
     return 0;
   }
   ApiObject updated = *rs;
   model::SetReplicas(updated, desired);
   harness_.api().Update(
       updated, [this, deployment_name](StatusOr<ApiObject> result) {
-        env_.metrics.MarkStop("deployment", env_.engine.now());
+        span_.MarkStop(env_.engine.now());
         if (!result.ok()) {
           if (!harness_.crashed()) {
             harness_.loop().EnqueueAfter(deployment_name, Milliseconds(5));

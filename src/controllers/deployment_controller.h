@@ -55,6 +55,7 @@ class KD_LANE_OWNED(deployment) DeploymentController {
   Mode mode_;
   runtime::ControllerHarness harness_;
   runtime::ObjectCache cache_;  // Deployments + ReplicaSets (informer)
+  MetricsRecorder::Span span_ = env_.metrics.ResolveSpan("deployment");
   // Owner index: Deployment name -> keys of the visible ReplicaSets it
   // owns, kept in step with cache_ by its change handler and reset on
   // crash (the cache's Clear fires no handlers). Sorted, so

@@ -232,7 +232,7 @@ Duration EndpointsController::Reconcile(const std::string& service_name) {
       cache_.Get(ApiObject::MakeKey(kKindService, service_name));
   if (svc == nullptr) return 0;
 
-  env_.metrics.MarkStart("endpoints", env_.engine.now());
+  span_.MarkStart(env_.engine.now());
   if (mode_ == Mode::kKd) {
     kubedirect::HierarchyClient* downstream = harness_.downstream();
     if (downstream == nullptr || !downstream->ready()) {
@@ -246,7 +246,7 @@ Duration EndpointsController::Reconcile(const std::string& service_name) {
     msg.attrs.emplace("spec.addresses", kubedirect::KdValue::Literal(list));
     downstream->SendUpsert(msg);
     last_sent_[service_name] = std::move(list);
-    env_.metrics.MarkStop("endpoints", env_.engine.now());
+    span_.MarkStop(env_.engine.now());
     return 0;
   }
 
@@ -255,11 +255,11 @@ Duration EndpointsController::Reconcile(const std::string& service_name) {
   const ApiObject* existing =
       cache_.Get(ApiObject::MakeKey(kKindEndpoints, service_name));
   if (existing != nullptr && model::GetEndpointsAddresses(*existing) == addrs) {
-    env_.metrics.MarkStop("endpoints", env_.engine.now());
+    span_.MarkStop(env_.engine.now());
     return 0;
   }
   auto on_done = [this, service_name](StatusOr<ApiObject> result) {
-    env_.metrics.MarkStop("endpoints", env_.engine.now());
+    span_.MarkStop(env_.engine.now());
     if (!result.ok()) {
       // Conflict or transient failure: retry with the refreshed cache.
       if (!harness_.crashed()) {

@@ -74,6 +74,7 @@ class KD_LANE_OWNED(endpoints) EndpointsController {
   Mode mode_;
   runtime::ControllerHarness harness_;
   runtime::ObjectCache cache_;  // Services + Pods (+ Endpoints in K8s)
+  MetricsRecorder::Span span_ = env_.metrics.ResolveSpan("endpoints");
 
   // service -> sorted array of ready pod IPs, maintained incrementally
   // by the pod change handlers (reconcile publishes, it never re-scans

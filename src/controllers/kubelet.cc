@@ -195,7 +195,7 @@ void Kubelet::StartSandbox(const std::string& pod_key) {
   starting_.insert(pod_key);
   sandbox_queue_.push_back(pod_key);
   start_times_[pod_key] = env_.engine.now();
-  env_.metrics.MarkStart("kubelet", env_.engine.now());
+  span_.MarkStart(env_.engine.now());
   PumpSandboxQueue();
 }
 
@@ -236,14 +236,14 @@ void Kubelet::OnSandboxReady(const std::string& pod_key) {
   model::SetPodIp(running, AssignIp());
   // kdlint: allow(R5) kubelet-local pod table: the sandboxes, fed by the bound-pod watch (K8s) / ingress (Kd), not an API mirror
   cache_.Upsert(running);
-  env_.metrics.Count("sandboxes_started");
+  sandboxes_started_.Add();
   auto started = start_times_.find(pod_key);
   if (started != start_times_.end()) {
     // Provisioning-level cold start (bind arrival -> container up),
     // independent of the API publish — the sandbox keeps serving even
     // when the publish stalls against a down API server.
-    env_.metrics.RecordDuration("sandbox_ready_latency",
-                                env_.engine.now() - started->second);
+    sandbox_ready_latency_.RecordDuration(env_.engine.now() -
+                                          started->second);
   }
   AnnounceEndpointUp(running);
 
@@ -275,14 +275,13 @@ void Kubelet::Publish(const ApiObject& pod) {
       return;
     }
     published_.insert(key);
-    env_.metrics.Count("pods_published");
-    env_.metrics.MarkStop("kubelet", env_.engine.now());
+    pods_published_.Add();
+    span_.MarkStop(env_.engine.now());
     auto started = start_times_.find(key);
     if (started != start_times_.end()) {
       // Per-pod sandbox-manager latency (bind arrival -> published):
       // the isolated Fig. 9d measurement — immune to upstream lag.
-      env_.metrics.RecordDuration("kubelet_pod_latency",
-                                  env_.engine.now() - started->second);
+      pod_latency_.RecordDuration(env_.engine.now() - started->second);
       start_times_.erase(started);
     }
   };
@@ -344,8 +343,8 @@ void Kubelet::Publish(const ApiObject& pod) {
             harness_.api().Update(merged, [this, key](StatusOr<ApiObject> r2) {
               if (r2.ok()) {
                 published_.insert(key);
-                env_.metrics.Count("pods_published");
-                env_.metrics.MarkStop("kubelet", env_.engine.now());
+                pods_published_.Add();
+                span_.MarkStop(env_.engine.now());
               }
             });
           });
@@ -370,7 +369,7 @@ void Kubelet::Terminate(const std::string& pod_key, bool notify_upstream) {
     }
     return;
   }
-  env_.metrics.Count("pods_terminated");
+  pods_terminated_.Add();
   // kdlint: allow(R5) kubelet-local pod table: the sandboxes, fed by the bound-pod watch (K8s) / ingress (Kd), not an API mirror
   cache_.Remove(pod_key);
   const bool was_published = published_.erase(pod_key) > 0;
@@ -437,7 +436,7 @@ void Kubelet::DrainAllKdPods() {
     // version exchange reconciles instead.
     Terminate(key, /*notify_upstream=*/true);
   }
-  env_.metrics.Count("nodes_drained");
+  nodes_drained_.Add();
 }
 
 bool Kubelet::DirectEndpointsEnabled() const {

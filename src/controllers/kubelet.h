@@ -107,6 +107,19 @@ class KD_LANE_OWNED(kubelet) Kubelet {
   // cluster-wide at boot): the Node in Kd mode, which carries the
   // drain signal (§4.3); the pods bound here in K8s mode.
   runtime::ObjectCache watch_cache_;
+  MetricsRecorder::Span span_ = env_.metrics.ResolveSpan("kubelet");
+  MetricsRecorder::Counter sandboxes_started_ =
+      env_.metrics.ResolveCounter("sandboxes_started");
+  MetricsRecorder::Counter pods_published_ =
+      env_.metrics.ResolveCounter("pods_published");
+  MetricsRecorder::Counter pods_terminated_ =
+      env_.metrics.ResolveCounter("pods_terminated");
+  MetricsRecorder::Counter nodes_drained_ =
+      env_.metrics.ResolveCounter("nodes_drained");
+  MetricsRecorder::Samples sandbox_ready_latency_ =
+      env_.metrics.ResolveSamples("sandbox_ready_latency");
+  MetricsRecorder::Samples pod_latency_ =
+      env_.metrics.ResolveSamples("kubelet_pod_latency");
 
   // Sandbox startup pipeline: bounded concurrency, FIFO admission.
   std::deque<std::string> sandbox_queue_;

@@ -217,7 +217,7 @@ Duration ReplicaSetController::Reconcile(const std::string& rs_key) {
     effective -= pending_deletes_[rs_key];
   }
 
-  env_.metrics.MarkStart("replicaset", env_.engine.now());
+  span_.MarkStart(env_.engine.now());
   if (effective < desired) {
     CreatePods(*rs, desired - effective);
   } else if (effective > desired) {
@@ -243,7 +243,7 @@ Duration ReplicaSetController::Reconcile(const std::string& rs_key) {
                           owned.size()));
     DeletePods(*rs, std::move(owned));
   }
-  env_.metrics.MarkStop("replicaset", env_.engine.now());
+  span_.MarkStop(env_.engine.now());
   return 0;
 }
 
@@ -259,7 +259,7 @@ void ReplicaSetController::CreatePods(const ApiObject& rs,
   }
   for (std::int64_t i = 0; i < count; ++i) {
     ApiObject pod = model::MakePodFromTemplate(NextPodName(rs.name), rs);
-    env_.metrics.Count("pods_created");
+    pods_created_.Add();
     if (mode_ == Mode::kKd) {
       // Egress: populate the local cache first (§3.1), then forward.
       // Dynamic materialization ships the pointer-compressed message;
@@ -294,7 +294,7 @@ void ReplicaSetController::DeletePods(
   const std::string rs_key = rs.Key();
   for (const ApiObject* victim : victims) {
     const std::string pod_key = victim->Key();
-    env_.metrics.Count("pods_deleted");
+    pods_deleted_.Add();
     if (mode_ == Mode::kKd) {
       // Asynchronous termination via tombstone replication (§4.3). The
       // victim leaves the live count the moment the intent is recorded

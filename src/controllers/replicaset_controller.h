@@ -21,9 +21,9 @@
 // the missing replicas — the recovery path of Anomaly #2.
 #pragma once
 
-#include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/lane.h"
@@ -68,9 +68,16 @@ class KD_LANE_OWNED(replicaset) ReplicaSetController {
   runtime::ControllerHarness harness_;
   runtime::ObjectCache rs_cache_;   // ReplicaSets (informer)
   runtime::ObjectCache pod_cache_;  // K8s: pod informer; Kd: ephemeral
+  MetricsRecorder::Span span_ = env_.metrics.ResolveSpan("replicaset");
+  MetricsRecorder::Counter pods_created_ =
+      env_.metrics.ResolveCounter("pods_created");
+  MetricsRecorder::Counter pods_deleted_ =
+      env_.metrics.ResolveCounter("pods_deleted");
 
+  // The per-RS maps below are looked up by key and never iterated, so
+  // they hash (kdlint R2 concerns iteration order only).
   // Kd: desired replicas per RS key, fed by the Deployment controller.
-  std::map<std::string, std::int64_t> desired_;
+  std::unordered_map<std::string, std::int64_t> desired_;
 
   // Owner index: RS name -> keys of visible owned pods, maintained in
   // lockstep with pod_cache_ by its change handler. Reconcile reads
@@ -79,17 +86,17 @@ class KD_LANE_OWNED(replicaset) ReplicaSetController {
   // Sorted set keeps iteration in key order, matching what the List
   // filter produced. A stale key whose pod has since vanished without
   // a handler firing (cache Clear) is skipped via Get() == nullptr.
-  std::map<std::string, std::set<std::string>> owned_pods_;
+  std::unordered_map<std::string, std::set<std::string>> owned_pods_;
   // RS name -> count of live owned pods: visible, not Terminating, not
   // tombstoned. Maintained at the three predicate transition points
   // (cache change handler, tombstone add, tombstone gc) so the common
   // reconcile reads a counter instead of re-filtering the owned set —
   // scaling one RS to N pods is then O(N) reconciles, not O(N^2) scans.
-  std::map<std::string, std::int64_t> live_owned_;
+  std::unordered_map<std::string, std::int64_t> live_owned_;
 
   // K8s: in-flight creates/deletes per RS key (client-go expectations).
-  std::map<std::string, std::int64_t> pending_creates_;
-  std::map<std::string, std::int64_t> pending_deletes_;
+  std::unordered_map<std::string, std::int64_t> pending_creates_;
+  std::unordered_map<std::string, std::int64_t> pending_deletes_;
 
   // Pod naming: the harness session epoch + this counter keeps names
   // unique across crash-restarts without persisted state.

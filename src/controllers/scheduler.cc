@@ -220,7 +220,7 @@ void Scheduler::OnReclaimNotice(const std::string& node_name,
   }
   if (state.draining) return;  // refreshed deadline on an active drain
   state.draining = true;
-  env_.metrics.Count("nodes_draining");
+  nodes_draining_.Add();
   DrainNode(node_name);
 }
 
@@ -410,7 +410,7 @@ Duration Scheduler::Reconcile(const std::string& pod_key) {
   if (model::IsTerminating(*pod)) return 0;
   if (harness_.tombstones().Has(pod_key)) return 0;
 
-  env_.metrics.MarkStart("scheduler", env_.engine.now());
+  span_.MarkStart(env_.engine.now());
   // Simulated time charges a scan of every known node (the Fig. 11
   // M-scalability effect), whatever the host-side index visits.
   const Duration scan_cost =
@@ -451,7 +451,7 @@ Duration Scheduler::Reconcile(const std::string& pod_key) {
       delta.attrs.emplace("spec.nodeName", kubedirect::KdValue::Literal(node));
       harness_.upstream()->SendSoftInvalidate(delta);
     }
-    env_.metrics.MarkStop("scheduler", env_.engine.now() + cost);
+    span_.MarkStop(env_.engine.now() + cost);
     return cost;
   }
 
@@ -461,7 +461,7 @@ Duration Scheduler::Reconcile(const std::string& pod_key) {
   // kdlint: allow(R5) write-through of the API response; waiting for the watch echo would double round-trip latency
   pod_cache_.Upsert(bound);  // optimistic local bind (allocation tracked)
   harness_.api().Update(bound, [this, pod_key](StatusOr<ApiObject> result) {
-    env_.metrics.MarkStop("scheduler", env_.engine.now());
+    span_.MarkStop(env_.engine.now());
     if (!result.ok() && !harness_.crashed()) {
       // Conflict: the informer will refresh the pod; retry.
       harness_.loop().EnqueueAfter(pod_key, Milliseconds(5));
@@ -539,7 +539,7 @@ void Scheduler::CancelNode(const std::string& node_name) {
     ForwardRemoveUpstream(key);
     ResolvePreemption(key, OkStatus());
   }
-  env_.metrics.Count("nodes_cancelled");
+  nodes_cancelled_.Add();
   harness_.MaybeStartUpstream();
 }
 

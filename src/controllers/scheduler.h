@@ -135,6 +135,11 @@ class KD_LANE_OWNED(scheduler) Scheduler {
   runtime::ControllerHarness harness_;
   runtime::ObjectCache node_cache_;  // Nodes (informer)
   runtime::ObjectCache pod_cache_;   // K8s: informer; Kd: ephemeral
+  MetricsRecorder::Span span_ = env_.metrics.ResolveSpan("scheduler");
+  MetricsRecorder::Counter nodes_draining_ =
+      env_.metrics.ResolveCounter("nodes_draining");
+  MetricsRecorder::Counter nodes_cancelled_ =
+      env_.metrics.ResolveCounter("nodes_cancelled");
 
   // Per-node scheduling state (capacity, allocation, cancellation).
   // The per-Kubelet HierarchyClients live in the harness fan-out.

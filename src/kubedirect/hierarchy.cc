@@ -25,7 +25,13 @@ HierarchyClient::HierarchyClient(
       callbacks_(std::move(callbacks)),
       metrics_(metrics),
       fault_(fault),
-      backoff_(cost.kd_reconnect_backoff) {}
+      backoff_(cost.kd_reconnect_backoff) {
+  if (metrics != nullptr) {
+    handshake_latency_ = metrics->ResolveSamples("kd_handshake_latency");
+    handshake_count_ = metrics->ResolveCounter("kd_handshakes");
+    orphan_count_ = metrics->ResolveCounter("kd_soft_invalidate_orphans");
+  }
+}
 
 HierarchyClient::~HierarchyClient() { Stop(); }
 
@@ -155,11 +161,8 @@ void HierarchyClient::HandleStateSnapshot(WireMessage msg) {
 void HierarchyClient::FinishHandshake() {
   ready_ = true;
   ++handshakes_;
-  if (metrics_) {
-    metrics_->RecordDuration("kd_handshake_latency",
-                             engine_.now() - handshake_started_);
-    metrics_->Count("kd_handshakes");
-  }
+  handshake_latency_.RecordDuration(engine_.now() - handshake_started_);
+  handshake_count_.Add();
   if (callbacks_.on_ready) callbacks_.on_ready(pending_changes_);
   pending_changes_ = {};
 }
@@ -196,7 +199,7 @@ void HierarchyClient::OnMessage(WireMessage msg) {
       // intent and let the downstream settle.
       if (cache_.Get(msg.message.obj_key) == nullptr &&
           !IsSelfContained(msg.message)) {
-        if (metrics_) metrics_->Count("kd_soft_invalidate_orphans");
+        orphan_count_.Add();
         SendTombstone(msg.message.obj_key);
         break;
       }

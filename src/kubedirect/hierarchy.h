@@ -129,7 +129,10 @@ class KD_LANE_SEAM HierarchyClient {
   std::string kind_filter_;
   std::function<bool(const model::ApiObject&)> scope_;
   Callbacks callbacks_;
-  MetricsRecorder* metrics_;
+  MetricsRecorder* metrics_;  // handed to each link
+  MetricsRecorder::Samples handshake_latency_;  // "kd_handshake_latency"
+  MetricsRecorder::Counter handshake_count_;    // "kd_handshakes"
+  MetricsRecorder::Counter orphan_count_;  // "kd_soft_invalidate_orphans"
   FaultPoint* fault_;
 
   KdLinkPtr link_;

@@ -6,8 +6,12 @@ namespace kd::kubedirect {
 
 KdLink::KdLink(sim::Engine& engine, const CostModel& cost,
                net::ConnHandlePtr conn, MetricsRecorder* metrics)
-    : engine_(engine), cost_(cost), conn_(std::move(conn)),
-      metrics_(metrics) {}
+    : engine_(engine), cost_(cost), conn_(std::move(conn)) {
+  if (metrics != nullptr) {
+    messages_sent_ = metrics->ResolveCounter("kd_messages_sent");
+    bytes_sent_ = metrics->ResolveCounter("kd_bytes_sent");
+  }
+}
 
 void KdLink::Bind(std::function<void(WireMessage)> on_message,
                   std::function<void()> on_disconnect) {
@@ -63,11 +67,8 @@ void KdLink::Flush() {
     return;
   }
   const std::size_t bytes = SerializedBatchSize(pending_);
-  if (metrics_) {
-    metrics_->Count("kd_messages_sent",
-                    static_cast<std::int64_t>(pending_.size()));
-    metrics_->Count("kd_bytes_sent", static_cast<std::int64_t>(bytes));
-  }
+  messages_sent_.Add(static_cast<std::int64_t>(pending_.size()));
+  bytes_sent_.Add(static_cast<std::int64_t>(bytes));
   net::Payload payload = net::Payload::Of(std::move(pending_), bytes);
   pending_.clear();  // moved-from: empty it for the next batch
   // Sender-side serialization: CPU work, so consecutive batches queue

@@ -60,7 +60,8 @@ class KD_LANE_SEAM KdLink : public std::enable_shared_from_this<KdLink> {
   sim::Engine& engine_;
   const CostModel& cost_;
   net::ConnHandlePtr conn_;
-  MetricsRecorder* metrics_;
+  MetricsRecorder::Counter messages_sent_;  // "kd_messages_sent"
+  MetricsRecorder::Counter bytes_sent_;     // "kd_bytes_sent"
 
   std::function<void(WireMessage)> on_message_;
   std::function<void()> on_disconnect_;

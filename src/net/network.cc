@@ -18,10 +18,15 @@ std::pair<std::string, std::string> NormalizedPair(const std::string& a,
 // side holds its ConnHandle (or a delivery event is in flight).
 class Connection : public std::enable_shared_from_this<Connection> {
  public:
-  Connection(Network& network, std::string addr0, std::string addr1)
+  // `slot0`/`slot1`: the network's endpoint slots of the two
+  // addresses, resolved once when the connection is made.
+  Connection(Network& network, std::string addr0, std::size_t slot0,
+             std::string addr1, std::size_t slot1)
       : network_(network) {
     sides_[0].address = std::move(addr0);
+    sides_[0].slot = slot0;
     sides_[1].address = std::move(addr1);
+    sides_[1].slot = slot1;
   }
 
   bool open() const { return open_; }
@@ -49,9 +54,9 @@ class Connection : public std::enable_shared_from_this<Connection> {
     // lane. The receiver lane is resolved at send time; the LaneScope
     // below re-resolves at delivery for the checker, which yields the
     // same lane for any registered endpoint (same address <=> same
-    // lane name).
-    Endpoint* to_ep = network_.Find(to.address);
-    const LaneId to_lane = to_ep != nullptr ? to_ep->lane() : kNoLane;
+    // lane name). Both read the receiver's slot: an endpoint destroyed
+    // meanwhile reads as kNoLane, never as freed memory.
+    const LaneId to_lane = network_.LaneOf(to.slot);
     auto weak = weak_from_this();
     const int to_side = 1 - from_side;
     engine.ScheduleSeamAt(
@@ -62,9 +67,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
           Side& side = conn->sides_[to_side];
           if (side.closed_seen) return;
           Network& net = conn->network_;
-          Endpoint* ep = net.Find(side.address);
           sim::LaneScope lane_scope(net.engine().lane_checker(),
-                                    ep != nullptr ? ep->lane() : kNoLane);
+                                    net.LaneOf(side.slot));
           if (side.on_message) side.on_message(std::move(payload));
         });
     return OkStatus();
@@ -108,8 +112,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
     }
     // Seam to the notified side's lane; an active local close (delay
     // 0) targets the closer's own lane.
-    Endpoint* side_ep = network_.Find(sides_[side].address);
-    const LaneId side_lane = side_ep != nullptr ? side_ep->lane() : kNoLane;
+    const LaneId side_lane = network_.LaneOf(sides_[side].slot);
     auto weak = weak_from_this();
     network_.engine().ScheduleSeamAfter(side_lane, delay, [weak, side] {
       auto conn = weak.lock();
@@ -118,15 +121,15 @@ class Connection : public std::enable_shared_from_this<Connection> {
       if (s.closed_seen) return;
       s.closed_seen = true;
       Network& net = conn->network_;
-      Endpoint* ep = net.Find(s.address);
       sim::LaneScope lane_scope(net.engine().lane_checker(),
-                                ep != nullptr ? ep->lane() : kNoLane);
+                                net.LaneOf(s.slot));
       if (s.on_disconnect) s.on_disconnect();
     });
   }
 
   struct Side {
     std::string address;
+    std::size_t slot = 0;
     std::function<void(Payload)> on_message;
     std::function<void()> on_disconnect;
     bool closed_seen = false;
@@ -169,18 +172,25 @@ Network::Network(sim::Engine& engine, NetworkConfig config)
     : engine_(engine), config_(config) {}
 
 void Network::Register(Endpoint* endpoint) {
-  auto [it, inserted] = endpoints_.emplace(endpoint->address(), endpoint);
-  (void)it;
-  KD_CHECK(inserted, "duplicate endpoint address");
+  auto [it, added] = slot_of_.try_emplace(endpoint->address(), slots_.size());
+  if (added) slots_.push_back(nullptr);
+  KD_CHECK(slots_[it->second] == nullptr, "duplicate endpoint address");
+  slots_[it->second] = endpoint;
+  endpoint->slot_ = it->second;
 }
 
 void Network::Unregister(Endpoint* endpoint) {
-  endpoints_.erase(endpoint->address());
+  slots_[endpoint->slot_] = nullptr;
 }
 
 Endpoint* Network::Find(const std::string& address) const {
-  auto it = endpoints_.find(address);
-  return it == endpoints_.end() ? nullptr : it->second;
+  auto it = slot_of_.find(address);
+  return it == slot_of_.end() ? nullptr : slots_[it->second];
+}
+
+LaneId Network::LaneOf(std::size_t slot) const {
+  const Endpoint* endpoint = slots_[slot];
+  return endpoint != nullptr ? endpoint->lane() : kNoLane;
 }
 
 bool Network::Reachable(const std::string& a, const std::string& b) const {
@@ -256,6 +266,7 @@ void Endpoint::Listen(std::function<void(ConnHandlePtr)> on_accept) {
 void Endpoint::Connect(const std::string& to,
                        std::function<void(StatusOr<ConnHandlePtr>)> done) {
   const std::string from = address_;
+  const std::size_t from_slot = slot_;
   Network& net = network_;
   // SYN travels one way; the accept + SYN-ACK another. Failures are
   // reported after the keepalive timeout, like a real connect timeout.
@@ -271,28 +282,26 @@ void Endpoint::Connect(const std::string& to,
   Endpoint* syn_target = net.Find(to);
   const LaneId syn_lane = syn_target != nullptr ? syn_target->lane() : kNoLane;
   net.engine_.ScheduleSeamAfter(syn_lane, net.config_.latency,
-                                [&net, from, to, from_epoch, to_epoch,
-                                 done = std::move(done)]() {
+                                [&net, from, from_slot, to, from_epoch,
+                                 to_epoch, done = std::move(done)]() {
     if (net.crash_epoch(from) != from_epoch) return;  // connector died
     Endpoint* target = net.Find(to);
-    Endpoint* connector = net.Find(from);
-    const LaneId from_lane = connector != nullptr ? connector->lane() : kNoLane;
+    const LaneId from_lane = net.LaneOf(from_slot);
     if (target == nullptr || !target->listening() ||
         !net.Reachable(from, to) || net.crash_epoch(to) != to_epoch) {
       // Connect-timeout report travels back to the connector's lane.
       net.engine_.ScheduleSeamAfter(
           from_lane, net.config_.disconnect_detect_delay,
-          [&net, done = std::move(done), from, from_epoch, to] {
+          [&net, done = std::move(done), from, from_slot, from_epoch, to] {
             if (net.crash_epoch(from) != from_epoch) return;
-            Endpoint* self = net.Find(from);
-            sim::LaneScope lane_scope(
-                net.engine_.lane_checker(),
-                self != nullptr ? self->lane() : kNoLane);
+            sim::LaneScope lane_scope(net.engine_.lane_checker(),
+                                      net.LaneOf(from_slot));
             done(UnavailableError("connect to " + to + " failed"));
           });
       return;
     }
-    auto conn = std::make_shared<Connection>(net, from, to);
+    auto conn =
+        std::make_shared<Connection>(net, from, from_slot, to, target->slot_);
     net.connections_.insert(conn);
     auto server_handle = std::make_shared<ConnHandle>(conn, 1);
     {
@@ -301,12 +310,11 @@ void Endpoint::Connect(const std::string& to,
     }
     // SYN-ACK: back to the connector's lane after one-way latency.
     net.engine_.ScheduleSeamAfter(from_lane, net.config_.latency,
-                                  [&net, conn, from, from_epoch, to,
-                                   done = std::move(done)]() {
+                                  [&net, conn, from, from_slot, from_epoch,
+                                   to, done = std::move(done)]() {
       if (net.crash_epoch(from) != from_epoch) return;  // connector died
-      Endpoint* self = net.Find(from);
       sim::LaneScope lane_scope(net.engine_.lane_checker(),
-                                self != nullptr ? self->lane() : kNoLane);
+                                net.LaneOf(from_slot));
       if (!conn->open() || !net.Reachable(from, to)) {
         done(UnavailableError("connection lost during setup"));
         return;

@@ -26,6 +26,7 @@
 #include <string>
 #include <typeinfo>
 #include <utility>
+#include <vector>
 
 #include "common/lane.h"
 #include "common/metrics.h"
@@ -172,10 +173,19 @@ class KD_LANE_SEAM Network {
     total_bytes_ += payload.bytes();
     if (send_observer_) send_observer_(payload);
   }
+  // The lane of the endpoint now registered in `slot`; kNoLane when
+  // none is.
+  LaneId LaneOf(std::size_t slot) const;
 
   sim::Engine& engine_;
   NetworkConfig config_;
-  std::map<std::string, Endpoint*> endpoints_;
+  // One slot per address ever registered, holding the endpoint now
+  // registered there (null after it unregisters). An address keeps its
+  // slot, so a connection resolves its two ends once, when it is made,
+  // and still reaches an endpoint registered again under the same
+  // address, as a lookup by address would.
+  std::map<std::string, std::size_t> slot_of_;
+  std::vector<Endpoint*> slots_;
   std::set<std::pair<std::string, std::string>> partitions_;  // normalized
   std::set<std::weak_ptr<Connection>, std::owner_less<>> connections_;
   std::map<std::string, std::uint64_t> crash_epochs_;
@@ -220,6 +230,7 @@ class KD_LANE_SEAM Endpoint {
 
   Network& network_;
   std::string address_;
+  std::size_t slot_ = 0;  // set by Network::Register
   std::function<void(ConnHandlePtr)> on_accept_;
   LaneId lane_ = kNoLane;
 };

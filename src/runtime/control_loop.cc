@@ -5,21 +5,23 @@ namespace kd::runtime {
 ControlLoop::ControlLoop(sim::Engine& engine, const CostModel& cost,
                          std::string name, MetricsRecorder* metrics)
     : engine_(engine), cost_(cost), name_(std::move(name)),
-      metrics_(metrics),
-      reconcile_metric_(name_ + ".reconcile"),
-      tracker_(metrics, name_ + ".active") {}
+      metrics_(metrics), tracker_(nullptr, {}) {}
+
+void ControlLoop::ResolveMetrics() {
+  reconcile_busy_ = metrics_->ResolveBusy(name_ + ".reconcile");
+  depth_max_gauge_ = metrics_->ResolveCounter(name_ + ".queue_depth_max");
+  tracker_ = ActiveTracker(metrics_, name_ + ".active");
+}
 
 void ControlLoop::Enqueue(const std::string& key) {
   if (queued_keys_.count(key)) return;
+  if (metrics_ != nullptr && !depth_max_gauge_) ResolveMetrics();
   tracker_.Inc(engine_.now());
   queued_keys_.insert(key);
   queue_.push_back(key);
   if (queue_.size() > depth_max_) {
     depth_max_ = queue_.size();
-    if (metrics_) {
-      metrics_->RecordMax(name_ + ".queue_depth_max",
-                          static_cast<std::int64_t>(depth_max_));
-    }
+    depth_max_gauge_.RecordMax(static_cast<std::int64_t>(depth_max_));
   }
   if (!dispatch_scheduled_) {
     // The loop picks up work when it is next free.
@@ -58,7 +60,7 @@ void ControlLoop::Dispatch(std::uint64_t generation) {
   ++processed_;
   const Duration busy = cost_.reconcile_base + extra;
   busy_until_ = engine_.now() + busy;
-  if (metrics_) metrics_->AddBusy(reconcile_metric_, busy);
+  reconcile_busy_.Add(busy);
   // The item stays "active" until its busy window ends.
   const std::uint64_t gen = generation_;
   engine_.ScheduleAt(busy_until_, [this, gen] {

@@ -56,6 +56,10 @@ class KD_LANE_SEAM ControlLoop {
  private:
   void ScheduleDispatch(Time at);
   void Dispatch(std::uint64_t generation);
+  // Resolves the loop's metric handles. Called at the first Enqueue,
+  // which comes before any record, not at construction: a loop that
+  // never runs (a Kd Kubelet's) registers no names.
+  void ResolveMetrics();
 
   sim::Engine& engine_;
   const CostModel& cost_;
@@ -66,12 +70,12 @@ class KD_LANE_SEAM ControlLoop {
   // Membership-only dedup set; never iterated, so hashing order is
   // irrelevant to determinism.
   std::unordered_set<std::string> queued_keys_;
-  // "<name>.reconcile", the busy-time metric every dispatch records;
-  // built once.
-  const std::string reconcile_metric_;
+  // "<name>.reconcile", the busy time every dispatch records.
+  MetricsRecorder::Busy reconcile_busy_;
   // High-water mark of the queue depth, recorded as the
-  // "<name>.queue_depth_max" gauge in the MetricsRecorder.
+  // "<name>.queue_depth_max" gauge.
   std::size_t depth_max_ = 0;
+  MetricsRecorder::Counter depth_max_gauge_;
   bool dispatch_scheduled_ = false;
   // Bumped by Clear(); stale dispatch events check it and abort.
   std::uint64_t generation_ = 0;

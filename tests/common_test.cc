@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -192,6 +194,117 @@ TEST(MetricsRecorderTest, ClearResetsAll) {
   EXPECT_EQ(m.GetCount("a"), 0);
   EXPECT_TRUE(m.GetSample("b").empty());
   EXPECT_EQ(m.GetSpan("c"), 0);
+}
+
+// Handles against the by-name calls: one recorder records every step
+// through handles, the other by name, with Clear and both resets in
+// between. Handles are resolved up front (some never recorded), and
+// again mid-walk, so two handles often share one slot and a slot often
+// outlives the entry it cached. After every step both recorders read
+// the same.
+TEST(MetricsRecorderTest, HandlesMatchByNameReference) {
+  const std::vector<std::string> names = {
+      "a", "a.b", "a.c", "b", "client.x.retries_total",
+      "client.x.giveups_total", "client.y.retries_total", "z"};
+  const std::vector<std::string> prefixes = {"a", "a.", "client.x.",
+                                             "client.", "q"};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    MetricsRecorder by_handle;
+    MetricsRecorder by_name;
+    std::vector<MetricsRecorder::Counter> counters;
+    std::vector<MetricsRecorder::Busy> busy;
+    std::vector<MetricsRecorder::Span> spans;
+    std::vector<MetricsRecorder::Samples> samples;
+    auto resolve = [&](std::size_t i) {
+      counters[i] = by_handle.ResolveCounter(names[i]);
+      busy[i] = by_handle.ResolveBusy(names[i]);
+      spans[i] = by_handle.ResolveSpan(names[i]);
+      samples[i] = by_handle.ResolveSamples(names[i]);
+    };
+    counters.resize(names.size());
+    busy.resize(names.size());
+    spans.resize(names.size());
+    samples.resize(names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) resolve(i);
+    // Resolved, never recorded.
+    by_handle.ResolveCounter("never");
+    by_handle.ResolveBusy("never");
+    by_handle.ResolveSpan("never");
+    by_handle.ResolveSamples("never");
+
+    for (int step = 0; step < 400; ++step) {
+      const std::size_t i = rng.UniformInt(names.size());
+      const std::string& name = names[i];
+      const std::int64_t v = rng.UniformRange(-5, 50);
+      switch (rng.UniformInt(11)) {
+        case 0:
+        case 1:
+          counters[i].Add(v);
+          by_name.Count(name, v);
+          break;
+        case 2:
+          counters[i].RecordMax(v);
+          by_name.RecordMax(name, v);
+          break;
+        case 3:
+          busy[i].Add(v);
+          by_name.AddBusy(name, v);
+          break;
+        case 4:
+          spans[i].MarkStart(v);
+          by_name.MarkStart(name, v);
+          break;
+        case 5:
+          spans[i].MarkStop(v);
+          by_name.MarkStop(name, v);
+          break;
+        case 6:
+          if (rng.Bernoulli(0.5)) {
+            samples[i].RecordValue(static_cast<double>(v));
+            by_name.RecordValue(name, static_cast<double>(v));
+          } else {
+            samples[i].RecordDuration(Milliseconds(v));
+            by_name.RecordDuration(name, Milliseconds(v));
+          }
+          break;
+        case 7:
+          by_handle.ResetCounter(name);
+          by_name.ResetCounter(name);
+          break;
+        case 8: {
+          const std::string& prefix = prefixes[rng.UniformInt(prefixes.size())];
+          by_handle.ResetCounterPrefix(prefix);
+          by_name.ResetCounterPrefix(prefix);
+          break;
+        }
+        case 9:
+          if (rng.Bernoulli(0.2)) {
+            by_handle.Clear();
+            by_name.Clear();
+          }
+          break;
+        case 10:
+          resolve(i);  // the same slot again
+          break;
+      }
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      ASSERT_EQ(by_handle.counters(), by_name.counters()) << where;
+      ASSERT_EQ(by_handle.samples().size(), by_name.samples().size()) << where;
+      for (const auto& [sample_name, sample] : by_name.samples()) {
+        ASSERT_TRUE(by_handle.HasSample(sample_name)) << where;
+        ASSERT_EQ(by_handle.GetSample(sample_name).values(), sample.values())
+            << where;
+      }
+      for (const std::string& n : names) {
+        ASSERT_EQ(by_handle.GetBusy(n), by_name.GetBusy(n)) << where;
+        ASSERT_EQ(by_handle.GetSpan(n), by_name.GetSpan(n)) << where;
+      }
+    }
+    EXPECT_EQ(by_handle.counters().count("never"), 0u);
+    EXPECT_FALSE(by_handle.HasSample("never"));
+  }
 }
 
 TEST(StringsTest, StrFormat) {

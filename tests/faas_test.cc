@@ -164,27 +164,34 @@ TEST_F(GatewayTest, HandleCountsMatchByName) {
 
 // A request on an instance that fails is requeued; its completion
 // timer must then settle nothing, even when an instance with the same
-// address is back by the time it fires.
+// address is back by the time it fires. The instance may have been
+// retired and draining when it failed.
 TEST_F(GatewayTest, CompletionOnFailedInstanceSettlesNothing) {
-  const Gateway::FunctionId f = gateway_.RegisterFunction(Fn("f"));
-  gateway_.UpdateEndpoints("f", {"a"});
-  gateway_.Invoke({"f", engine_.now(), Milliseconds(100)});  // ends at 100
-  gateway_.FailInstances({"a"});
-  engine_.RunFor(Milliseconds(30));
-  gateway_.UpdateEndpoints("f", {"a"});  // the requeued request: 30-130
-  engine_.RunFor(Milliseconds(10));
-  gateway_.Invoke({"f", engine_.now(), Milliseconds(10)});  // waits
-  engine_.RunFor(Milliseconds(70));  // t=110: the dead timer has fired
-  EXPECT_EQ(gateway_.Executing(f), 1);
-  EXPECT_EQ(gateway_.Queued(f), 1);
-  EXPECT_TRUE(gateway_.records().empty());
+  for (const bool draining : {false, true}) {
+    SCOPED_TRACE(draining ? "draining" : "serving");
+    sim::Engine engine;
+    Gateway gateway(engine, /*route_latency=*/0);
+    const Gateway::FunctionId f = gateway.RegisterFunction(Fn("f"));
+    gateway.UpdateEndpoints("f", {"a"});
+    gateway.Invoke({"f", engine.now(), Milliseconds(100)});  // ends at 100
+    if (draining) gateway.UpdateEndpoints("f", {});  // "a" retires
+    gateway.FailInstances({"a"});
+    engine.RunFor(Milliseconds(30));
+    gateway.UpdateEndpoints("f", {"a"});  // the requeued request: 30-130
+    engine.RunFor(Milliseconds(10));
+    gateway.Invoke({"f", engine.now(), Milliseconds(10)});  // waits
+    engine.RunFor(Milliseconds(70));  // t=110: the dead timer has fired
+    EXPECT_EQ(gateway.Executing(f), 1);
+    EXPECT_EQ(gateway.Queued(f), 1);
+    EXPECT_TRUE(gateway.records().empty());
 
-  engine_.Run();
-  ASSERT_EQ(gateway_.records().size(), 2u);
-  EXPECT_EQ(gateway_.records()[0].started, Milliseconds(30));
-  EXPECT_EQ(gateway_.records()[0].completed, Milliseconds(130));
-  EXPECT_EQ(gateway_.records()[1].started, Milliseconds(130));
-  EXPECT_EQ(gateway_.Executing(f), 0);
+    engine.Run();
+    ASSERT_EQ(gateway.records().size(), 2u);
+    EXPECT_EQ(gateway.records()[0].started, Milliseconds(30));
+    EXPECT_EQ(gateway.records()[0].completed, Milliseconds(130));
+    EXPECT_EQ(gateway.records()[1].started, Milliseconds(130));
+    EXPECT_EQ(gateway.Executing(f), 0);
+  }
 }
 
 // --- DirigentBackend ------------------------------------------------------

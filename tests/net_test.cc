@@ -4,10 +4,12 @@
 // the wire charges).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "net/network.h"
 
 namespace kd::net {
@@ -374,6 +376,110 @@ TEST_F(NetTest, MidSetupPartitionFailsConnect) {
   engine_.Run();
   ASSERT_TRUE(done);
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+}
+
+// A connection resolves its two endpoints' slots once. A payload and
+// a close notification that reach an endpoint destroyed meanwhile run
+// in no lane, as a lookup by address would have them, and read nothing
+// of the freed endpoint (the sanitizer build checks the second half).
+TEST_F(NetTest, DeliveryToDestroyedEndpointRunsInNoLane) {
+  auto a = std::make_unique<Endpoint>(network_, "a");
+  Endpoint b(network_, "b");
+  a->SetLane(engine_.lane_checker().RegisterLane("a"));
+  b.SetLane(engine_.lane_checker().RegisterLane("b"));
+  auto [client, server] = MustConnect(*a, b);
+  std::vector<LaneId> lanes;
+  client->set_on_message([&](Payload) {
+    lanes.push_back(engine_.lane_checker().current_lane());
+  });
+  client->set_on_disconnect(
+      [&] { lanes.push_back(engine_.lane_checker().current_lane()); });
+
+  ASSERT_TRUE(server->Send(Payload::Text("late")).ok());
+  a.reset();  // the receiver goes while the payload is on the wire
+  engine_.Run();
+  server->Close();  // notifies the side whose endpoint is gone
+  engine_.Run();
+  EXPECT_EQ(lanes, (std::vector<LaneId>{kNoLane, kNoLane}));
+}
+
+// Seeded walks of connects, sends, closes, crashes and endpoints going
+// and coming back (with a new lane) under the same address. Every
+// delivery, close notification and connect completion runs in the lane
+// that looking its endpoint up by address gives.
+TEST_F(NetTest, DeliveryLanesMatchLookupByAddress) {
+  const std::vector<std::string> addresses = {"e0", "e1", "e2", "e3"};
+  int checked = 0;
+  int unregistered = 0;  // of those, at an address with no endpoint
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    sim::Engine engine;
+    Network network(engine);
+    Rng rng(seed);
+    std::map<std::string, std::unique_ptr<Endpoint>> live;
+    std::vector<ConnHandlePtr> handles;
+    auto expect_lane = [&](const std::string& address, const char* what) {
+      Endpoint* endpoint = network.Find(address);
+      if (endpoint == nullptr) ++unregistered;
+      const LaneId want = endpoint != nullptr ? endpoint->lane() : kNoLane;
+      EXPECT_EQ(engine.lane_checker().current_lane(), want)
+          << what << " at " << address << ", seed " << seed;
+      ++checked;
+    };
+    auto adopt = [&](ConnHandlePtr handle, const std::string& own) {
+      handle->set_on_message(
+          [&, own](Payload) { expect_lane(own, "message"); });
+      handle->set_on_disconnect([&, own] { expect_lane(own, "close"); });
+      handles.push_back(std::move(handle));
+    };
+    auto register_at = [&](const std::string& address) {
+      auto endpoint = std::make_unique<Endpoint>(network, address);
+      endpoint->SetLane(engine.lane_checker().RegisterLane(
+          address + "/" + std::to_string(rng.UniformInt(3))));
+      endpoint->Listen(
+          [&, address](ConnHandlePtr h) { adopt(std::move(h), address); });
+      live[address] = std::move(endpoint);
+    };
+    for (const std::string& address : addresses) register_at(address);
+
+    for (int step = 0; step < 400; ++step) {
+      const std::string& address = addresses[rng.UniformInt(addresses.size())];
+      std::erase_if(handles, [](const ConnHandlePtr& h) {
+        return !h->connected();
+      });
+      const std::uint64_t action = rng.UniformInt(20);
+      if (action < 3) {
+        if (live.count(address) != 0) {
+          const std::string& to = addresses[rng.UniformInt(addresses.size())];
+          live[address]->Connect(to, [&, address](StatusOr<ConnHandlePtr> r) {
+            expect_lane(address, "connect");
+            if (r.ok()) adopt(std::move(r).value(), address);
+          });
+        }
+      } else if (action < 13) {
+        if (!handles.empty()) {
+          ASSERT_TRUE(handles[rng.UniformInt(handles.size())]
+                          ->Send(Payload::Text("m"))
+                          .ok());
+        }
+      } else if (action == 13) {
+        if (!handles.empty()) handles[rng.UniformInt(handles.size())]->Close();
+      } else if (action == 14) {
+        network.CrashEndpoint(address);
+      } else if (action == 15) {
+        if (live.count(address) != 0) {
+          live.erase(address);
+        } else {
+          register_at(address);
+        }
+      } else {
+        engine.RunFor(
+            Microseconds(static_cast<std::int64_t>(rng.UniformInt(200))));
+      }
+    }
+    engine.Run();
+  }
+  EXPECT_GT(checked, 1000);
+  EXPECT_GT(unregistered, 0);
 }
 
 }  // namespace
