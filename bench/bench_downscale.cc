@@ -13,66 +13,16 @@ using cluster::ClusterConfig;
 constexpr int kNodes = 80;
 const int kFunctionCounts[] = {100, 200, 400, 800};
 
-struct Row {
-  std::string variant;
-  int functions;
-  Duration latency;
-};
-std::vector<Row>& Rows() {
-  static std::vector<Row> rows;
-  return rows;
-}
-
-ClusterConfig Variant(const std::string& name) {
-  if (name == "K8s") return ClusterConfig::K8s(kNodes);
-  if (name == "Kd") return ClusterConfig::Kd(kNodes);
-  if (name == "K8s+") return ClusterConfig::K8sPlus(kNodes);
-  return ClusterConfig::KdPlus(kNodes);
-}
-
-void BM_Downscale(benchmark::State& state, const std::string& variant) {
-  const int functions = static_cast<int>(state.range(0));
-  Duration latency = 0;
-  for (auto _ : state) {
-    latency = RunDownscale(Variant(variant), functions, /*pods_from=*/1,
-                           /*pods_to=*/0);
-  }
-  state.counters["down_ms"] = ToMillis(latency);
-  Rows().push_back(Row{variant, functions, latency});
-}
-
-BENCHMARK_CAPTURE(BM_Downscale, K8s, std::string("K8s"))
-    ->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_Downscale, Kd, std::string("Kd"))
-    ->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_Downscale, K8sPlus, std::string("K8s+"))
-    ->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_Downscale, KdPlus, std::string("Kd+"))
-    ->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void PrintTable() {
-  auto find = [&](const std::string& variant, int functions) -> Duration {
-    for (const Row& row : Rows()) {
-      if (row.variant == variant && row.functions == functions) {
-        return row.latency;
-      }
-    }
-    return -1;
-  };
+void PrintTable(const PerManager<Duration>& r) {
   PrintHeader(
       "Downscaling (§6.1): K functions x 1 pod scaled to zero, M=80 "
       "(paper: Kd 6.9-30.3x, Kd+ 16.8-45.2x)",
       {"functions", "K8s", "Kd", "K8s+", "Kd+", "Kd/K8s", "Kd+/K8s+"});
-  for (int functions : kFunctionCounts) {
-    const Duration k8s = find("K8s", functions), kd = find("Kd", functions),
-                   k8sp = find("K8s+", functions),
-                   kdp = find("Kd+", functions);
-    PrintRow({StrFormat("%d", functions), Secs(k8s), Secs(kd), Secs(k8sp),
-              Secs(kdp), Ratio(k8s, kd), Ratio(k8sp, kdp)});
+  for (std::size_t i = 0; i < std::size(kFunctionCounts); ++i) {
+    const Duration k8s = r[kK8s][i], kd = r[kKd][i], k8sp = r[kK8sPlus][i],
+                   kdp = r[kKdPlus][i];
+    PrintRow({StrFormat("%d", kFunctionCounts[i]), Secs(k8s), Secs(kd),
+              Secs(k8sp), Secs(kdp), Ratio(k8s, kd), Ratio(k8sp, kdp)});
   }
 }
 
@@ -88,9 +38,15 @@ int RunSmoke() {
 }  // namespace kd::bench
 
 int main(int argc, char** argv) {
-  if (kd::bench::ConsumeSmokeFlag(argc, argv)) return kd::bench::RunSmoke();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  kd::bench::PrintTable();
+  using namespace kd::bench;
+  if (ParseSmokeFlag(argc, argv)) return RunSmoke();
+  PerManager<kd::Duration> results;
+  for (int m = 0; m < kNumManagers; ++m) {
+    for (int functions : kFunctionCounts) {  // one pod each, to zero
+      results[m].push_back(
+          RunDownscale(Variant(Manager(m), kNodes), functions, 1, 0));
+    }
+  }
+  PrintTable(results);
   return 0;
 }

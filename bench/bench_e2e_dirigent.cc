@@ -19,62 +19,33 @@ trace::TraceConfig TraceSetup() {
   return config;
 }
 
-std::vector<std::pair<std::string, E2eResult>>& Results() {
-  static std::vector<std::pair<std::string, E2eResult>> results;
-  return results;
-}
+// The variants in the order they run and print; the headline compares
+// the first with the second, and the second with the third.
+const char* const kVariants[] = {"Dr/K8s+", "Dr/Kd+", "Dirigent"};
 
-void BM_E2e(benchmark::State& state, const std::string& variant) {
-  E2eConfig config;
-  config.variant = variant;
-  config.trace = TraceSetup();
-  E2eResult result;
-  for (auto _ : state) {
-    result = RunE2eWorkload(config);
-  }
-  state.counters["slowdown_p50"] = result.report.slowdown.Median();
-  state.counters["slowdown_p99"] = result.report.slowdown.P99();
-  state.counters["sched_ms_p50"] =
-      result.report.scheduling_latency_ms.Median();
-  state.counters["sched_ms_p99"] = result.report.scheduling_latency_ms.P99();
-  Results().emplace_back(variant, result);
-}
+using Results = std::vector<std::pair<std::string, E2eResult>>;
 
-BENCHMARK_CAPTURE(BM_E2e, DrK8sPlus, std::string("Dr/K8s+"))
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_E2e, DrKdPlus, std::string("Dr/Kd+"))
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_E2e, Dirigent, std::string("Dirigent"))
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void PrintFigure13() {
+void PrintFigure13(const Results& results) {
   PrintE2eRows("Figure 13: Dirigent variants, 30-min Azure-like trace",
-               Results());
-  const E2eResult* k8sp = nullptr;
-  const E2eResult* kdp = nullptr;
-  const E2eResult* dirigent = nullptr;
-  for (const auto& [name, r] : Results()) {
-    if (name == "Dr/K8s+") k8sp = &r;
-    if (name == "Dr/Kd+") kdp = &r;
-    if (name == "Dirigent") dirigent = &r;
-  }
-  if (k8sp != nullptr && kdp != nullptr && dirigent != nullptr) {
-    std::printf(
-        "\nHeadlines (paper: Dr/Kd+ improves Dr/K8s+ slowdown p50 2.0x / "
-        "p99 10.4x, scheduling latency p50 6.6x / p99 134x, and matches "
-        "Dirigent):\n");
-    std::printf("  slowdown improvement       p50 %.1fx  p99 %.1fx\n",
-                k8sp->report.slowdown.Median() / kdp->report.slowdown.Median(),
-                k8sp->report.slowdown.P99() / kdp->report.slowdown.P99());
-    std::printf("  sched-latency improvement  p50 %.1fx  p99 %.1fx\n",
-                k8sp->report.scheduling_latency_ms.Median() /
-                    kdp->report.scheduling_latency_ms.Median(),
-                k8sp->report.scheduling_latency_ms.P99() /
-                    kdp->report.scheduling_latency_ms.P99());
-    std::printf("  Dr/Kd+ vs Dirigent sched-latency p50: %.1fms vs %.1fms\n",
-                kdp->report.scheduling_latency_ms.Median(),
-                dirigent->report.scheduling_latency_ms.Median());
-  }
+               results);
+  const E2eResult& k8sp = results[0].second;
+  const E2eResult& kdp = results[1].second;
+  const E2eResult& dirigent = results[2].second;
+  std::printf(
+      "\nHeadlines (paper: Dr/Kd+ improves Dr/K8s+ slowdown p50 2.0x / "
+      "p99 10.4x, scheduling latency p50 6.6x / p99 134x, and matches "
+      "Dirigent):\n");
+  std::printf("  slowdown improvement       p50 %.1fx  p99 %.1fx\n",
+              k8sp.report.slowdown.Median() / kdp.report.slowdown.Median(),
+              k8sp.report.slowdown.P99() / kdp.report.slowdown.P99());
+  std::printf("  sched-latency improvement  p50 %.1fx  p99 %.1fx\n",
+              k8sp.report.scheduling_latency_ms.Median() /
+                  kdp.report.scheduling_latency_ms.Median(),
+              k8sp.report.scheduling_latency_ms.P99() /
+                  kdp.report.scheduling_latency_ms.P99());
+  std::printf("  Dr/Kd+ vs Dirigent sched-latency p50: %.1fms vs %.1fms\n",
+              kdp.report.scheduling_latency_ms.Median(),
+              dirigent.report.scheduling_latency_ms.Median());
 }
 
 
@@ -98,9 +69,15 @@ int RunSmoke() {
 }  // namespace kd::bench
 
 int main(int argc, char** argv) {
-  if (kd::bench::ConsumeSmokeFlag(argc, argv)) return kd::bench::RunSmoke();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  kd::bench::PrintFigure13();
+  using namespace kd::bench;
+  if (ParseSmokeFlag(argc, argv)) return RunSmoke();
+  Results results;
+  for (const char* variant : kVariants) {
+    E2eConfig config;
+    config.variant = variant;
+    config.trace = TraceSetup();
+    results.emplace_back(variant, RunE2eWorkload(config));
+  }
+  PrintFigure13(results);
   return 0;
 }

@@ -20,60 +20,33 @@ trace::TraceConfig TraceSetup() {
   return config;
 }
 
-std::vector<std::pair<std::string, E2eResult>>& Results() {
-  static std::vector<std::pair<std::string, E2eResult>> results;
-  return results;
-}
+// The variants in the order they run and print; the headline compares
+// the first with the second.
+const char* const kVariants[] = {"Kn/K8s", "Kn/Kd"};
 
-void BM_E2e(benchmark::State& state, const std::string& variant) {
-  E2eConfig config;
-  config.variant = variant;
-  config.trace = TraceSetup();
-  E2eResult result;
-  for (auto _ : state) {
-    result = RunE2eWorkload(config);
-  }
-  state.counters["slowdown_p50"] = result.report.slowdown.Median();
-  state.counters["slowdown_p99"] = result.report.slowdown.P99();
-  state.counters["sched_ms_p50"] =
-      result.report.scheduling_latency_ms.Median();
-  state.counters["sched_ms_p99"] = result.report.scheduling_latency_ms.P99();
-  state.counters["instances"] = static_cast<double>(result.pods_created);
-  Results().emplace_back(variant, result);
-}
+using Results = std::vector<std::pair<std::string, E2eResult>>;
 
-BENCHMARK_CAPTURE(BM_E2e, KnK8s, std::string("Kn/K8s"))
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_E2e, KnKd, std::string("Kn/Kd"))
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void PrintFigure12() {
+void PrintFigure12(const Results& results) {
   PrintE2eRows("Figure 12: Knative variants, 30-min Azure-like trace",
-               Results());
-  const E2eResult* k8s = nullptr;
-  const E2eResult* kd = nullptr;
-  for (const auto& [name, r] : Results()) {
-    if (name == "Kn/K8s") k8s = &r;
-    if (name == "Kn/Kd") kd = &r;
-  }
-  if (k8s != nullptr && kd != nullptr) {
-    std::printf(
-        "\nHeadlines (paper: slowdown p50 3.5x / p99 19.4x; scheduling "
-        "latency p50 26.7x / p99 10.3x; 67%% fewer cold starts):\n");
-    std::printf("  slowdown improvement        p50 %.1fx  p99 %.1fx\n",
-                k8s->report.slowdown.Median() / kd->report.slowdown.Median(),
-                k8s->report.slowdown.P99() / kd->report.slowdown.P99());
-    std::printf("  sched-latency improvement   p50 %.1fx  p99 %.1fx\n",
-                k8s->report.scheduling_latency_ms.Median() /
-                    kd->report.scheduling_latency_ms.Median(),
-                k8s->report.scheduling_latency_ms.P99() /
-                    kd->report.scheduling_latency_ms.P99());
-    std::printf("  cold-start (instance) reduction: %.0f%%  (%lld -> %lld)\n",
-                100.0 * (1.0 - static_cast<double>(kd->pods_created) /
-                                   static_cast<double>(k8s->pods_created)),
-                static_cast<long long>(k8s->pods_created),
-                static_cast<long long>(kd->pods_created));
-  }
+               results);
+  const E2eResult& k8s = results[0].second;
+  const E2eResult& kd = results[1].second;
+  std::printf(
+      "\nHeadlines (paper: slowdown p50 3.5x / p99 19.4x; scheduling "
+      "latency p50 26.7x / p99 10.3x; 67%% fewer cold starts):\n");
+  std::printf("  slowdown improvement        p50 %.1fx  p99 %.1fx\n",
+              k8s.report.slowdown.Median() / kd.report.slowdown.Median(),
+              k8s.report.slowdown.P99() / kd.report.slowdown.P99());
+  std::printf("  sched-latency improvement   p50 %.1fx  p99 %.1fx\n",
+              k8s.report.scheduling_latency_ms.Median() /
+                  kd.report.scheduling_latency_ms.Median(),
+              k8s.report.scheduling_latency_ms.P99() /
+                  kd.report.scheduling_latency_ms.P99());
+  std::printf("  cold-start (instance) reduction: %.0f%%  (%lld -> %lld)\n",
+              100.0 * (1.0 - static_cast<double>(kd.pods_created) /
+                                 static_cast<double>(k8s.pods_created)),
+              static_cast<long long>(k8s.pods_created),
+              static_cast<long long>(kd.pods_created));
 }
 
 
@@ -95,9 +68,15 @@ int RunSmoke() {
 }  // namespace kd::bench
 
 int main(int argc, char** argv) {
-  if (kd::bench::ConsumeSmokeFlag(argc, argv)) return kd::bench::RunSmoke();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  kd::bench::PrintFigure12();
+  using namespace kd::bench;
+  if (ParseSmokeFlag(argc, argv)) return RunSmoke();
+  Results results;
+  for (const char* variant : kVariants) {
+    E2eConfig config;
+    config.variant = variant;
+    config.trace = TraceSetup();
+    results.emplace_back(variant, RunE2eWorkload(config));
+  }
+  PrintFigure12(results);
   return 0;
 }

@@ -16,15 +16,13 @@ namespace {
 
 using cluster::ClusterConfig;
 
+const int kScales[] = {100, 200, 400, 800};
+
 struct Row {
   std::string which;
   int scale;
   Duration handshake;
 };
-std::vector<Row>& Rows() {
-  static std::vector<Row> rows;
-  return rows;
-}
 
 // Populates a Kd cluster with `pods` pods across `nodes` nodes, then
 // crash-restarts `which` and measures until its links are ready again.
@@ -81,43 +79,12 @@ Duration MeasureRecovery(const std::string& which, int nodes, int pods) {
   return engine.now() - start;
 }
 
-void BM_RsHandshake(benchmark::State& state) {
-  const int pods = static_cast<int>(state.range(0));
-  Duration d = 0;
-  for (auto _ : state) d = MeasureRecovery("replicaset", 80, pods);
-  state.counters["handshake_ms"] = ToMillis(d);
-  Rows().push_back(Row{"replicaset", pods, d});
-}
-BENCHMARK(BM_RsHandshake)->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_SchedulerHandshake(benchmark::State& state) {
-  const int nodes = static_cast<int>(state.range(0));
-  Duration d = 0;
-  for (auto _ : state) d = MeasureRecovery("scheduler", nodes, nodes * 5);
-  state.counters["handshake_ms"] = ToMillis(d);
-  Rows().push_back(Row{"scheduler", nodes, d});
-}
-BENCHMARK(BM_SchedulerHandshake)->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_LevelTriggeredHandshake(benchmark::State& state, const char* which) {
-  Duration d = 0;
-  for (auto _ : state) d = MeasureRecovery(which, 20, 100);
-  state.counters["handshake_ms"] = ToMillis(d);
-  Rows().push_back(Row{which, 0, d});
-}
-BENCHMARK_CAPTURE(BM_LevelTriggeredHandshake, Autoscaler, "autoscaler")
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_LevelTriggeredHandshake, Deployment, "deployment")
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void PrintFigure15() {
+void PrintFigure15(const std::vector<Row>& rows) {
   PrintHeader(
       "Figure 15: hard invalidation (crash-restart handshake) — "
       "ReplicaSet controller, state = N pods (sub-linear: batched fetch)",
       {"pods", "recovery"});
-  for (const Row& row : Rows()) {
+  for (const Row& row : rows) {
     if (row.which == "replicaset") {
       PrintRow({StrFormat("%d", row.scale), Ms(row.handshake)});
     }
@@ -126,14 +93,14 @@ void PrintFigure15() {
       "Figure 15: Scheduler, state = 5 pods/node (sub-linear: parallel "
       "per-Kubelet handshakes)",
       {"nodes", "recovery"});
-  for (const Row& row : Rows()) {
+  for (const Row& row : rows) {
     if (row.which == "scheduler") {
       PrintRow({StrFormat("%d", row.scale), Ms(row.handshake)});
     }
   }
   PrintHeader("Level-triggered controllers (no state transfer)",
               {"controller", "recovery"});
-  for (const Row& row : Rows()) {
+  for (const Row& row : rows) {
     if (row.which == "autoscaler" || row.which == "deployment") {
       PrintRow({row.which, Ms(row.handshake)});
     }
@@ -154,9 +121,20 @@ int RunSmoke() {
 }  // namespace kd::bench
 
 int main(int argc, char** argv) {
-  if (kd::bench::ConsumeSmokeFlag(argc, argv)) return kd::bench::RunSmoke();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  kd::bench::PrintFigure15();
+  using namespace kd::bench;
+  if (ParseSmokeFlag(argc, argv)) return RunSmoke();
+  std::vector<Row> rows;
+  for (int pods : kScales) {
+    rows.push_back(
+        Row{"replicaset", pods, MeasureRecovery("replicaset", 80, pods)});
+  }
+  for (int nodes : kScales) {  // 5 pods per node
+    const kd::Duration d = MeasureRecovery("scheduler", nodes, nodes * 5);
+    rows.push_back(Row{"scheduler", nodes, d});
+  }
+  for (const char* which : {"autoscaler", "deployment"}) {
+    rows.push_back(Row{which, 0, MeasureRecovery(which, 20, 100)});
+  }
+  PrintFigure15(rows);
   return 0;
 }

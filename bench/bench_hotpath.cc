@@ -121,7 +121,7 @@ struct MScaleWall {
   double sim_s = 0;
   bool converged = false;
   PhaseTimes phases;
-  EngineStats engine;
+  std::uint64_t engine_events = 0;
 };
 
 MScaleWall MScalabilityWall(int nodes, int pods) {
@@ -135,7 +135,7 @@ MScaleWall MScalabilityWall(int nodes, int pods) {
   wall.sim_s = ToSeconds(result.e2e);
   wall.converged = result.converged;
   wall.phases = result.phases;
-  wall.engine = result.engine;
+  wall.engine_events = result.engine_events;
   return wall;
 }
 
@@ -173,7 +173,7 @@ void WriteJson(const HotpathReport& r, const char* path) {
                r.fanout_deliveries_per_sec, r.m_nodes, r.m_scale.wall_s,
                r.m_scale.sim_s, r.m_scale.converged ? "true" : "false",
                PhasesJson(r.m_scale.phases).c_str(),
-               EngineStatsJson(r.m_scale.engine).c_str());
+               EngineStatsJson(r.m_scale.engine_events).c_str());
   std::fclose(f);
   std::printf("\nwrote %s\n", path);
 }
@@ -219,6 +219,6 @@ int RunHotpath(bool smoke) {
 }  // namespace kd::bench
 
 int main(int argc, char** argv) {
-  const bool smoke = kd::bench::ConsumeSmokeFlag(argc, argv);
+  const bool smoke = kd::bench::ParseSmokeFlag(argc, argv);
   return kd::bench::RunHotpath(smoke);
 }

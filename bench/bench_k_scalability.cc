@@ -14,92 +14,39 @@ using cluster::ClusterConfig;
 constexpr int kNodes = 80;
 const int kFunctionCounts[] = {100, 200, 400, 800};
 
-ClusterConfig Variant(const std::string& name) {
-  if (name == "K8s") return ClusterConfig::K8s(kNodes);
-  if (name == "Kd") return ClusterConfig::Kd(kNodes);
-  if (name == "K8s+") return ClusterConfig::K8sPlus(kNodes);
-  return ClusterConfig::KdPlus(kNodes);
-}
-
-struct Row {
-  std::string variant;
-  int functions;
-  UpscaleResult result;
-};
-std::vector<Row>& Rows() {
-  static std::vector<Row> rows;
-  return rows;
-}
-
-void BM_KScale(benchmark::State& state, const std::string& variant) {
-  const int functions = static_cast<int>(state.range(0));
-  UpscaleResult result;
-  for (auto _ : state) {
-    result = RunUpscale(Variant(variant), functions, /*total_pods=*/functions);
-  }
-  state.counters["e2e_ms"] = ToMillis(result.e2e);
-  state.counters["autoscaler_ms"] = ToMillis(result.autoscaler);
-  state.counters["deployment_ms"] = ToMillis(result.deployment);
-  state.counters["replicaset_ms"] = ToMillis(result.replicaset);
-  state.counters["converged"] = result.converged ? 1 : 0;
-  Rows().push_back(Row{variant, functions, result});
-}
-
-BENCHMARK_CAPTURE(BM_KScale, K8s, std::string("K8s"))
-    ->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_KScale, Kd, std::string("Kd"))
-    ->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_KScale, K8sPlus, std::string("K8s+"))
-    ->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_KScale, KdPlus, std::string("Kd+"))
-    ->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void PrintFigure10() {
-  auto find = [&](const std::string& variant, int functions) {
-    for (const Row& row : Rows()) {
-      if (row.variant == variant && row.functions == functions) {
-        return row.result;
-      }
-    }
-    return UpscaleResult{};
-  };
-
+void PrintFigure10(const PerManager<UpscaleResult>& r) {
   PrintHeader("Figure 10a: upscaling E2E latency, 1 pod/function, M=80",
               {"functions", "K8s", "Kd", "K8s+", "Kd+", "Kd/K8s",
                "Kd+/K8s+"});
-  for (int functions : kFunctionCounts) {
-    const auto k8s = find("K8s", functions), kd = find("Kd", functions),
-               k8sp = find("K8s+", functions), kdp = find("Kd+", functions);
-    PrintRow({StrFormat("%d", functions), Secs(k8s.e2e), Secs(kd.e2e),
+  for (std::size_t i = 0; i < std::size(kFunctionCounts); ++i) {
+    const UpscaleResult &k8s = r[kK8s][i], &kd = r[kKd][i],
+                        &k8sp = r[kK8sPlus][i], &kdp = r[kKdPlus][i];
+    PrintRow({StrFormat("%d", kFunctionCounts[i]), Secs(k8s.e2e), Secs(kd.e2e),
               Secs(k8sp.e2e), Secs(kdp.e2e), Ratio(k8s.e2e, kd.e2e),
               Ratio(k8sp.e2e, kdp.e2e)});
   }
 
   PrintHeader("Figure 10b: Autoscaler span",
               {"functions", "K8s", "Kd", "speedup"});
-  for (int functions : kFunctionCounts) {
-    const auto k8s = find("K8s", functions), kd = find("Kd", functions);
-    PrintRow({StrFormat("%d", functions), Secs(k8s.autoscaler),
+  for (std::size_t i = 0; i < std::size(kFunctionCounts); ++i) {
+    const UpscaleResult &k8s = r[kK8s][i], &kd = r[kKd][i];
+    PrintRow({StrFormat("%d", kFunctionCounts[i]), Secs(k8s.autoscaler),
               Ms(kd.autoscaler), Ratio(k8s.autoscaler, kd.autoscaler)});
   }
 
   PrintHeader("Figure 10c: Deployment controller span",
               {"functions", "K8s", "Kd", "speedup"});
-  for (int functions : kFunctionCounts) {
-    const auto k8s = find("K8s", functions), kd = find("Kd", functions);
-    PrintRow({StrFormat("%d", functions), Secs(k8s.deployment),
+  for (std::size_t i = 0; i < std::size(kFunctionCounts); ++i) {
+    const UpscaleResult &k8s = r[kK8s][i], &kd = r[kKd][i];
+    PrintRow({StrFormat("%d", kFunctionCounts[i]), Secs(k8s.deployment),
               Ms(kd.deployment), Ratio(k8s.deployment, kd.deployment)});
   }
 
   PrintHeader("Figure 10d: ReplicaSet controller span",
               {"functions", "K8s", "Kd", "speedup"});
-  for (int functions : kFunctionCounts) {
-    const auto k8s = find("K8s", functions), kd = find("Kd", functions);
-    PrintRow({StrFormat("%d", functions), Secs(k8s.replicaset),
+  for (std::size_t i = 0; i < std::size(kFunctionCounts); ++i) {
+    const UpscaleResult &k8s = r[kK8s][i], &kd = r[kKd][i];
+    PrintRow({StrFormat("%d", kFunctionCounts[i]), Secs(k8s.replicaset),
               Ms(kd.replicaset), Ratio(k8s.replicaset, kd.replicaset)});
   }
 }
@@ -117,9 +64,15 @@ int RunSmoke() {
 }  // namespace kd::bench
 
 int main(int argc, char** argv) {
-  if (kd::bench::ConsumeSmokeFlag(argc, argv)) return kd::bench::RunSmoke();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  kd::bench::PrintFigure10();
+  using namespace kd::bench;
+  if (ParseSmokeFlag(argc, argv)) return RunSmoke();
+  PerManager<UpscaleResult> results;
+  for (int m = 0; m < kNumManagers; ++m) {
+    for (int functions : kFunctionCounts) {  // one pod per function
+      results[m].push_back(
+          RunUpscale(Variant(Manager(m), kNodes), functions, functions));
+    }
+  }
+  PrintFigure10(results);
   return 0;
 }

@@ -20,49 +20,6 @@ using cluster::ClusterConfig;
 const int kNodeCounts[] = {500, 1000, 2000, 4000, 8000, 16000};
 constexpr int kPodsPerNode = 5;
 
-struct Row {
-  int nodes;
-  UpscaleResult result;
-};
-std::vector<Row>& Rows() {
-  static std::vector<Row> rows;
-  return rows;
-}
-
-void BM_MScale(benchmark::State& state) {
-  const int nodes = static_cast<int>(state.range(0));
-  ClusterConfig config = ClusterConfig::Kd(nodes);
-  config.realistic_pod_template = false;
-  UpscaleResult result;
-  for (auto _ : state) {
-    result = RunUpscale(std::move(config), /*functions=*/1,
-                        /*total_pods=*/nodes * kPodsPerNode, Minutes(60));
-  }
-  state.counters["e2e_s"] = ToSeconds(result.e2e);
-  state.counters["scheduler_s"] = ToSeconds(result.scheduler);
-  state.counters["sandbox_s"] = ToSeconds(result.sandbox);
-  state.counters["converged"] = result.converged ? 1 : 0;
-  Rows().push_back(Row{nodes, result});
-}
-
-BENCHMARK(BM_MScale)
-    ->Arg(500)->Arg(1000)->Arg(2000)->Arg(4000)->Arg(8000)->Arg(16000)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void PrintFigure11() {
-  PrintHeader(
-      "Figure 11: Kd upscaling latency, 5 pods/node (headline: 20K pods "
-      "in ~30s at M=4000)",
-      {"nodes", "pods", "E2E", "scheduler", "sandbox", "replicaset"});
-  for (const Row& row : Rows()) {
-    PrintRow({StrFormat("%d", row.nodes),
-              StrFormat("%d", row.nodes * kPodsPerNode), Secs(row.result.e2e),
-              Secs(row.result.scheduler), Secs(row.result.sandbox),
-              Secs(row.result.replicaset)});
-  }
-}
-
-
 // --smoke: the Fig. 11 shape at M=40.
 int RunSmoke() {
   ClusterConfig config = ClusterConfig::Kd(40);
@@ -76,9 +33,26 @@ int RunSmoke() {
 }  // namespace kd::bench
 
 int main(int argc, char** argv) {
-  if (kd::bench::ConsumeSmokeFlag(argc, argv)) return kd::bench::RunSmoke();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  kd::bench::PrintFigure11();
+  using namespace kd::bench;
+  if (ParseSmokeFlag(argc, argv)) return RunSmoke();
+  // Each row prints as soon as its size finishes, so the sizes that fit
+  // the host are on stdout before a larger one runs out of memory.
+  PrintHeader(
+      "Figure 11: Kd upscaling latency, 5 pods/node (headline: 20K pods "
+      "in ~30s at M=4000)",
+      {"nodes", "pods", "E2E", "scheduler", "sandbox", "replicaset"});
+  std::fflush(stdout);
+  for (int nodes : kNodeCounts) {
+    ClusterConfig config = ClusterConfig::Kd(nodes);
+    config.realistic_pod_template = false;
+    const UpscaleResult result =
+        RunUpscale(std::move(config), /*functions=*/1,
+                   /*total_pods=*/nodes * kPodsPerNode, kd::Minutes(60));
+    PrintRow({kd::StrFormat("%d", nodes),
+              kd::StrFormat("%d", nodes * kPodsPerNode), Secs(result.e2e),
+              Secs(result.scheduler), Secs(result.sandbox),
+              Secs(result.replicaset)});
+    std::fflush(stdout);
+  }
   return 0;
 }

@@ -13,54 +13,30 @@ using cluster::ClusterConfig;
 constexpr int kNodes = 80;
 const int kFunctionCounts[] = {100, 200, 400, 800};
 
-struct Row {
-  bool naive;
-  int functions;
-  Duration e2e;
-};
-std::vector<Row>& Rows() {
-  static std::vector<Row> rows;
-  return rows;
-}
-
-void BM_Materialization(benchmark::State& state, bool naive) {
-  const int functions = static_cast<int>(state.range(0));
-  ClusterConfig config = ClusterConfig::Kd(kNodes);
-  config.cost.kd_naive_full_objects = naive;
-  UpscaleResult result;
-  for (auto _ : state) {
-    result = RunUpscale(std::move(config), functions, functions);
+// Kd's upscale E2E at each function count, shipping pointer-compressed
+// messages or, if `naive`, full objects.
+std::vector<Duration> SweepE2e(bool naive) {
+  std::vector<Duration> e2e;
+  for (int functions : kFunctionCounts) {
+    ClusterConfig config = ClusterConfig::Kd(kNodes);
+    config.cost.kd_naive_full_objects = naive;
+    e2e.push_back(RunUpscale(std::move(config), functions, functions).e2e);
   }
-  state.counters["e2e_ms"] = ToMillis(result.e2e);
-  Rows().push_back(Row{naive, functions, result.e2e});
+  return e2e;
 }
 
-BENCHMARK_CAPTURE(BM_Materialization, Kd, false)
-    ->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_Materialization, NaiveFullObjects, true)
-    ->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void PrintFigure14() {
-  auto find = [&](bool naive, int functions) -> Duration {
-    for (const Row& row : Rows()) {
-      if (row.naive == naive && row.functions == functions) return row.e2e;
-    }
-    return -1;
-  };
+// `kd` and `naive` are indexed like kFunctionCounts.
+void PrintFigure14(const std::vector<Duration>& kd,
+                   const std::vector<Duration>& naive) {
   PrintHeader(
       "Figure 14: dynamic materialization vs naive full-object passing "
       "(paper: naive is 20-35% slower)",
       {"functions", "Kd", "naive", "overhead"});
-  for (int functions : kFunctionCounts) {
-    const Duration kd = find(false, functions);
-    const Duration naive = find(true, functions);
-    PrintRow({StrFormat("%d", functions), Secs(kd), Secs(naive),
-              StrFormat("+%.0f%%",
-                        100.0 * (static_cast<double>(naive) /
-                                     static_cast<double>(kd) -
-                                 1.0))});
+  for (std::size_t i = 0; i < std::size(kFunctionCounts); ++i) {
+    const double overhead =
+        static_cast<double>(naive[i]) / static_cast<double>(kd[i]) - 1.0;
+    PrintRow({StrFormat("%d", kFunctionCounts[i]), Secs(kd[i]), Secs(naive[i]),
+              StrFormat("+%.0f%%", 100.0 * overhead)});
   }
 }
 
@@ -80,9 +56,9 @@ int RunSmoke() {
 }  // namespace kd::bench
 
 int main(int argc, char** argv) {
-  if (kd::bench::ConsumeSmokeFlag(argc, argv)) return kd::bench::RunSmoke();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  kd::bench::PrintFigure14();
+  using namespace kd::bench;
+  if (ParseSmokeFlag(argc, argv)) return RunSmoke();
+  const std::vector<kd::Duration> pointer = SweepE2e(/*naive=*/false);
+  PrintFigure14(pointer, SweepE2e(/*naive=*/true));
   return 0;
 }

@@ -12,36 +12,20 @@ namespace {
 
 using cluster::ClusterConfig;
 
+const int kPodCounts[] = {100, 200, 400, 800};
+
 struct Row {
   int pods;
   UpscaleResult result;
 };
-std::vector<Row>& Rows() {
-  static std::vector<Row> rows;
-  return rows;
-}
 
-void BM_K8sBreakdown(benchmark::State& state) {
-  const int pods = static_cast<int>(state.range(0));
-  UpscaleResult result;
-  for (auto _ : state) {
-    // One pod per Deployment, like Fig. 3's setup.
-    result = RunUpscale(ClusterConfig::K8s(80), pods, pods);
-  }
-  state.counters["e2e_s"] = ToSeconds(result.e2e);
-  Rows().push_back(Row{pods, result});
-}
-BENCHMARK(BM_K8sBreakdown)
-    ->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void PrintFigure3() {
+void PrintFigure3(const std::vector<Row>& rows) {
   PrintHeader(
       "Figure 3a: K8s E2E latency vs isolated per-controller time "
       "(1 pod/Deployment, M=80)",
       {"pods", "E2E", "autoscaler", "deployment", "replicaset", "scheduler",
        "kubelet"});
-  for (const Row& row : Rows()) {
+  for (const Row& row : rows) {
     PrintRow({StrFormat("%d", row.pods), Secs(row.result.e2e),
               Secs(row.result.autoscaler), Secs(row.result.deployment),
               Secs(row.result.replicaset), Secs(row.result.scheduler),
@@ -68,7 +52,7 @@ void PrintFigure3() {
 
   // Measured K8s capability: instances the stock control plane can
   // provision per minute (from the 800-pod run above).
-  const Row& largest = Rows().back();
+  const Row& largest = rows.back();
   const double k8s_per_minute =
       800.0 / ToSeconds(largest.result.e2e) * 60.0;
 
@@ -100,9 +84,13 @@ int RunSmoke() {
 }  // namespace kd::bench
 
 int main(int argc, char** argv) {
-  if (kd::bench::ConsumeSmokeFlag(argc, argv)) return kd::bench::RunSmoke();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  kd::bench::PrintFigure3();
+  using namespace kd::bench;
+  if (ParseSmokeFlag(argc, argv)) return RunSmoke();
+  std::vector<Row> rows;
+  for (int pods : kPodCounts) {
+    // One pod per Deployment, like Fig. 3's setup.
+    rows.push_back(Row{pods, RunUpscale(ClusterConfig::K8s(80), pods, pods)});
+  }
+  PrintFigure3(rows);
   return 0;
 }

@@ -13,91 +13,39 @@ using cluster::ClusterConfig;
 constexpr int kNodes = 80;
 const int kPodCounts[] = {100, 200, 400, 800};
 
-ClusterConfig Variant(const std::string& name) {
-  if (name == "K8s") return ClusterConfig::K8s(kNodes);
-  if (name == "Kd") return ClusterConfig::Kd(kNodes);
-  if (name == "K8s+") return ClusterConfig::K8sPlus(kNodes);
-  return ClusterConfig::KdPlus(kNodes);
-}
-
-struct Row {
-  std::string variant;
-  int pods;
-  UpscaleResult result;
-};
-
-std::vector<Row>& Rows() {
-  static std::vector<Row> rows;
-  return rows;
-}
-
-void BM_Upscale(benchmark::State& state, const std::string& variant) {
-  const int pods = static_cast<int>(state.range(0));
-  UpscaleResult result;
-  for (auto _ : state) {
-    result = RunUpscale(Variant(variant), /*functions=*/1, pods);
-  }
-  state.counters["e2e_ms"] = ToMillis(result.e2e);
-  state.counters["replicaset_ms"] = ToMillis(result.replicaset);
-  state.counters["scheduler_ms"] = ToMillis(result.scheduler);
-  state.counters["sandbox_ms"] = ToMillis(result.sandbox);
-  state.counters["converged"] = result.converged ? 1 : 0;
-  Rows().push_back(Row{variant, pods, result});
-}
-
-BENCHMARK_CAPTURE(BM_Upscale, K8s, std::string("K8s"))
-    ->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_Upscale, Kd, std::string("Kd"))
-    ->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_Upscale, K8sPlus, std::string("K8s+"))
-    ->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_Upscale, KdPlus, std::string("Kd+"))
-    ->Arg(100)->Arg(200)->Arg(400)->Arg(800)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void PrintFigure9() {
-  auto find = [&](const std::string& variant, int pods) -> UpscaleResult {
-    for (const Row& row : Rows()) {
-      if (row.variant == variant && row.pods == pods) return row.result;
-    }
-    return {};
-  };
-
+void PrintFigure9(const PerManager<UpscaleResult>& r) {
   PrintHeader("Figure 9a: upscaling E2E latency, K=1, M=80",
               {"pods", "K8s", "Kd", "K8s+", "Kd+", "Kd/K8s", "Kd+/K8s+"});
-  for (int pods : kPodCounts) {
-    const auto k8s = find("K8s", pods), kd = find("Kd", pods),
-               k8sp = find("K8s+", pods), kdp = find("Kd+", pods);
-    PrintRow({StrFormat("%d", pods), Secs(k8s.e2e), Secs(kd.e2e),
+  for (std::size_t i = 0; i < std::size(kPodCounts); ++i) {
+    const UpscaleResult &k8s = r[kK8s][i], &kd = r[kKd][i],
+                        &k8sp = r[kK8sPlus][i], &kdp = r[kKdPlus][i];
+    PrintRow({StrFormat("%d", kPodCounts[i]), Secs(k8s.e2e), Secs(kd.e2e),
               Secs(k8sp.e2e), Secs(kdp.e2e), Ratio(k8s.e2e, kd.e2e),
               Ratio(k8sp.e2e, kdp.e2e)});
   }
 
   PrintHeader("Figure 9b: ReplicaSet controller span",
               {"pods", "K8s", "Kd", "speedup"});
-  for (int pods : kPodCounts) {
-    const auto k8s = find("K8s", pods), kd = find("Kd", pods);
-    PrintRow({StrFormat("%d", pods), Secs(k8s.replicaset),
+  for (std::size_t i = 0; i < std::size(kPodCounts); ++i) {
+    const UpscaleResult &k8s = r[kK8s][i], &kd = r[kKd][i];
+    PrintRow({StrFormat("%d", kPodCounts[i]), Secs(k8s.replicaset),
               Ms(kd.replicaset), Ratio(k8s.replicaset, kd.replicaset)});
   }
 
   PrintHeader("Figure 9c: Scheduler span", {"pods", "K8s", "Kd", "speedup"});
-  for (int pods : kPodCounts) {
-    const auto k8s = find("K8s", pods), kd = find("Kd", pods);
-    PrintRow({StrFormat("%d", pods), Secs(k8s.scheduler), Ms(kd.scheduler),
-              Ratio(k8s.scheduler, kd.scheduler)});
+  for (std::size_t i = 0; i < std::size(kPodCounts); ++i) {
+    const UpscaleResult &k8s = r[kK8s][i], &kd = r[kKd][i];
+    PrintRow({StrFormat("%d", kPodCounts[i]), Secs(k8s.scheduler),
+              Ms(kd.scheduler), Ratio(k8s.scheduler, kd.scheduler)});
   }
 
   PrintHeader("Figure 9d: sandbox manager span",
               {"pods", "stock(K8s)", "Dirigent's(K8s+)", "stock(Kd)",
                "Dirigent's(Kd+)"});
-  for (int pods : kPodCounts) {
-    PrintRow({StrFormat("%d", pods), Secs(find("K8s", pods).sandbox),
-              Secs(find("K8s+", pods).sandbox), Secs(find("Kd", pods).sandbox),
-              Secs(find("Kd+", pods).sandbox)});
+  for (std::size_t i = 0; i < std::size(kPodCounts); ++i) {
+    PrintRow({StrFormat("%d", kPodCounts[i]), Secs(r[kK8s][i].sandbox),
+              Secs(r[kK8sPlus][i].sandbox), Secs(r[kKd][i].sandbox),
+              Secs(r[kKdPlus][i].sandbox)});
   }
 }
 
@@ -114,9 +62,15 @@ int RunSmoke() {
 }  // namespace kd::bench
 
 int main(int argc, char** argv) {
-  if (kd::bench::ConsumeSmokeFlag(argc, argv)) return kd::bench::RunSmoke();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  kd::bench::PrintFigure9();
+  using namespace kd::bench;
+  if (ParseSmokeFlag(argc, argv)) return RunSmoke();
+  PerManager<UpscaleResult> results;
+  for (int m = 0; m < kNumManagers; ++m) {
+    for (int pods : kPodCounts) {
+      results[m].push_back(
+          RunUpscale(Variant(Manager(m), kNodes), /*functions=*/1, pods));
+    }
+  }
+  PrintFigure9(results);
   return 0;
 }

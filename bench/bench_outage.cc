@@ -185,46 +185,15 @@ std::string VariantName(controllers::Mode mode) {
   return mode == controllers::Mode::kKd ? "Kd" : "K8s";
 }
 
-std::vector<std::pair<std::string, OutageResult>>& Results() {
-  static std::vector<std::pair<std::string, OutageResult>> results;
-  return results;
-}
+// K8s/baseline, K8s/outage, Kd/baseline and Kd/outage, in the order
+// they run; the headline reads the last three by index.
+using Results = std::vector<std::pair<std::string, OutageResult>>;
 
-void BM_Outage(benchmark::State& state, controllers::Mode mode,
-               bool inject) {
-  OutageConfig config;
-  config.mode = mode;
-  config.inject_outage = inject;
-  OutageResult result;
-  for (auto _ : state) {
-    result = RunOutage(config);
-  }
-  state.counters["cold_p99_during_ms"] = result.phase[1].cold_ms.empty()
-                                             ? 0.0
-                                             : result.phase[1].cold_ms.P99();
-  state.counters["success_during"] = result.phase[1].SuccessRate();
-  state.counters["retries"] = static_cast<double>(result.retries);
-  state.counters["relists"] = static_cast<double>(result.relists);
-  Results().emplace_back(
-      VariantName(mode) + (inject ? std::string("/outage")
-                               : std::string("/baseline")),
-      result);
-}
-
-BENCHMARK_CAPTURE(BM_Outage, K8sBaseline, kd::controllers::Mode::kK8s, false)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_Outage, K8sOutage, kd::controllers::Mode::kK8s, true)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_Outage, KdBaseline, kd::controllers::Mode::kKd, false)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_Outage, KdOutage, kd::controllers::Mode::kKd, true)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void PrintOutageReport() {
+void PrintOutageReport(const Results& results) {
   PrintHeader("API-server outage (30 s mid-load) — cold-start scheduling "
               "latency (ms)",
               {"variant", "phase", "count", "p50", "p99", "success"});
-  for (const auto& [name, r] : Results()) {
+  for (const auto& [name, r] : results) {
     for (int i = 0; i < 3; ++i) {
       const PhaseStats& phase = r.phase[i];
       PrintRow({name, kPhaseNames[i],
@@ -240,7 +209,7 @@ void PrintOutageReport() {
   PrintHeader("fault-domain metrics",
               {"variant", "outage s", "retries", "deadlines", "relists",
                "reconverged"});
-  for (const auto& [name, r] : Results()) {
+  for (const auto& [name, r] : results) {
     PrintRow({name, StrFormat("%.1f", r.outage_seconds),
               StrFormat("%llu", (unsigned long long)r.retries),
               StrFormat("%llu", (unsigned long long)r.deadline_exceeded),
@@ -248,26 +217,20 @@ void PrintOutageReport() {
               r.reconverged ? "yes" : "NO"});
   }
 
-  const OutageResult* kd_base = nullptr;
-  const OutageResult* kd_outage = nullptr;
-  const OutageResult* k8s_outage = nullptr;
-  for (const auto& [name, r] : Results()) {
-    if (name == "Kd/baseline") kd_base = &r;
-    if (name == "Kd/outage") kd_outage = &r;
-    if (name == "K8s/outage") k8s_outage = &r;
-  }
-  if (kd_base != nullptr && kd_outage != nullptr && k8s_outage != nullptr &&
-      !kd_base->phase[1].cold_ms.empty() &&
-      !kd_outage->phase[1].cold_ms.empty()) {
+  const OutageResult& k8s_outage = results[1].second;
+  const OutageResult& kd_base = results[2].second;
+  const OutageResult& kd_outage = results[3].second;
+  if (!kd_base.phase[1].cold_ms.empty() &&
+      !kd_outage.phase[1].cold_ms.empty()) {
     std::printf(
         "\nHeadline: Kd cold-start p99 during the outage %.0f ms vs %.0f ms "
         "no-outage baseline (%.1fx); K8s outage-phase cold starts %s\n",
-        kd_outage->phase[1].cold_ms.P99(), kd_base->phase[1].cold_ms.P99(),
-        kd_outage->phase[1].cold_ms.P99() / kd_base->phase[1].cold_ms.P99(),
-        k8s_outage->phase[1].cold_ms.empty()
+        kd_outage.phase[1].cold_ms.P99(), kd_base.phase[1].cold_ms.P99(),
+        kd_outage.phase[1].cold_ms.P99() / kd_base.phase[1].cold_ms.P99(),
+        k8s_outage.phase[1].cold_ms.empty()
             ? "never completed in-phase (stalled until restart)"
             : StrFormat("stalled to %.0f ms p99",
-                        k8s_outage->phase[1].cold_ms.P99())
+                        k8s_outage.phase[1].cold_ms.P99())
                   .c_str());
   }
 }
@@ -292,9 +255,20 @@ int RunSmoke() {
 }  // namespace kd::bench
 
 int main(int argc, char** argv) {
-  if (kd::bench::ConsumeSmokeFlag(argc, argv)) return kd::bench::RunSmoke();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  kd::bench::PrintOutageReport();
+  using namespace kd::bench;
+  if (ParseSmokeFlag(argc, argv)) return RunSmoke();
+  Results results;
+  for (const kd::controllers::Mode mode :
+       {kd::controllers::Mode::kK8s, kd::controllers::Mode::kKd}) {
+    for (const bool inject : {false, true}) {
+      OutageConfig config;
+      config.mode = mode;
+      config.inject_outage = inject;
+      const std::string name =
+          VariantName(mode) + (inject ? "/outage" : "/baseline");
+      results.emplace_back(name, RunOutage(config));
+    }
+  }
+  PrintOutageReport(results);
   return 0;
 }

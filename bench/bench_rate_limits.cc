@@ -25,52 +25,32 @@ struct Row {
   double qps;
   Duration e2e;
 };
-std::vector<Row>& Rows() {
-  static std::vector<Row> rows;
+
+// K8s at each QPS point, with the controller burst and the scheduler's
+// limits scaled in their stock ratios.
+std::vector<Row> SweepK8sQps() {
+  std::vector<Row> rows;
+  for (double qps : kQpsSweep) {
+    ClusterConfig config = ClusterConfig::K8s(kNodes);
+    config.cost.controller_qps = qps;
+    config.cost.controller_burst = qps * 1.5;
+    config.cost.scheduler_qps = qps * 2.5;
+    config.cost.scheduler_burst = qps * 5;
+    rows.push_back(
+        Row{qps, RunUpscale(std::move(config), /*functions=*/1, kPods).e2e});
+  }
   return rows;
 }
-Duration& KdReference() {
-  static Duration d = 0;
-  return d;
-}
 
-void BM_K8sQps(benchmark::State& state) {
-  const double qps = static_cast<double>(state.range(0));
-  ClusterConfig config = ClusterConfig::K8s(kNodes);
-  config.cost.controller_qps = qps;
-  config.cost.controller_burst = qps * 1.5;
-  config.cost.scheduler_qps = qps * 2.5;
-  config.cost.scheduler_burst = qps * 5;
-  UpscaleResult result;
-  for (auto _ : state) {
-    result = RunUpscale(std::move(config), /*functions=*/1, kPods);
-  }
-  state.counters["e2e_ms"] = ToMillis(result.e2e);
-  Rows().push_back(Row{qps, result.e2e});
-}
-BENCHMARK(BM_K8sQps)->Arg(5)->Arg(20)->Arg(50)->Arg(100)->Arg(200)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_KdReference(benchmark::State& state) {
-  UpscaleResult result;
-  for (auto _ : state) {
-    result = RunUpscale(ClusterConfig::Kd(kNodes), 1, kPods);
-  }
-  state.counters["e2e_ms"] = ToMillis(result.e2e);
-  KdReference() = result.e2e;
-}
-BENCHMARK(BM_KdReference)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void PrintTable() {
+void PrintTable(const std::vector<Row>& rows, Duration kd) {
   PrintHeader(
       "Rate-limit sensitivity (§2.2): K8s controller QPS sweep, N=400, "
       "M=80 (Kd needs no tuning)",
       {"ctrl QPS", "K8s E2E", "vs Kd"});
-  for (const Row& row : Rows()) {
-    PrintRow({StrFormat("%.0f", row.qps), Secs(row.e2e),
-              Ratio(row.e2e, KdReference())});
+  for (const Row& row : rows) {
+    PrintRow({StrFormat("%.0f", row.qps), Secs(row.e2e), Ratio(row.e2e, kd)});
   }
-  PrintRow({"Kd (default)", Secs(KdReference()), "1.0x"});
+  PrintRow({"Kd (default)", Secs(kd), "1.0x"});
   std::printf(
       "\nReading: matching KubeDirect requires roughly 10x the stock\n"
       "limits — and every step multiplies the write/serialization load\n"
@@ -96,9 +76,9 @@ int RunSmoke() {
 }  // namespace kd::bench
 
 int main(int argc, char** argv) {
-  if (kd::bench::ConsumeSmokeFlag(argc, argv)) return kd::bench::RunSmoke();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  kd::bench::PrintTable();
+  using namespace kd::bench;
+  if (ParseSmokeFlag(argc, argv)) return RunSmoke();
+  const std::vector<Row> rows = SweepK8sQps();
+  PrintTable(rows, RunUpscale(ClusterConfig::Kd(kNodes), 1, kPods).e2e);
   return 0;
 }

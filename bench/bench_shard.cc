@@ -72,7 +72,7 @@ struct ShardBenchResult {
   ServerStats server;
   bool converged = false;  // every issued request completed
   PhaseTimes phases;
-  EngineStats engine;
+  std::uint64_t engine_events = 0;
 };
 
 ShardBenchResult RunShardBench(const ShardBenchConfig& config) {
@@ -139,7 +139,7 @@ ShardBenchResult RunShardBench(const ShardBenchConfig& config) {
     result.server.inflight_max = m.GetCount("api.inflight_max");
     result.server.apf_queue_depth_max = m.GetCount("apf.queue_depth_max");
     result.server.watch_events = m.GetCount("watch_events");
-    result.engine = CaptureEngineStats(engine);
+    result.engine_events = engine.processed_events();
   }
   // Scrape + destruction (K x M informer caches) land in teardown.
   result.phases.teardown_s = clock.Lap();
@@ -150,33 +150,10 @@ std::string VariantName(controllers::Mode mode) {
   return mode == controllers::Mode::kKd ? "Kd" : "K8s";
 }
 
-std::vector<std::pair<std::string, ShardBenchResult>>& Results() {
-  static std::vector<std::pair<std::string, ShardBenchResult>> results;
-  return results;
-}
+// K8s then Kd, in the order they run; the headline reads them by index.
+using Results = std::vector<std::pair<std::string, ShardBenchResult>>;
 
-void BM_Shard(benchmark::State& state, controllers::Mode mode) {
-  ShardBenchConfig config;
-  config.mode = mode;
-  ShardBenchResult result;
-  for (auto _ : state) {
-    result = RunShardBench(config);
-  }
-  state.counters["cold_p99_ms"] =
-      result.cold_ms.empty() ? 0.0 : result.cold_ms.P99();
-  state.counters["completed"] = static_cast<double>(result.completed);
-  state.counters["converged"] = result.converged ? 1 : 0;
-  state.counters["apf_queue_depth_max"] =
-      static_cast<double>(result.server.apf_queue_depth_max);
-  Results().emplace_back(VariantName(mode), result);
-}
-
-BENCHMARK_CAPTURE(BM_Shard, K8s, kd::controllers::Mode::kK8s)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_Shard, Kd, kd::controllers::Mode::kKd)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void WriteJson(const char* path) {
+void WriteJson(const Results& results, const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -196,8 +173,8 @@ void WriteJson(const char* path) {
                "  \"modes\": {\n",
                defaults.num_nodes, defaults.num_functions, defaults.num_nodes,
                defaults.num_functions, defaults.apf_seats);
-  for (std::size_t i = 0; i < Results().size(); ++i) {
-    const auto& [name, r] = Results()[i];
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& [name, r] = results[i];
     std::fprintf(f,
                  "    \"%s\": {\n"
                  "      \"issued\": %llu,\n"
@@ -219,24 +196,24 @@ void WriteJson(const char* path) {
                  r.cold_ms.empty() ? 0.0 : r.cold_ms.Median(),
                  r.cold_ms.empty() ? 0.0 : r.cold_ms.P99(), r.sim_s,
                  PhasesJson(r.phases).c_str(),
-                 EngineStatsJson(r.engine).c_str(),
+                 EngineStatsJson(r.engine_events).c_str(),
                  (long long)r.server.objects, (long long)r.server.inflight_max,
                  (long long)r.server.apf_queue_depth_max,
                  (long long)r.server.watch_events,
-                 i + 1 < Results().size() ? "," : "");
+                 i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", path);
 }
 
-void PrintShardReport() {
+void PrintShardReport(const Results& results) {
   const ShardBenchConfig defaults;
   PrintHeader(StrFormat("One API server (APF on): K=%d cold starts at M=%d",
                         defaults.num_functions, defaults.num_nodes),
               {"mode", "completed", "cold p50", "cold p99", "queue max",
                "converged"});
-  for (const auto& [name, r] : Results()) {
+  for (const auto& [name, r] : results) {
     PrintRow({name,
               StrFormat("%llu/%llu", (unsigned long long)r.completed,
                         (unsigned long long)r.issued),
@@ -247,27 +224,22 @@ void PrintShardReport() {
   }
   PrintHeader("API-server load",
               {"mode", "objects", "inflight max", "queue max", "watch evts"});
-  for (const auto& [name, r] : Results()) {
+  for (const auto& [name, r] : results) {
     PrintRow({name, StrFormat("%lld", (long long)r.server.objects),
               StrFormat("%lld", (long long)r.server.inflight_max),
               StrFormat("%lld", (long long)r.server.apf_queue_depth_max),
               StrFormat("%lld", (long long)r.server.watch_events)});
   }
 
-  const ShardBenchResult* k8s = nullptr;
-  const ShardBenchResult* kd = nullptr;
-  for (const auto& [name, r] : Results()) {
-    if (name == "K8s") k8s = &r;
-    if (name == "Kd") kd = &r;
-  }
-  if (k8s != nullptr && kd != nullptr && !k8s->cold_ms.empty() &&
-      !kd->cold_ms.empty()) {
+  const ShardBenchResult& k8s = results[0].second;
+  const ShardBenchResult& kd = results[1].second;
+  if (!k8s.cold_ms.empty() && !kd.cold_ms.empty()) {
     std::printf(
         "\nHeadline: Kd cold-start p99 %.0f ms vs K8s %.0f ms (%.1fx) — the "
         "K8s-mode burst serializes behind the API server's APF seats; Kd's "
         "placement writes bypass it\n",
-        kd->cold_ms.P99(), k8s->cold_ms.P99(),
-        k8s->cold_ms.P99() / kd->cold_ms.P99());
+        kd.cold_ms.P99(), k8s.cold_ms.P99(),
+        k8s.cold_ms.P99() / kd.cold_ms.P99());
   }
 }
 
@@ -294,10 +266,16 @@ int RunSmoke() {
 }  // namespace kd::bench
 
 int main(int argc, char** argv) {
-  if (kd::bench::ConsumeSmokeFlag(argc, argv)) return kd::bench::RunSmoke();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  kd::bench::PrintShardReport();
-  kd::bench::WriteJson("BENCH_shard.json");
+  using namespace kd::bench;
+  if (ParseSmokeFlag(argc, argv)) return RunSmoke();
+  Results results;
+  for (const kd::controllers::Mode mode :
+       {kd::controllers::Mode::kK8s, kd::controllers::Mode::kKd}) {
+    ShardBenchConfig config;
+    config.mode = mode;
+    results.emplace_back(VariantName(mode), RunShardBench(config));
+  }
+  PrintShardReport(results);
+  WriteJson(results, "BENCH_shard.json");
   return 0;
 }

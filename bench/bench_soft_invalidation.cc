@@ -100,24 +100,7 @@ PreemptResult MeasurePreemption() {
   return result;
 }
 
-void BM_SoftInvalidateHop(benchmark::State& state) {
-  Duration d = 0;
-  for (auto _ : state) d = MeasureOneHop();
-  state.counters["hop_us"] = static_cast<double>(d) / 1000.0;
-}
-BENCHMARK(BM_SoftInvalidateHop)->Unit(benchmark::kMicrosecond)->Iterations(1);
-
-void BM_Preemption(benchmark::State& state) {
-  PreemptResult result;
-  for (auto _ : state) result = MeasurePreemption();
-  state.counters["preempt_ms"] = ToMillis(result.preempt);
-  state.counters["api_call_ms"] = ToMillis(result.api_call);
-}
-BENCHMARK(BM_Preemption)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void PrintTable() {
-  const Duration hop = MeasureOneHop();
-  const PreemptResult preemption = MeasurePreemption();
+void PrintTable(Duration hop, const PreemptResult& preemption) {
   PrintHeader(
       "Soft invalidation (§6.3) — paper: hop 0.5-1.2ms, preemption "
       "6.2-13.4ms, API call 10-35ms",
@@ -141,9 +124,9 @@ int RunSmoke() {
 }  // namespace kd::bench
 
 int main(int argc, char** argv) {
-  if (kd::bench::ConsumeSmokeFlag(argc, argv)) return kd::bench::RunSmoke();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  kd::bench::PrintTable();
+  using namespace kd::bench;
+  if (ParseSmokeFlag(argc, argv)) return RunSmoke();
+  const kd::Duration hop = MeasureOneHop();
+  PrintTable(hop, MeasurePreemption());
   return 0;
 }

@@ -1,19 +1,20 @@
 // Shared harness for the figure/table benches.
 //
 // Every bench binary reproduces one figure of the paper's evaluation:
-// it runs the deterministic simulation, prints the paper-style series
-// (who is on the x-axis, which baselines, which breakdowns), and also
-// registers the runs with google-benchmark so the standard tooling
-// (--benchmark_format=json etc.) works. Reported times are *simulated*
-// latencies; see EXPERIMENTS.md for the calibration discussion.
+// its main runs the figure's grid once, in a fixed order, on the
+// deterministic simulation and prints the paper-style series (who is
+// on the x-axis, which baselines, which breakdowns). Reported times are
+// *simulated* latencies; see EXPERIMENTS.md for the calibration
+// discussion.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -22,7 +23,7 @@
 
 namespace kd::bench {
 
-// --- phase timing + engine counters -------------------------------------
+// --- phase timing + engine event count ----------------------------------
 // Host wall-clock phase split (setup = construct+boot+register, run =
 // the measured experiment, teardown = scrape + destruction) plus the
 // engine's event count, recorded into every BENCH_*.json so perf
@@ -50,15 +51,6 @@ class PhaseClock {
   std::chrono::steady_clock::time_point last_;
 };
 
-// Events the engine fired over the run.
-struct EngineStats {
-  std::uint64_t processed_events = 0;
-};
-
-inline EngineStats CaptureEngineStats(const sim::Engine& engine) {
-  return EngineStats{engine.processed_events()};
-}
-
 // JSON object fragments shared by every bench writer (no trailing
 // comma or newline — callers embed them as `"phases": %s`).
 inline std::string PhasesJson(const PhaseTimes& t) {
@@ -66,29 +58,24 @@ inline std::string PhasesJson(const PhaseTimes& t) {
                    t.setup_s, t.run_s, t.teardown_s);
 }
 
-inline std::string EngineStatsJson(const EngineStats& s) {
+// `processed_events` is the engine's event count over the run.
+inline std::string EngineStatsJson(std::uint64_t processed_events) {
   return StrFormat("{\"processed_events\": %llu}",
-                   static_cast<unsigned long long>(s.processed_events));
+                   static_cast<unsigned long long>(processed_events));
 }
 
 // --- smoke mode ---------------------------------------------------------
 // Every bench binary accepts --smoke: a tiny-N/K/M configuration that
 // finishes in a couple of seconds and is registered as a ctest entry
 // (label: bench_smoke), so the benchmark code is exercised on every
-// test run and cannot silently rot. Returns true if the flag was
-// present; the flag is stripped from argv either way.
-inline bool ConsumeSmokeFlag(int& argc, char** argv) {
-  bool smoke = false;
-  int w = 1;
-  for (int r = 1; r < argc; ++r) {
-    if (std::string(argv[r]) == "--smoke") {
-      smoke = true;
-      continue;
-    }
-    argv[w++] = argv[r];
-  }
-  argc = w;
-  return smoke;
+// test run and cannot silently rot. Returns true for --smoke and false
+// for no argument. Any other argument prints a usage line and exits 2,
+// so a mistyped or leftover flag cannot start a full multi-GB sweep.
+inline bool ParseSmokeFlag(int argc, char** argv) {
+  if (argc == 1) return false;
+  if (argc == 2 && std::string_view(argv[1]) == "--smoke") return true;
+  std::fprintf(stderr, "usage: %s [--smoke]\n", argv[0]);
+  std::exit(2);
 }
 
 // Prints a smoke-check verdict and converts it to a process exit code.
@@ -108,8 +95,8 @@ struct UpscaleResult {
   Duration scheduler = 0;
   Duration sandbox = 0;  // kubelet span
   bool converged = false;
-  PhaseTimes phases;    // host wall-clock per phase
-  EngineStats engine;
+  PhaseTimes phases;  // host wall-clock per phase
+  std::uint64_t engine_events = 0;
 };
 
 inline UpscaleResult RunUpscale(cluster::ClusterConfig config, int functions,
@@ -163,60 +150,70 @@ inline UpscaleResult RunUpscale(cluster::ClusterConfig config, int functions,
     // captures per-node queueing but not upstream lag.
     result.sandbox =
         MillisecondsF(cluster.metrics().GetSample("kubelet_pod_latency").Max());
-    result.engine = CaptureEngineStats(engine);
+    result.engine_events = engine.processed_events();
   }
   result.phases.teardown_s = clock.Lap();  // cluster + engine destruction
   return result;
 }
 
 // Downscale counterpart: scale K functions from `from` to `to` pods
-// each; latency until the API server view drains to the target.
-// `phases`/`stats`, when non-null, receive the host phase split (setup
-// = boot + the upscale leg, run = the measured downscale) and the
-// engine counters of the run.
+// each; latency until the API server view drains to the target, or -1
+// if either leg misses the deadline.
 inline Duration RunDownscale(cluster::ClusterConfig config, int functions,
                              int pods_from, int pods_to,
-                             Duration deadline = Minutes(30),
-                             PhaseTimes* phases = nullptr,
-                             EngineStats* stats = nullptr) {
-  PhaseClock clock;
-  Duration latency = -1;
-  {
-    sim::Engine engine;
-    cluster::Cluster cluster(engine, std::move(config));
-    cluster.Boot();
-    for (int f = 0; f < functions; ++f) {
-      cluster.RegisterFunction(StrFormat("fn-%04d", f));
-    }
-    engine.RunFor(Milliseconds(200));
-    for (int f = 0; f < functions; ++f) {
-      cluster.ScaleTo(StrFormat("fn-%04d", f), pods_from);
-    }
-    const bool up = cluster.RunUntil(
-        [&] {
-          return cluster.TotalReadyPods() ==
-                 static_cast<std::size_t>(pods_from * functions);
-        },
-        deadline);
-    if (phases != nullptr) phases->setup_s = clock.Lap();
-    if (up) {
-      const Time start = engine.now();
-      for (int f = 0; f < functions; ++f) {
-        cluster.ScaleTo(StrFormat("fn-%04d", f), pods_to);
-      }
-      const bool down = cluster.RunUntil(
+                             Duration deadline = Minutes(30)) {
+  sim::Engine engine;
+  cluster::Cluster cluster(engine, std::move(config));
+  cluster.Boot();
+  for (int f = 0; f < functions; ++f) {
+    cluster.RegisterFunction(StrFormat("fn-%04d", f));
+  }
+  engine.RunFor(Milliseconds(200));
+  for (int f = 0; f < functions; ++f) {
+    cluster.ScaleTo(StrFormat("fn-%04d", f), pods_from);
+  }
+  if (!cluster.RunUntil(
           [&] {
             return cluster.TotalReadyPods() ==
-                   static_cast<std::size_t>(pods_to * functions);
+                   static_cast<std::size_t>(pods_from * functions);
           },
-          deadline);
-      if (down) latency = engine.now() - start;
-    }
-    if (phases != nullptr) phases->run_s = clock.Lap();
-    if (stats != nullptr) *stats = CaptureEngineStats(engine);
+          deadline)) {
+    return -1;
   }
-  if (phases != nullptr) phases->teardown_s = clock.Lap();
-  return latency;
+  const Time start = engine.now();
+  for (int f = 0; f < functions; ++f) {
+    cluster.ScaleTo(StrFormat("fn-%04d", f), pods_to);
+  }
+  const bool down = cluster.RunUntil(
+      [&] {
+        return cluster.TotalReadyPods() ==
+               static_cast<std::size_t>(pods_to * functions);
+      },
+      deadline);
+  return down ? engine.now() - start : -1;
+}
+
+// --- the four cluster managers of Fig. 8a --------------------------------
+// The N-, K- and downscale sweeps run every point on each manager, in
+// this order, and keep their results indexed by it.
+enum Manager { kK8s, kKd, kK8sPlus, kKdPlus, kNumManagers };
+
+// A sweep's results on each manager, each indexed like the sweep's
+// points.
+template <typename T>
+using PerManager = std::array<std::vector<T>, kNumManagers>;
+
+inline cluster::ClusterConfig Variant(Manager manager, int nodes) {
+  switch (manager) {
+    case kK8s:
+      return cluster::ClusterConfig::K8s(nodes);
+    case kKd:
+      return cluster::ClusterConfig::Kd(nodes);
+    case kK8sPlus:
+      return cluster::ClusterConfig::K8sPlus(nodes);
+    default:
+      return cluster::ClusterConfig::KdPlus(nodes);
+  }
 }
 
 // Table printing lives in summary.h (shared with the e2e and scenario

@@ -1,6 +1,5 @@
 #include "controllers/autoscaler.h"
 
-#include "common/logging.h"
 #include "model/objects.h"
 
 namespace kd::controllers {

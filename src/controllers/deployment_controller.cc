@@ -1,6 +1,5 @@
 #include "controllers/deployment_controller.h"
 
-#include "common/logging.h"
 #include "model/objects.h"
 
 namespace kd::controllers {

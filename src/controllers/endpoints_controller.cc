@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "common/strings.h"
 #include "model/objects.h"
 

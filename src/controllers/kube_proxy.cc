@@ -1,6 +1,5 @@
 #include "controllers/kube_proxy.h"
 
-#include "common/logging.h"
 #include "model/objects.h"
 
 namespace kd::controllers {

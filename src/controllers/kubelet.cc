@@ -1,6 +1,5 @@
 #include "controllers/kubelet.h"
 
-#include "common/logging.h"
 #include "common/strings.h"
 #include "kubedirect/materialize.h"
 #include "model/objects.h"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "common/strings.h"
 #include "model/objects.h"
 
@@ -301,7 +300,7 @@ void ReplicaSetController::DeletePods(
       // (victims are selected from the live set, so the guard only
       // protects against double-tombstoning).
       if (!harness_.tombstones().Has(pod_key)) {
-        harness_.tombstones().Add(pod_key, env_.engine.now());
+        harness_.tombstones().Add(pod_key);
         --live_owned_[rs.name];
       }
       if (harness_.link_ready()) {

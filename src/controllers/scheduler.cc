@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "kubedirect/materialize.h"
 #include "model/objects.h"
 
@@ -249,7 +248,7 @@ void Scheduler::DrainNode(const std::string& node_name) {
   kubedirect::HierarchyClient* client = harness_.downstream(node_name);
   for (const std::string& key : victims) {
     if (harness_.tombstones().Has(key)) continue;  // already condemned
-    harness_.tombstones().Add(key, env_.engine.now());
+    harness_.tombstones().Add(key);
     if (client != nullptr && client->ready()) client->SendTombstone(key);
   }
 }
@@ -292,7 +291,7 @@ void Scheduler::OnTombstone(const std::string& pod_key) {
       // The pod's Upsert is mid-materialization (same-link FIFO keeps
       // upsert before tombstone): record the intent; the apply step
       // executes it.
-      harness_.tombstones().Add(pod_key, env_.engine.now());
+      harness_.tombstones().Add(pod_key);
       return;
     }
     // Unknown pod: its forward message was dropped in flight and can
@@ -310,7 +309,7 @@ void Scheduler::OnTombstone(const std::string& pod_key) {
     ForwardRemoveUpstream(pod_key);
     return;
   }
-  harness_.tombstones().Add(pod_key, env_.engine.now());
+  harness_.tombstones().Add(pod_key);
   kubedirect::HierarchyClient* client = harness_.downstream(node);
   if (client != nullptr && client->ready()) {
     client->SendTombstone(pod_key);
@@ -501,7 +500,7 @@ void Scheduler::Preempt(const std::string& pod_key,
     done(UnavailableError("kubelet link down for " + node));
     return;
   }
-  harness_.tombstones().Add(pod_key, env_.engine.now());
+  harness_.tombstones().Add(pod_key);
   pending_preemptions_[pod_key] = std::move(done);
   // Synchronous termination: immediate flush; the Kubelet's Remove
   // signal resolves the preemption (§4.3, §6.3).

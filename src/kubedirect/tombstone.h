@@ -8,14 +8,12 @@
 // (a crash clears them; the downstream state then drives recovery).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <map>
+#include <set>
 #include <string>
-#include <vector>
 
 #include "common/fault_point.h"
-#include "common/time.h"
 
 namespace kd::kubedirect {
 
@@ -28,9 +26,9 @@ class TombstoneTracker {
   void set_fault(FaultPoint* fault) { fault_ = fault; }
 
   // Registers a termination intent for `key`. Idempotent.
-  void Add(const std::string& key, Time now) {
+  void Add(const std::string& key) {
     if (fault_ != nullptr && fault_->Tick()) return;
-    tombstones_.emplace(key, now);
+    tombstones_.insert(key);
   }
 
   bool Has(const std::string& key) const {
@@ -46,24 +44,17 @@ class TombstoneTracker {
   std::size_t size() const { return tombstones_.size(); }
   bool empty() const { return tombstones_.empty(); }
 
-  std::vector<std::string> Keys() const {
-    std::vector<std::string> out;
-    out.reserve(tombstones_.size());
-    for (const auto& [key, at] : tombstones_) out.push_back(key);
-    return out;
-  }
-
-  // Replays every live tombstone through `send` — used right after a
-  // handshake to fast-forward termination intents (§4.3: "Tombstones
-  // are subject to CR-style fast-forwarding in case controllers
-  // crashes or disconnects").
+  // Replays every live tombstone through `send`, in key order — used
+  // right after a handshake to fast-forward termination intents (§4.3:
+  // "Tombstones are subject to CR-style fast-forwarding in case
+  // controllers crashes or disconnects").
   void ReplicateAll(const std::function<void(const std::string&)>& send) const {
-    for (const auto& [key, at] : tombstones_) send(key);
+    for (const std::string& key : tombstones_) send(key);
   }
 
  private:
   FaultPoint* fault_ = nullptr;
-  std::map<std::string, Time> tombstones_;  // key -> creation time
+  std::set<std::string> tombstones_;
 };
 
 }  // namespace kd::kubedirect

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "common/check.h"
-#include "common/logging.h"
 
 namespace kd::net {
 

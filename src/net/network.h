@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/lane.h"
-#include "common/metrics.h"
 #include "common/status.h"
 #include "common/time.h"
 #include "sim/engine.h"
@@ -152,7 +151,6 @@ class KD_LANE_SEAM Network {
   std::uint64_t crash_epoch(const std::string& address) const;
 
   // --- Accounting ---------------------------------------------------
-  MetricsRecorder& metrics() { return metrics_; }
   std::uint64_t total_messages() const { return total_messages_; }
   std::uint64_t total_bytes() const { return total_bytes_; }
 
@@ -189,7 +187,6 @@ class KD_LANE_SEAM Network {
   std::set<std::pair<std::string, std::string>> partitions_;  // normalized
   std::set<std::weak_ptr<Connection>, std::owner_less<>> connections_;
   std::map<std::string, std::uint64_t> crash_epochs_;
-  MetricsRecorder metrics_;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
   SendObserver send_observer_;

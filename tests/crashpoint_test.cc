@@ -247,11 +247,11 @@ TEST_F(HarnessSeamTest, OpsCountAcrossEpochsAndInitialStartKeepsArming) {
 TEST_F(HarnessSeamTest, TombstoneFaultDropsIntentAndCrashesOwner) {
   runtime::ControllerHarness harness(env_, runtime::Mode::kKd, Opts("ctrl"));
   harness.Start();
-  harness.tombstones().Add("Pod/survivor", engine_.now());
+  harness.tombstones().Add("Pod/survivor");
   EXPECT_EQ(harness.tombstones().size(), 1u);
 
   harness.tombstone_fault().Arm(harness.tombstone_fault().ops());
-  harness.tombstones().Add("Pod/dropped", engine_.now());
+  harness.tombstones().Add("Pod/dropped");
   // The intent died with the process (never reached the table)...
   EXPECT_TRUE(harness.tombstone_fault().fired());
   EXPECT_FALSE(harness.tombstones().Has("Pod/dropped"));
