@@ -91,9 +91,10 @@ void ApiServer::Broadcast(WatchEventType type, const model::ApiObject& obj) {
     WatchCallback cb = watcher.cb;
     WatchEvent event{type, obj};
     const std::uint64_t epoch = epoch_;
-    // Sanctioned seam: the delivery runs in the subscriber's lane.
-    engine_.ScheduleSeamAfter(
-        watcher.lane, delay,
+    // The subscriber's seam (Informer::HandleEvent) scopes the
+    // delivery to its own lane.
+    engine_.ScheduleAfter(
+        delay,
         [this, epoch, cb = std::move(cb), event = std::move(event)]() mutable {
           // Deliveries in flight at crash time die with the stream.
           if (epoch != epoch_) return;
@@ -107,20 +108,16 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
                       std::size_t response_bytes, bool is_write,
                       std::function<CommitResult()> commit,
                       std::function<void(CommitResult)> respond) {
-  // The lane of the context that dispatched the request (the client's
-  // component). The response — and the dead-server deadline expiry —
-  // travel back there.
-  const LaneId reply_lane = engine_.seam_origin_lane();
   if (!up_) {
     // Dead server: the request neither queues nor commits — it hangs
     // until the client-side per-attempt deadline expires.
     deadline_exceeded_.Add();
-    engine_.ScheduleSeamAfter(reply_lane, cost_.api_request_deadline,
-                              [respond = std::move(respond)]() mutable {
-                                respond({DeadlineExceededError(
-                                             "API server unavailable"),
-                                         {}});
-                              });
+    engine_.ScheduleAfter(cost_.api_request_deadline,
+                          [respond = std::move(respond)]() mutable {
+                            respond({DeadlineExceededError(
+                                         "API server unavailable"),
+                                     {}});
+                          });
     return;
   }
   (is_write ? writes_ : reads_).Add();
@@ -137,22 +134,20 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
   pending_.emplace(id, respond_shared);
   inflight_max_.RecordMax(static_cast<std::int64_t>(pending_.size()));
 
-  auto finish = [this, id, epoch, arrival, response_bytes, reply_lane,
+  auto finish = [this, id, epoch, arrival, response_bytes,
                  respond_shared](CommitResult result, Time commit_done) {
     const Duration response_ser = static_cast<Duration>(
         static_cast<double>(response_bytes) * cost_.serialize_ns_per_byte);
     const Time respond_at =
         commit_done + response_ser + cost_.api_network_latency;
     bytes_out_.Add(static_cast<std::int64_t>(response_bytes));
-    engine_.ScheduleSeamAt(reply_lane, respond_at,
-                           [this, id, epoch, arrival, respond_shared,
-                            result = std::move(result)]() mutable {
-                             if (epoch != epoch_) return;
-                             pending_.erase(id);
-                             call_latency_.RecordDuration(engine_.now() -
-                                                          arrival);
-                             (*respond_shared)(std::move(result));
-                           });
+    engine_.ScheduleAt(respond_at, [this, id, epoch, arrival, respond_shared,
+                                    result = std::move(result)]() mutable {
+      if (epoch != epoch_) return;
+      pending_.erase(id);
+      call_latency_.RecordDuration(engine_.now() - arrival);
+      (*respond_shared)(std::move(result));
+    });
   };
 
   // Admission, then the worker pool. With APF disabled `Submit` runs
@@ -397,16 +392,15 @@ void ApiServer::HandleList(
 }
 
 WatchId ApiServer::Watch(const std::string& kind, WatchCallback cb) {
-  return Watch(kind, nullptr, std::move(cb), nullptr, kNoLane);
+  return Watch(kind, nullptr, std::move(cb), nullptr);
 }
 
 WatchId ApiServer::Watch(const std::string& kind, WatchFilter filter,
-                         WatchCallback cb, WatchBreakCallback on_break,
-                         LaneId lane) {
+                         WatchCallback cb, WatchBreakCallback on_break) {
   if (!up_) return 0;  // nothing to connect to; caller retries
   const WatchId id = next_watch_id_++;
-  watchers_[kind].emplace(id, Watcher{std::move(filter), std::move(cb),
-                                      std::move(on_break), lane});
+  watchers_[kind].emplace(
+      id, Watcher{std::move(filter), std::move(cb), std::move(on_break)});
   return id;
 }
 

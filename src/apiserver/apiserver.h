@@ -107,11 +107,10 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   // subscribes to only the Pods bound to its node). Delete events are
   // matched against the last state, which carried the field.
   // `on_break` (optional) fires when the server crashes and the stream
-  // dies with it. `lane` (optional) is the subscriber's lane: event
-  // deliveries execute there (sim/lane_checker.h).
+  // dies with it. Deliveries run in the committing event's lane; the
+  // subscriber scopes them to its own (runtime::Informer does).
   WatchId Watch(const std::string& kind, WatchFilter filter, WatchCallback cb,
-                WatchBreakCallback on_break = nullptr,
-                LaneId lane = kNoLane);
+                WatchBreakCallback on_break = nullptr);
   void Unwatch(WatchId id);
 
   // --- fault injection ------------------------------------------------
@@ -165,12 +164,6 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   sim::Engine& engine() { return engine_; }
   const ApfQueue& apf() const { return apf_; }
 
-  // Lane-checker seam: the server's own lane. Client uplinks
-  // ScheduleSeam onto it so every Handle*/commit runs in the server's
-  // lane.
-  void SetLane(LaneId lane) { lane_ = lane; }
-  LaneId lane() const { return lane_; }
-
   // Kept only because perfbench/kdbench.cc, which is frozen, scrapes
   // metrics through the removed sharded plane's surface (DESIGN.md §6).
   // There is one server, so it is its own only shard.
@@ -191,7 +184,9 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   // admission when apf_seats > 0 (`flow` picks the fair queue).
   // `commit` runs at service completion (at the server); its result is
   // delivered to `respond` after response serialization + network
-  // latency.
+  // latency. The server has no runtime lane: its events run in the lane
+  // of whatever scheduled them, and the client's completion wrapper
+  // (ApiClient::RetryCall) scopes `respond` to the caller's lane.
   void Serve(const std::string& flow, std::size_t request_bytes,
              std::size_t response_bytes, bool is_write,
              std::function<CommitResult()> commit,
@@ -234,7 +229,6 @@ class KD_LANE_OWNED(apiserver) ApiServer {
     WatchFilter filter;  // may be null
     WatchCallback cb;
     WatchBreakCallback on_break;  // may be null
-    LaneId lane = kNoLane;  // deliveries execute in this lane
   };
   // Bucketed by kind, so a write visits only its own kind's watchers;
   // within a bucket, WatchId order is delivery order.
@@ -279,7 +273,6 @@ class KD_LANE_OWNED(apiserver) ApiServer {
       metrics_.ResolveSamples("api_call_latency");
   MetricsRecorder::Samples outage_seconds_ =
       metrics_.ResolveSamples("apiserver.outage_seconds");
-  LaneId lane_ = kNoLane;
 };
 
 // The removed sharded plane's type name, kept only for

@@ -38,10 +38,8 @@ void ApiClient::Dispatch(std::size_t request_bytes,
     const CostModel& cost = server_.cost();
     const Duration client_ser = static_cast<Duration>(
         static_cast<double>(request_bytes) * cost.serialize_ns_per_byte);
-    // Uplink seam: the handler runs in the server's lane.
-    engine_.ScheduleSeamAfter(server_.lane(),
-                              client_ser + cost.api_network_latency,
-                              std::move(send));
+    engine_.ScheduleAfter(client_ser + cost.api_network_latency,
+                          std::move(send));
   });
 }
 

@@ -95,9 +95,10 @@ class KD_LANE_SEAM ApiClient {
 
  private:
   // Applies rate limit + client serialization + uplink latency, then
-  // runs `send` (which must invoke a handler of the server). The uplink
-  // is a sanctioned seam: `send` executes in the server's lane, so
-  // every Handle*/commit touches server state from that lane only.
+  // runs `send` (which must invoke a handler of the server). The server
+  // has no runtime lane and owns no instrumented state, so `send` runs
+  // in the lane of the event that reaches it; the reply comes back
+  // through RetryCall's LaneScope.
   void Dispatch(std::size_t request_bytes, std::function<void()> send);
 
   static StatusCode ResultCode(const Status& s) { return s.code(); }

@@ -107,8 +107,6 @@ struct CostModel {
   // Reconnect backoff for the handshake protocol (initial; doubles up
   // to 64x).
   Duration kd_reconnect_backoff = MillisecondsF(10);
-  // Fixed per-message wire overhead beyond the attribute payload.
-  std::size_t kd_message_overhead_bytes = 16;
   // Fig. 14 ablation: ship full API objects as literals instead of
   // pointer-compressed deltas ("naive direct message passing").
   bool kd_naive_full_objects = false;

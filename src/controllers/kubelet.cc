@@ -134,14 +134,20 @@ void Kubelet::AdoptBoundPods() {
         }
         for (auto& pod : *result) {
           if (model::GetNodeName(pod) != node_name_) continue;
+          // Kd lists only published pods. In K8s a published pod is a
+          // Running one: adopted here (the watch seed below keeps its
+          // own copy), it is already running when that seed reaches
+          // OnPodBound, which then starts nothing.
+          if (mode_ == Mode::kKd ||
+              model::GetPodPhase(pod) == model::PodPhase::kRunning) {
+            published_.insert(pod.Key());
+            // kdlint: allow(R5) kubelet-local pod table: the sandboxes, fed by the bound-pod watch (K8s) / ingress (Kd), not an API mirror
+            cache_.Upsert(pod);
+          }
           if (mode_ == Mode::kK8s) {
             // kdlint: allow(R5) field-selector watch cache: its owner seeds it, the server has no filtered List
             watch_cache_.Upsert(std::move(pod));
-            continue;
           }
-          published_.insert(pod.Key());
-          // kdlint: allow(R5) kubelet-local pod table: the sandboxes, fed by the bound-pod watch (K8s) / ingress (Kd), not an API mirror
-          cache_.Upsert(std::move(pod));
         }
         harness_.SetBaselineSynced(true);
         harness_.MaybeStartUpstream();

@@ -77,12 +77,12 @@ class KD_LANE_OWNED(kubelet) Kubelet {
   void DeletePublished(const std::string& pod_key);
   void DrainAllKdPods();
   // Start and crash recovery: lists the pods bound to this node,
-  // retrying until the list succeeds. K8s: seeds watch_cache_ with
-  // them (bound before the watch, or during an outage). Kd: re-adopts
-  // the published ones, then opens the upstream server. Serving a
-  // handshake before the adopt completes would show the Scheduler an
-  // empty version map and make it invalidate pods that are in fact
-  // still running here.
+  // retrying until the list succeeds, and re-adopts the published
+  // (Running) ones. K8s: then seeds watch_cache_ with all of them
+  // (bound before the watch, or during an outage). Kd: then opens the
+  // upstream server. Serving a handshake before the adopt completes
+  // would show the Scheduler an empty version map and make it
+  // invalidate pods that are in fact still running here.
   void AdoptBoundPods();
   std::string AssignIp();
 

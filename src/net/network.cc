@@ -49,17 +49,14 @@ class Connection : public std::enable_shared_from_this<Connection> {
     if (deliver_at < to.next_delivery_time) deliver_at = to.next_delivery_time;
     to.next_delivery_time = deliver_at;
 
-    // Sanctioned seam: delivery executes in the receiving endpoint's
-    // lane. The receiver lane is resolved at send time; the LaneScope
-    // below re-resolves at delivery for the checker, which yields the
-    // same lane for any registered endpoint (same address <=> same
-    // lane name). Both read the receiver's slot: an endpoint destroyed
-    // meanwhile reads as kNoLane, never as freed memory.
-    const LaneId to_lane = network_.LaneOf(to.slot);
+    // Sanctioned seam: the LaneScope below runs delivery in the
+    // receiving endpoint's lane, read from its slot at delivery: an
+    // endpoint destroyed meanwhile reads as kNoLane, never as freed
+    // memory.
     auto weak = weak_from_this();
     const int to_side = 1 - from_side;
-    engine.ScheduleSeamAt(
-        to_lane, deliver_at,
+    engine.ScheduleAt(
+        deliver_at,
         [weak, to_side, payload = std::move(payload)]() mutable {
           auto conn = weak.lock();
           if (!conn || !conn->open_) return;  // dropped in flight
@@ -109,11 +106,10 @@ class Connection : public std::enable_shared_from_this<Connection> {
       sides_[side].closed_seen = true;  // silent: crashed process
       return;
     }
-    // Seam to the notified side's lane; an active local close (delay
-    // 0) targets the closer's own lane.
-    const LaneId side_lane = network_.LaneOf(sides_[side].slot);
+    // Seam to the notified side: its LaneScope runs the handler in
+    // that side's lane (the closer's own for an active local close).
     auto weak = weak_from_this();
-    network_.engine().ScheduleSeamAfter(side_lane, delay, [weak, side] {
+    network_.engine().ScheduleAfter(delay, [weak, side] {
       auto conn = weak.lock();
       if (!conn) return;
       Side& s = conn->sides_[side];
@@ -276,21 +272,18 @@ void Endpoint::Connect(const std::string& to,
   // half-open connection to a dead process.
   const std::uint64_t from_epoch = net.crash_epoch(from);
   const std::uint64_t to_epoch = net.crash_epoch(to);
-  // The SYN lands in the target's lane. An unregistered target
-  // resolves to kNoLane; the closure re-checks liveness.
-  Endpoint* syn_target = net.Find(to);
-  const LaneId syn_lane = syn_target != nullptr ? syn_target->lane() : kNoLane;
-  net.engine_.ScheduleSeamAfter(syn_lane, net.config_.latency,
-                                [&net, from, from_slot, to, from_epoch,
-                                 to_epoch, done = std::move(done)]() {
+  // The SYN resolves its target on arrival; the accept runs in the
+  // target's lane, and each report back in the connector's.
+  net.engine_.ScheduleAfter(net.config_.latency,
+                            [&net, from, from_slot, to, from_epoch, to_epoch,
+                             done = std::move(done)]() {
     if (net.crash_epoch(from) != from_epoch) return;  // connector died
     Endpoint* target = net.Find(to);
-    const LaneId from_lane = net.LaneOf(from_slot);
     if (target == nullptr || !target->listening() ||
         !net.Reachable(from, to) || net.crash_epoch(to) != to_epoch) {
-      // Connect-timeout report travels back to the connector's lane.
-      net.engine_.ScheduleSeamAfter(
-          from_lane, net.config_.disconnect_detect_delay,
+      // Connect-timeout report travels back to the connector.
+      net.engine_.ScheduleAfter(
+          net.config_.disconnect_detect_delay,
           [&net, done = std::move(done), from, from_slot, from_epoch, to] {
             if (net.crash_epoch(from) != from_epoch) return;
             sim::LaneScope lane_scope(net.engine_.lane_checker(),
@@ -307,10 +300,10 @@ void Endpoint::Connect(const std::string& to,
       sim::LaneScope lane_scope(net.engine_.lane_checker(), target->lane());
       target->on_accept_(server_handle);
     }
-    // SYN-ACK: back to the connector's lane after one-way latency.
-    net.engine_.ScheduleSeamAfter(from_lane, net.config_.latency,
-                                  [&net, conn, from, from_slot, from_epoch,
-                                   to, done = std::move(done)]() {
+    // SYN-ACK: back to the connector after one-way latency.
+    net.engine_.ScheduleAfter(net.config_.latency,
+                              [&net, conn, from, from_slot, from_epoch, to,
+                               done = std::move(done)]() {
       if (net.crash_epoch(from) != from_epoch) return;  // connector died
       sim::LaneScope lane_scope(net.engine_.lane_checker(),
                                 net.LaneOf(from_slot));

@@ -5,7 +5,7 @@
 namespace kd::runtime {
 
 const model::ApiObject* ObjectCache::Get(const std::string& key) const {
-  TouchLane(key, /*write=*/false);
+  TouchLane(key);
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.invalid) return nullptr;
   return &it->second.object;
@@ -33,7 +33,7 @@ std::vector<const ObjectCache::Table::value_type*> ObjectCache::SortedEntries(
 
 std::vector<const model::ApiObject*> ObjectCache::List(
     const std::string& kind) const {
-  TouchLane(kind + "/*", /*write=*/false);
+  TouchLane(kind + "/*");
   const std::string prefix = kind + "/";
   std::vector<const model::ApiObject*> out;
   for (const Table::value_type* slot : SortedEntries(prefix, false)) {
@@ -43,7 +43,7 @@ std::vector<const model::ApiObject*> ObjectCache::List(
 }
 
 std::size_t ObjectCache::VisibleCount(const std::string& kind) const {
-  TouchLane(kind + "/*", /*write=*/false);
+  TouchLane(kind + "/*");
   const std::string prefix = kind + "/";
   std::size_t n = 0;
   for (const auto& [key, entry] : entries_) {
@@ -60,7 +60,7 @@ void ObjectCache::FireChange(const std::string& key,
 
 void ObjectCache::Upsert(model::ApiObject obj) {
   const std::string key = obj.Key();
-  TouchLane(key, /*write=*/true);
+  TouchLane(key);
   // One lookup; try_emplace leaves `obj` untouched when the key exists.
   auto [it, added] = entries_.try_emplace(key, std::move(obj), false);
   if (added) {
@@ -76,7 +76,7 @@ void ObjectCache::Upsert(model::ApiObject obj) {
 }
 
 void ObjectCache::Remove(const std::string& key) {
-  TouchLane(key, /*write=*/true);
+  TouchLane(key);
   auto it = entries_.find(key);
   if (it == entries_.end()) return;
   const bool was_visible = !it->second.invalid;
@@ -86,7 +86,7 @@ void ObjectCache::Remove(const std::string& key) {
 }
 
 void ObjectCache::MarkInvalid(const std::string& key) {
-  TouchLane(key, /*write=*/true);
+  TouchLane(key);
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.invalid) return;
   it->second.invalid = true;
@@ -94,19 +94,19 @@ void ObjectCache::MarkInvalid(const std::string& key) {
 }
 
 bool ObjectCache::IsInvalid(const std::string& key) const {
-  TouchLane(key, /*write=*/false);
+  TouchLane(key);
   auto it = entries_.find(key);
   return it != entries_.end() && it->second.invalid;
 }
 
 void ObjectCache::DropInvalid(const std::string& key) {
-  TouchLane(key, /*write=*/true);
+  TouchLane(key);
   auto it = entries_.find(key);
   if (it != entries_.end() && it->second.invalid) entries_.erase(it);
 }
 
 std::vector<std::string> ObjectCache::InvalidKeys() const {
-  TouchLane("*", /*write=*/false);
+  TouchLane("*");
   std::vector<std::string> out;
   for (const Table::value_type* slot : SortedEntries("", true)) {
     out.push_back(slot->first);
@@ -115,20 +115,20 @@ std::vector<std::string> ObjectCache::InvalidKeys() const {
 }
 
 void ObjectCache::Clear() {
-  TouchLane("*", /*write=*/true);
+  TouchLane("*");
   entries_.clear();
 }
 
 void ObjectCache::ForEachVisible(
     const std::function<void(const model::ApiObject&)>& fn) const {
-  TouchLane("*", /*write=*/false);
+  TouchLane("*");
   for (const Table::value_type* slot : SortedEntries("", false)) {
     fn(slot->second.object);
   }
 }
 
 std::size_t ObjectCache::size() const {
-  TouchLane("*", /*write=*/false);
+  TouchLane("*");
   std::size_t n = 0;
   for (const auto& [key, entry] : entries_) {
     if (!entry.invalid) ++n;

@@ -110,9 +110,9 @@ class ObjectCache {
   void FireChange(const std::string& key, const model::ApiObject* before,
                   const model::ApiObject* after);
 
-  // One predicted branch when unbound or the checker is disabled.
-  void TouchLane(const std::string& key, bool write) const {
-    if (checker_ != nullptr) checker_->Touch(this, site_, lane_, key, write);
+  // An inline ownership compare; unbound caches skip it.
+  void TouchLane(const std::string& key) const {
+    if (checker_ != nullptr) checker_->Touch(site_, lane_, key);
   }
 
   Table entries_;

@@ -28,8 +28,7 @@ bool Informer::ArmWatch() {
       },
       [this, session] {
         if (session == session_) OnWatchBreak();
-      },
-      cache_.bound_lane());
+      });
   return watch_id_ != 0;
 }
 

@@ -34,16 +34,12 @@ void Engine::Fire(const LaneQueue::Fired& fired) {
   // Restore the event's lane for the lane checker; the guard resets it
   // when the closure unwinds (normally or by throw) so no lane leaks
   // into engine-internal code between events.
-  if (lane_checker_.enabled()) {
-    lane_checker_.BeginEvent(now(), fired.seq, slot.lane);
-  }
-  firing_origin_ = slot.origin;
+  lane_checker_.BeginEvent(now(), fired.seq, slot.lane);
   struct FireGuard {
     Engine* engine;
     std::uint32_t index;
     ~FireGuard() {
       engine->lane_checker_.SetCurrentLane(kNoLane);
-      engine->firing_origin_ = kNoLane;
       LaneQueue::DestroyClosure(engine->queue_.SlotAt(index));
       engine->queue_.FreeSlot(index);
     }

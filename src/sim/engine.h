@@ -15,11 +15,10 @@
 // skims when it reaches the top) and stale ids (fired, cancelled,
 // recycled) safely return false.
 //
-// Every event is tagged with the lane it executes in (see
-// common/lane.h and sim/lane_checker.h): by default the lane of the
-// context that scheduled it, or an explicit target lane for a
-// cross-lane seam (ScheduleSeamAt/After). The tags feed only the
-// debug-time lane checker; they never change fire order.
+// Every event is tagged with the lane of the context that scheduled it
+// (see common/lane.h and sim/lane_checker.h); a seam's LaneScope moves
+// the receiving code into the receiver's lane. The tags feed only the
+// lane checker; they never change fire order.
 #pragma once
 
 #include <cstddef>
@@ -50,8 +49,12 @@ class Engine {
   // closure chains (see sim/lane_checker.h).
   template <class F>
   EventId ScheduleAt(Time t, F&& fn) {
-    return ScheduleInLane(lane_checker_.current_lane(), t,
-                          std::forward<F>(fn));
+    const std::uint32_t index = queue_.AcquireSlot();
+    LaneQueue::Slot& slot = queue_.SlotAt(index);
+    slot.lane = lane_checker_.current_lane();
+    LaneQueue::EmplaceClosure(slot, std::forward<F>(fn));
+    queue_.Arm(index, t < now() ? now() : t, next_seq_++);
+    return MakeEventId(index, slot.generation);
   }
 
   // Schedules `fn` after `delay` from now (negative delays clamp to 0).
@@ -60,26 +63,6 @@ class Engine {
     return ScheduleAt(now() + (delay < 0 ? 0 : delay),
                       std::forward<F>(fn));
   }
-
-  // Cross-lane seam schedule: ScheduleAt, except that the event
-  // executes in `target_lane` instead of inheriting the scheduling
-  // context's lane. Fire order is the same as ScheduleAt's.
-  template <class F>
-  EventId ScheduleSeamAt(LaneId target_lane, Time t, F&& fn) {
-    return ScheduleInLane(target_lane, t, std::forward<F>(fn));
-  }
-
-  template <class F>
-  EventId ScheduleSeamAfter(LaneId target_lane, Duration delay, F&& fn) {
-    return ScheduleSeamAt(target_lane, now() + (delay < 0 ? 0 : delay),
-                          std::forward<F>(fn));
-  }
-
-  // Lane of the context that scheduled the currently-executing event
-  // (kNoLane outside events). A seam target uses this to learn who
-  // called it — e.g. the API server captures the client's lane at
-  // Serve() entry to route the completion back.
-  LaneId seam_origin_lane() const { return firing_origin_; }
 
   // Cancels a pending event. Returns false if it already fired or was
   // already cancelled. Safe to call with kInvalidEventId.
@@ -122,8 +105,8 @@ class Engine {
   using TraceHook = std::function<void(Time, std::uint64_t, EventId)>;
   void set_trace_hook(TraceHook hook) { trace_hook_ = std::move(hook); }
 
-  // Debug-only lane-access checker (disabled by default; enabling it
-  // never changes the event trace). See sim/lane_checker.h.
+  // The lane-ownership checker. It is always on and never changes the
+  // event trace; see sim/lane_checker.h.
   LaneChecker& lane_checker() { return lane_checker_; }
 
  private:
@@ -131,17 +114,6 @@ class Engine {
   // slot+1 keeps 0 == kInvalidEventId.
   static EventId MakeEventId(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<EventId>(slot + 1) << 32) | generation;
-  }
-
-  template <class F>
-  EventId ScheduleInLane(LaneId lane, Time t, F&& fn) {
-    const std::uint32_t index = queue_.AcquireSlot();
-    LaneQueue::Slot& slot = queue_.SlotAt(index);
-    slot.lane = lane;
-    slot.origin = lane_checker_.current_lane();
-    LaneQueue::EmplaceClosure(slot, std::forward<F>(fn));
-    queue_.Arm(index, t < now() ? now() : t, next_seq_++);
-    return MakeEventId(index, slot.generation);
   }
 
   // Pops and fires events due by `limit` until the queue runs dry,
@@ -155,7 +127,6 @@ class Engine {
   std::uint64_t event_limit_ = 0;
   bool hit_event_limit_ = false;
   bool stop_flag_ = false;
-  LaneId firing_origin_ = kNoLane;
   LaneQueue queue_;
   TraceHook trace_hook_;
   LaneChecker lane_checker_;

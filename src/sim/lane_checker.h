@@ -1,5 +1,5 @@
-// Runtime lane-access checker: the dynamic half of the lane-ownership
-// story (kdlint R7/R8 are the static half).
+// Runtime lane-ownership checker: the dynamic half of the
+// lane-ownership story (kdlint R7/R8 are the static half).
 //
 // The static pass proves that no *component type* reaches another
 // component type's KD_LANE_OWNED state except through a sanctioned
@@ -8,34 +8,30 @@
 // instances share one type. This checker closes that gap at run time:
 //
 //   - every event carries the lane of the context that scheduled it,
-//     or the receiving lane when scheduled with ScheduleSeamAt/After
-//     (Engine tags the slot and restores the lane before the closure
-//     fires), so lane membership flows through arbitrary closure
-//     chains for free;
-//   - seams re-scope: a conduit that legitimately crosses lanes (net
-//     delivery, the informer merge, the control-loop dispatch, the
-//     harness lifecycle) opens a LaneScope for the *receiving* side
-//     before running receiver code;
+//     so lane membership flows through arbitrary closure chains;
+//   - a LaneScope is the only way into a lane: each sanctioned seam
+//     (net delivery, the informer merge, the control-loop dispatch,
+//     the harness lifecycle, API-client completions) opens one for the
+//     *receiving* side before running receiver code. A seam that lacks
+//     it runs receiver code in the sender's lane, which the checker
+//     reports;
 //   - instrumented state (ObjectCache) reports every touch; a touch
-//     from a live lane that is not the owner is a conflict, recorded
-//     with the provenance (virtual time, sequence number) of both the
-//     violating event and the previous toucher in the same
-//     virtual-time epoch.
+//     from a live lane that is not the owner is an ownership breach,
+//     recorded with the violating event's provenance (virtual time,
+//     sequence number).
 //
 // Touches from no lane at all (driver/test code poking a component
 // from outside any event, or before lanes are wired) are exempt:
 // kNoLane means "not a component context", not "lane zero".
 //
-// The checker is deterministic and inert by default: it never
-// schedules events, never reads wall-clock state, and when disabled
-// costs one predicted branch per touch — enabling it must not (and
-// does not) change a run's event-trace fingerprint.
+// The checker is always on. It never schedules events and never reads
+// wall-clock state, so it cannot change a run's event trace; a touch
+// costs an inline compare, and only recording a breach is out of line.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/lane.h"
@@ -51,38 +47,32 @@ class LaneChecker {
   const std::string& lane_name(LaneId id) const;
   std::size_t lane_count() const { return names_.size() - 1; }
 
-  void Enable(bool on = true) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
   // The lane of the executing event (or of the seam scope inside it).
   LaneId current_lane() const { return ctx_.lane; }
   void SetCurrentLane(LaneId lane) { ctx_.lane = lane; }
 
   // Called by the engine as each event fires: restores the event's
-  // lane and, when the virtual clock advanced, starts a new epoch
-  // (clears the shadow map). Overlap conflicts are only tracked
-  // between events at the same virtual time: no seam latency orders
-  // them, only the sequence tie-break does.
-  void BeginEvent(Time time, std::uint64_t seq, LaneId lane);
+  // lane and notes its provenance for breach reports.
+  void BeginEvent(Time time, std::uint64_t seq, LaneId lane) {
+    ctx_ = EventCtx{lane, time, seq};
+  }
 
-  // Reports one access to instrumented state. `site` identifies the
-  // object (its address), `site_name` labels it in reports, `owner` is
-  // the lane the state is bound to, `key` the touched entry.
-  void Touch(const void* site, const std::string& site_name, LaneId owner,
-             const std::string& key, bool is_write);
+  // Reports one access to instrumented state: `site` labels the object
+  // in reports, `owner` is the lane the state is bound to, `key` the
+  // touched entry.
+  void Touch(const std::string& site, LaneId owner, const std::string& key) {
+    if (ctx_.lane != kNoLane && owner != kNoLane && ctx_.lane != owner) {
+      RecordBreach(site, owner, key);
+    }
+  }
 
   struct Conflict {
-    std::string site;  // site_name of the touched object
+    std::string site;  // label of the touched object
     std::string key;
     LaneId owner = kNoLane;   // lane the state belongs to
     LaneId actual = kNoLane;  // lane of the violating event
     Time time = 0;            // violating event's provenance
     std::uint64_t seq = 0;
-    // Previous toucher in the same epoch (kNoLane when the violation
-    // is a plain ownership breach with no prior touch this epoch).
-    LaneId prev_lane = kNoLane;
-    Time prev_time = 0;
-    std::uint64_t prev_seq = 0;
   };
 
   // First kMaxRecorded conflicts in detail; total_conflicts() counts
@@ -100,22 +90,12 @@ class LaneChecker {
     std::uint64_t seq = 0;
   };
 
-  struct TouchRec {
-    LaneId lane;
-    Time time;
-    std::uint64_t seq;
-    bool write;
-  };
+  void RecordBreach(const std::string& site, LaneId owner,
+                    const std::string& key);
 
-  std::string FormatConflict(const Conflict& c) const;
-
-  bool enabled_ = false;
   EventCtx ctx_;
-  Time epoch_time_ = 0;
   std::vector<std::string> names_{"<none>"};  // index 0 = kNoLane
   std::map<std::string, LaneId> by_name_;
-  // (object address, key) -> first touch this epoch.
-  std::map<std::pair<const void*, std::string>, TouchRec> shadow_;
   std::vector<Conflict> conflicts_;
   std::uint64_t total_conflicts_ = 0;
 };

@@ -1,5 +1,5 @@
 // The Engine's event queue: a slot/generation arena plus one 4-ary
-// (time, seq) min-heap. Each slot also carries the lane tags the lane
+// (time, seq) min-heap. Each slot also carries the lane tag the lane
 // checker reads (sim/lane_checker.h).
 //
 // The data structure (which the file comment in engine.h documents):
@@ -43,8 +43,7 @@ class LaneQueue {
     // common case pays no indirect call to drop them.
     void (*destroy)(void*) = nullptr;
     std::uint32_t generation = 1;
-    LaneId lane = kNoLane;    // lane the event executes in
-    LaneId origin = kNoLane;  // lane of the scheduling context
+    LaneId lane = kNoLane;  // lane of the scheduling context
     bool armed = false;
   };
 

@@ -2,8 +2,8 @@
 // the two anomalies of §4.1 (regression tests that KubeDirect's design
 // avoids them), crash-restart of every controller, partitions with
 // autonomous recovery (§4.2), synchronous preemption and node
-// cancellation (§4.3), eviction-driven replacement, and a K8s-mode
-// Kubelet restart during a long API-server outage.
+// cancellation (§4.3), eviction-driven replacement, and K8s-mode
+// Kubelet restarts, one during a long API-server outage.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -443,6 +443,42 @@ TEST(K8sFailureTest, KubeletRestartedDuringLongOutageReadoptsPods) {
   }
   EXPECT_GT(bound, 0u);
   EXPECT_EQ(cluster.kubelet(0).running_pods(), bound);
+}
+
+// The containers of a K8s Kubelet's published pods outlive its
+// restart, as in Kd mode: it re-adopts them as running instead of
+// cold-starting their sandboxes again under new IPs.
+TEST(K8sFailureTest, KubeletRestartKeepsPublishedSandboxes) {
+  sim::Engine engine;
+  ClusterConfig config = ClusterConfig::K8s(2);
+  config.realistic_pod_template = false;
+  Cluster cluster(engine, std::move(config));
+  cluster.Boot();
+  cluster.RegisterFunction("fn");
+  cluster.ScaleTo("fn", 4);
+  ASSERT_TRUE(cluster.RunUntil(
+      [&] { return cluster.ReadyPodCount("fn") == 4; }, Seconds(120)));
+  auto node0_ips = [&cluster] {
+    std::set<std::string> ips;
+    for (const ApiObject* pod : cluster.apiserver().PeekAll(kKindPod)) {
+      if (model::GetNodeName(*pod) == Cluster::NodeName(0)) {
+        ips.insert(model::GetPodIp(*pod));
+      }
+    }
+    return ips;
+  };
+  const std::set<std::string> before = node0_ips();
+  ASSERT_FALSE(before.empty());
+  ASSERT_EQ(cluster.metrics().GetCount("sandboxes_started"), 4);
+
+  cluster.kubelet(0).Crash();
+  cluster.kubelet(0).Restart();
+  engine.RunFor(Seconds(30));
+
+  EXPECT_EQ(cluster.metrics().GetCount("sandboxes_started"), 4);
+  EXPECT_EQ(node0_ips(), before);
+  EXPECT_EQ(cluster.kubelet(0).running_pods(), before.size());
+  EXPECT_EQ(cluster.ReadyPodCount("fn"), 4u);
 }
 
 }  // namespace

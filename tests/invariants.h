@@ -14,6 +14,7 @@
 
 #include "cluster/cluster.h"
 #include "model/objects.h"
+#include "sim/engine.h"
 
 namespace kd::invariants {
 
@@ -29,7 +30,9 @@ namespace kd::invariants {
 //     relist diffing after any outage lost nothing and synthesized
 //     nothing extra;
 //   EndpointsConvergence — the KubeProxy routing table equals the
-//     Running pod IPs the API server publishes.
+//     Running pod IPs the API server publishes;
+//   LaneSilence — no event of the run touched state owned by another
+//     component instance's lane (sim/lane_checker.h).
 inline void CheckQuiescentInvariants(cluster::Cluster& cluster, int num_nodes,
                                      const std::string& function) {
   using model::ApiObject;
@@ -74,6 +77,8 @@ inline void CheckQuiescentInvariants(cluster::Cluster& cluster, int num_nodes,
   EXPECT_EQ(std::set<std::string>(got.begin(), got.end()),
             std::set<std::string>(want.begin(), want.end()))
       << "KubeProxy routing table diverged from ready pods";
+  const sim::LaneChecker& lanes = cluster.engine().lane_checker();
+  EXPECT_EQ(lanes.total_conflicts(), 0u) << lanes.FormatReport();
 }
 
 }  // namespace kd::invariants
