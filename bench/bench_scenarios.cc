@@ -208,7 +208,8 @@ void PrintScenarioReport(const ScenarioResult& quiet,
     PrintRow({row.key, StrFormat("%zu", row.result.op_log.size()),
               StrFormat("%zu", row.result.late_cold_ms.count()),
               StrFormat("%lld", (long long)row.result.nodes_drained),
-              StrFormat("%llu", (unsigned long long)row.result.instances_failed),
+              StrFormat("%llu",
+                        (unsigned long long)row.result.instances_failed),
               StrFormat("%llu", (unsigned long long)row.result.requeued),
               StrFormat("%zu", row.result.breaches.size())});
   }

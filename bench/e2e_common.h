@@ -108,8 +108,10 @@ inline void PrintE2eRows(const std::string& title,
   PrintHeader(title + " — volume", {"variant", "requests", "completed",
                                     "instances", "scale calls"});
   for (const auto& [name, r] : results) {
-    PrintRow({name, StrFormat("%llu", (unsigned long long)r.report.total_requests),
-              StrFormat("%llu", (unsigned long long)r.report.completed_requests),
+    PrintRow({name,
+              StrFormat("%llu", (unsigned long long)r.report.total_requests),
+              StrFormat("%llu",
+                        (unsigned long long)r.report.completed_requests),
               StrFormat("%lld", (long long)r.pods_created),
               StrFormat("%llu", (unsigned long long)r.scale_calls)});
   }

@@ -43,7 +43,8 @@ void TokenBucket::Pump() {
   if (pending_timer_ != sim::kInvalidEventId) return;
   // Sleep exactly until the next token matures.
   const double deficit = 1.0 - tokens_;
-  const Duration wait = SecondsF(deficit / qps_) + 1;  // +1ns: avoid rounding short
+  // +1ns: avoid rounding short.
+  const Duration wait = SecondsF(deficit / qps_) + 1;
   pending_timer_ = engine_.ScheduleAfter(wait, [this] {
     pending_timer_ = sim::kInvalidEventId;
     Pump();

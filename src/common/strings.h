@@ -8,7 +8,8 @@
 namespace kd {
 
 // printf-style formatting into a std::string.
-std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+std::string StrFormat(const char* fmt, ...)
+    __attribute__((format(printf, 1, 2)));
 
 std::vector<std::string> StrSplit(const std::string& s, char sep);
 

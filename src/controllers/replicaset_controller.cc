@@ -309,17 +309,18 @@ void ReplicaSetController::DeletePods(
       continue;
     }
     ++pending_deletes_[rs_key];
-    harness_.api().Delete(kKindPod, victim->name, [this, rs_key](Status status) {
-      if (!status.ok()) {
-        auto it = pending_deletes_.find(rs_key);
-        if (it != pending_deletes_.end() && it->second > 0) {
-          --it->second;
-        }
-        if (!harness_.crashed()) {
-          harness_.loop().EnqueueAfter(rs_key, Milliseconds(5));
-        }
-      }
-    });
+    harness_.api().Delete(
+        kKindPod, victim->name, [this, rs_key](Status status) {
+          if (!status.ok()) {
+            auto it = pending_deletes_.find(rs_key);
+            if (it != pending_deletes_.end() && it->second > 0) {
+              --it->second;
+            }
+            if (!harness_.crashed()) {
+              harness_.loop().EnqueueAfter(rs_key, Milliseconds(5));
+            }
+          }
+        });
   }
 }
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
+#include "common/check.h"
 #include "kubedirect/materialize.h"
 
 namespace kd::kubedirect {
@@ -212,13 +212,9 @@ void HierarchyClient::OnMessage(WireMessage msg) {
       }
       break;
     }
-    case WireMessage::Type::kAck:
-      if (callbacks_.on_ack) callbacks_.on_ack(msg.key);
-      break;
     default:
-      KD_LOG(kWarning, "kd.client")
-          << "unexpected message " << WireMessageTypeName(msg.type)
-          << " from " << peer_;
+      // The typed in-process link carries only what the server sends.
+      KD_CHECK(false, "HierarchyClient received a client-to-server message");
   }
 }
 
@@ -334,8 +330,8 @@ void HierarchyServer::OnMessage(WireMessage msg) {
       if (callbacks_.on_ack) callbacks_.on_ack(msg.key);
       break;
     default:
-      KD_LOG(kWarning, "kd.server")
-          << "unexpected message " << WireMessageTypeName(msg.type);
+      // The typed in-process link carries only what the client sends.
+      KD_CHECK(false, "HierarchyServer received a server-to-client message");
   }
 }
 
@@ -362,15 +358,6 @@ bool HierarchyServer::SendSoftInvalidate(const KdMessage& msg) {
   WireMessage wire;
   wire.type = WireMessage::Type::kSoftInvalidate;
   wire.message = msg;
-  link_->Send(std::move(wire));
-  return true;
-}
-
-bool HierarchyServer::SendAck(const std::string& key) {
-  if (!upstream_connected()) return false;
-  WireMessage wire;
-  wire.type = WireMessage::Type::kAck;
-  wire.key = key;
   link_->Send(std::move(wire));
   return true;
 }

@@ -64,8 +64,6 @@ class KD_LANE_SEAM HierarchyClient {
     // already merged into the cache by the client. The delta is passed
     // through so mid-chain controllers can relay it further upstream.
     std::function<void(const KdMessage& delta)> on_soft_invalidate;
-    // Downstream acknowledged a tombstone'd pod's removal is visible.
-    std::function<void(const std::string& key)> on_ack;
     // Connection lost (handshake will re-run on reconnect).
     std::function<void()> on_down;
     // A connect attempt failed (peer unreachable). Fired per attempt;
@@ -191,7 +189,6 @@ class KD_LANE_SEAM HierarchyServer {
   // the next handshake will carry the information instead).
   bool SendRemove(const std::string& key);
   bool SendSoftInvalidate(const KdMessage& msg);
-  bool SendAck(const std::string& key);
   // Immediate-flush removal used to answer synchronous termination.
   bool SendRemoveNow(const std::string& key);
 

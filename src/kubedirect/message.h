@@ -73,7 +73,7 @@ struct WireMessage {
     kRemove,         // bwd: object no longer exists downstream
     kTombstone,      // fwd: replicate termination intent (§4.3)
     kSoftInvalidate, // bwd: downstream state change (KdMessage)
-    kAck,            // bwd/fwd: acknowledge a Remove/invalidation
+    kAck,            // fwd: acknowledge a Remove/invalidation
     kStateVersions,  // handshake round 1: key -> content hash
     kStateRequest,   // handshake round 2: keys the client needs
     kStateSnapshot,  // handshake round 2: full objects (the expensive path)

@@ -14,7 +14,7 @@ void Informer::Start(const std::string& kind, std::function<void()> done) {
   resync_epoch_ = 0;
   resyncs_ = 0;
   done_ = std::move(done);
-  StartStream();
+  Rearm();
 }
 
 bool Informer::ArmWatch() {
@@ -32,66 +32,6 @@ bool Informer::ArmWatch() {
   return watch_id_ != 0;
 }
 
-void Informer::StartStream() {
-  // Arm the watch first (free registration). If the server is down the
-  // registration is refused; keep retrying until it sticks, then list.
-  if (!ArmWatch()) {
-    const std::uint64_t session = session_;
-    server_.engine().ScheduleAfter(server_.cost().watch_retry_backoff,
-                                   [this, session] {
-                                     if (session != session_ || !running_) {
-                                       return;
-                                     }
-                                     StartStream();
-                                   });
-    return;
-  }
-  if (!filter_) RunInitialList();
-}
-
-void Informer::RunInitialList() {
-  const std::uint64_t session = session_;
-  client_.List(
-      kind_, [this, session](StatusOr<std::vector<model::ApiObject>> result,
-                             std::uint64_t) {
-        if (session != session_ || !running_) return;
-        // Sanctioned seam: the initial-list merge writes the owner's
-        // cache from an API-server response event.
-        sim::LaneScope lane_scope(cache_.lane_checker(), cache_.bound_lane());
-        if (!result.ok()) {
-          // Server died mid-sync (transport failure after retries). The
-          // broken-watch path re-arms the stream; the initial list
-          // itself keeps retrying so the sync eventually completes.
-          server_.engine().ScheduleAfter(server_.cost().watch_retry_backoff,
-                                         [this, session] {
-                                           if (session != session_ ||
-                                               !running_) {
-                                             return;
-                                           }
-                                           RunInitialList();
-                                         });
-          return;
-        }
-        for (auto& obj : *result) {
-          if (guard_) {
-            // A crash interleaved with the initial sync: the relist
-            // machinery may already have merged fresher state.
-            const model::ApiObject* cached = cache_.Get(obj.Key());
-            if (cached != nullptr &&
-                cached->resource_version >= obj.resource_version) {
-              continue;
-            }
-          }
-          cache_.Upsert(std::move(obj));
-        }
-        synced_ = true;
-        if (!done_) return;
-        std::function<void()> done = std::move(done_);
-        done_ = nullptr;
-        done();
-      });
-}
-
 void Informer::Stop() {
   if (watch_id_ != 0) {
     server_.Unwatch(watch_id_);
@@ -100,6 +40,7 @@ void Informer::Stop() {
   ++resync_epoch_;
   running_ = false;
   ++session_;
+  list_deletes_.reset();
 }
 
 void Informer::HandleEvent(const apiserver::WatchEvent& event) {
@@ -119,6 +60,9 @@ void Informer::HandleEvent(const apiserver::WatchEvent& event) {
       cache_.Upsert(event.object);
       break;
     case apiserver::WatchEventType::kDeleted:
+      if (list_deletes_ != nullptr) {
+        (*list_deletes_)[event.object.Key()] = event.object.resource_version;
+      }
       cache_.Remove(event.object.Key());
       break;
   }
@@ -129,6 +73,7 @@ void Informer::OnWatchBreak() {
   watch_id_ = 0;
   guard_ = true;
   ++resync_epoch_;
+  list_deletes_.reset();  // The list in flight, if any, is void.
   ScheduleRearm();
 }
 
@@ -149,9 +94,11 @@ void Informer::Rearm() {
   // between the two is missed (duplicates are absorbed by the guarded
   // merge).
   if (!ArmWatch()) {
-    ScheduleRearm();  // Still down.
+    ScheduleRearm();  // The server is down.
     return;
   }
+  if (filter_ && !guard_) return;  // Lists only to recover.
+  list_deletes_ = std::make_unique<std::map<std::string, std::uint64_t>>();
   const std::uint64_t session = session_;
   const std::uint64_t epoch = resync_epoch_;
   client_.List(
@@ -162,14 +109,15 @@ void Informer::Rearm() {
           return;
         }
         if (!objects.ok()) {
-          // The server crashed again between watch registration and the
-          // list. Kill this recovery chain (a concurrent on_break chain
-          // with the old epoch dies too) and start a fresh one.
+          // The server crashed between watch registration and the
+          // list. Kill this chain (a concurrent on_break chain with the
+          // old epoch dies too) and start a fresh one.
           if (watch_id_ != 0) {
             server_.Unwatch(watch_id_);
             watch_id_ = 0;
           }
           ++resync_epoch_;
+          list_deletes_.reset();
           ScheduleRearm();
           return;
         }
@@ -180,14 +128,23 @@ void Informer::Rearm() {
 void Informer::ApplySnapshot(std::vector<model::ApiObject> objects,
                              std::uint64_t revision) {
   sim::LaneScope lane_scope(cache_.lane_checker(), cache_.bound_lane());
+  const auto deleted = std::move(list_deletes_);
   std::set<std::string> snapshot_keys;
   for (auto& obj : objects) {
     // Out of scope: a cached copy is removed below as deleted.
     if (filter_ && !filter_(obj)) continue;
-    snapshot_keys.insert(obj.Key());
-    const model::ApiObject* cached = cache_.Get(obj.Key());
+    const std::string& key = *snapshot_keys.insert(obj.Key()).first;
+    // Skip what a watch event already moved past the snapshot: a newer
+    // version in the cache, or a delete committed after it. An equal
+    // version is merged again until the first break (see guard_).
+    const model::ApiObject* cached = cache_.Get(key);
     if (cached != nullptr &&
-        cached->resource_version >= obj.resource_version) {
+        (cached->resource_version > obj.resource_version ||
+         (guard_ && cached->resource_version == obj.resource_version))) {
+      continue;
+    }
+    const auto gone = deleted->find(key);
+    if (gone != deleted->end() && gone->second > obj.resource_version) {
       continue;
     }
     cache_.Upsert(std::move(obj));  // Synthesized Added/Modified.
@@ -202,10 +159,17 @@ void Informer::ApplySnapshot(std::vector<model::ApiObject> objects,
     to_remove.push_back(cached->Key());
   }
   for (const std::string& key : to_remove) cache_.Remove(key);
-  ++resyncs_;
-  if (metrics_ != nullptr) {
-    metrics_->Count("informer." + kind_ + ".relists_total");
+  synced_ = true;
+  if (guard_) {  // A relist after a watch break.
+    ++resyncs_;
+    if (metrics_ != nullptr) {
+      metrics_->Count("informer." + kind_ + ".relists_total");
+    }
   }
+  if (!done_) return;
+  std::function<void()> done = std::move(done_);
+  done_ = nullptr;
+  done();
 }
 
 }  // namespace kd::runtime

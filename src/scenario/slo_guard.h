@@ -71,7 +71,8 @@ class KD_LANE_OWNED(scenario) SloGuard {
 
   struct Breach {
     Time at = 0;
-    std::string guard;  // "cold-p99" | "endpoint-staleness" | "lost-invocations"
+    // "cold-p99" | "endpoint-staleness" | "lost-invocations"
+    std::string guard;
     std::string detail;
   };
 

@@ -66,7 +66,9 @@ TEST_F(KdLinkTest, DeliversMessagesInOrder) {
   }
   engine_.Run();
   ASSERT_EQ(received.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(received[i], "Pod/p" + std::to_string(i));
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(received[i], "Pod/p" + std::to_string(i));
+  }
 }
 
 TEST_F(KdLinkTest, BatchesWithinWindow) {
@@ -261,8 +263,9 @@ TEST_F(HierarchyTest, ScopeFilterLimitsHandshake) {
 
 TEST_F(HierarchyTest, UpsertFlowsDownstream) {
   auto received = std::make_shared<std::vector<KdMessage>>();
-  auto server = MakeServer(
-      {.on_upsert = [received](const KdMessage& m) { received->push_back(m); }});
+  auto server = MakeServer({.on_upsert = [received](const KdMessage& m) {
+    received->push_back(m);
+  }});
   auto client = MakeClient();
   engine_.Run();
   ASSERT_TRUE(client->ready());

@@ -243,8 +243,8 @@ TEST_P(KdlintModeTest, SuppressionCommentsDemoteFindings) {
 
 TEST_P(KdlintModeTest, RuleFilterRestrictsFindings) {
   const RunResult r =
-      RunKdlint(ModeFlag() + " --json --rules=R3 " + Fixture("r3_violation.cc") +
-          " " + Fixture("r1_violation.cc"));
+      RunKdlint(ModeFlag() + " --json --rules=R3 " +
+                Fixture("r3_violation.cc") + " " + Fixture("r1_violation.cc"));
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_EQ(CountFindings(r.output), 2) << r.output;
   EXPECT_EQ(r.output.find("\"rule\":\"R1\""), std::string::npos) << r.output;
@@ -263,14 +263,14 @@ TEST(KdlintTest, BaselineDemotesKnownFindingsUntilDeleted) {
                               Fixture("r1_violation.cc"));
   EXPECT_EQ(write.exit_code, 1);  // findings still reported on first pass
 
-  const RunResult masked =
-      RunKdlint("--json --baseline=" + baseline + " " + Fixture("r1_violation.cc"));
+  const RunResult masked = RunKdlint("--json --baseline=" + baseline + " " +
+                                     Fixture("r1_violation.cc"));
   EXPECT_EQ(masked.exit_code, 0) << masked.output;
   EXPECT_EQ(CountFindings(masked.output), 0) << masked.output;
 
   // A regression not in the baseline still fails.
-  const RunResult regression =
-      RunKdlint("--json --baseline=" + baseline + " " + Fixture("r4_violation.cc"));
+  const RunResult regression = RunKdlint("--json --baseline=" + baseline +
+                                         " " + Fixture("r4_violation.cc"));
   EXPECT_EQ(regression.exit_code, 1);
   std::remove(baseline.c_str());
 }
@@ -298,8 +298,8 @@ TEST(KdlintTest, ExecutedModeMatrixIsReported) {
   // ran or was skipped — a silent skip is how backend-only
   // regressions slip through.
   const bool clang = ClangModeAvailable();
-  const std::string matrix =
-      std::string("token=run clang=") + (clang ? "run" : "skipped(no libclang)");
+  const std::string matrix = std::string("token=run clang=") +
+                             (clang ? "run" : "skipped(no libclang)");
   ::testing::Test::RecordProperty("kdlint_mode_matrix", matrix);
   std::cout << "[kdlint] executed mode matrix: " << matrix << "\n";
 
@@ -350,8 +350,8 @@ TEST(KdlintTest, SarifOutputCarriesResultsAndSuppressions) {
 TEST(KdlintTest, SweepOverProductTreeIsClean) {
   // The same gate as the kdlint_sweep ctest target, kept here too so a
   // plain `ctest -R kdlint` covers fixtures and sweep together.
-  const RunResult r = RunKdlint("--repo-scope " + std::string(KDLINT_SOURCE_DIR) +
-                          "/src");
+  const RunResult r =
+      RunKdlint("--repo-scope " + std::string(KDLINT_SOURCE_DIR) + "/src");
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 

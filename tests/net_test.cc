@@ -80,7 +80,9 @@ TEST_F(NetTest, MessagesArriveInOrder) {
   }
   engine_.Run();
   ASSERT_EQ(received.size(), 20u);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(received[i], "msg" + std::to_string(i));
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(received[i], "msg" + std::to_string(i));
+  }
 }
 
 TEST_F(NetTest, LargeMessagesDontOvertakeSmallEarlierOnes) {

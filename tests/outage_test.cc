@@ -1,7 +1,8 @@
 // API-server fault-domain tests: relist diffing after a watch break,
-// deterministic retry/backoff sequencing, deadline expiry ordering for
-// requests that arrive while the server is down, and same-seed trace
-// determinism of a scripted outage schedule.
+// lists that land after newer watch events, a crash during the initial
+// sync, deterministic retry/backoff sequencing, deadline expiry
+// ordering for requests that arrive while the server is down, and
+// same-seed trace determinism of a scripted outage schedule.
 //
 // The core contract under test: a crash/restart loses no committed
 // state and every consumer reconverges — informers, with or without a
@@ -38,6 +39,33 @@ using model::MinimalPodTemplateSpec;
 
 ApiObject Deploy(const std::string& name, int replicas) {
   return MakeDeployment(name, replicas, MinimalPodTemplateSpec(name));
+}
+
+// Seeds d-0..d-39 with realistic pod templates: a List of them spends
+// about 80 ms on the wire serializing its response.
+void SeedLargeDeployments(ApiServer& server) {
+  for (int i = 0; i < 40; ++i) {
+    const std::string name = StrFormat("d-%d", i);
+    server.SeedObject(
+        MakeDeployment(name, 1, model::RealisticPodTemplateSpec(name)));
+  }
+}
+
+// Reconvergence: the cache view equals the store within the filter's
+// scope, object for object.
+void ExpectCacheMatchesServer(const runtime::ObjectCache& cache,
+                              const ApiServer& server,
+                              const apiserver::WatchFilter& filter = nullptr) {
+  std::vector<const ApiObject*> truth;
+  for (const ApiObject* obj : server.PeekAll(kKindDeployment)) {
+    if (!filter || filter(*obj)) truth.push_back(obj);
+  }
+  std::vector<const ApiObject*> view = cache.List(kKindDeployment);
+  ASSERT_EQ(view.size(), truth.size());
+  for (std::size_t i = 0; i < truth.size(); ++i) {
+    EXPECT_EQ(view[i]->Key(), truth[i]->Key());
+    EXPECT_EQ(view[i]->resource_version, truth[i]->resource_version);
+  }
 }
 
 // --- informer relist diffing ------------------------------------------
@@ -148,14 +176,7 @@ TEST(OutageRelistTest, InformerCacheMatchesServerAfterRecovery) {
     engine.RunFor(Seconds(5));
   }
 
-  // Reconvergence: cache view == server view, object for object.
-  std::vector<const ApiObject*> truth = server.PeekAll(kKindDeployment);
-  std::vector<const ApiObject*> view = cache.List(kKindDeployment);
-  ASSERT_EQ(view.size(), truth.size());
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_EQ(view[i]->Key(), truth[i]->Key());
-    EXPECT_EQ(view[i]->resource_version, truth[i]->resource_version);
-  }
+  ExpectCacheMatchesServer(cache, server);
   EXPECT_EQ(informer.resyncs(), 2u);
 }
 
@@ -189,16 +210,7 @@ void RunSecondBreakDuringRelist(const apiserver::WatchFilter& filter) {
   server.SeedObject(Deploy("late", 2));
   engine.RunFor(Seconds(60));
 
-  std::vector<const ApiObject*> truth;
-  for (const ApiObject* obj : server.PeekAll(kKindDeployment)) {
-    if (!filter || filter(*obj)) truth.push_back(obj);
-  }
-  std::vector<const ApiObject*> view = cache.List(kKindDeployment);
-  ASSERT_EQ(view.size(), truth.size());
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_EQ(view[i]->Key(), truth[i]->Key());
-    EXPECT_EQ(view[i]->resource_version, truth[i]->resource_version);
-  }
+  ExpectCacheMatchesServer(cache, server, filter);
   EXPECT_EQ(informer.resyncs(), 1u);
 }
 
@@ -213,6 +225,88 @@ TEST(OutageRelistTest, SecondBreakDuringRelistRunsOneRecovery) {
     RunSecondBreakDuringRelist(
         [](const ApiObject& obj) { return obj.name != "d3"; });
   }
+}
+
+// --- lists that land after newer watch events -------------------------
+
+// The informer's list is on the wire when a second client deletes d-1
+// and scales d-0 to 7 replicas. Both writes commit after the list's
+// snapshot, and their watch events land before the list does: the
+// late list must neither roll d-0 back nor re-add d-1.
+void RunLateList(bool relist) {
+  sim::Engine engine;
+  const CostModel cost = CostModel::Default();
+  ApiServer server(engine, cost);
+  ApiClient client(engine, server, "informer", 1e6, 1e6);
+  runtime::ObjectCache cache;
+  runtime::Informer informer(client, server, cache, nullptr);
+  SeedLargeDeployments(server);
+  Time listed_at = engine.now();
+  informer.Start(kKindDeployment);
+  if (relist) {
+    engine.RunFor(Seconds(1));
+    ASSERT_TRUE(informer.synced());
+    server.Crash();
+    server.Restart();
+    // The break is delivered after watch_delivery_latency, and the
+    // rearm that lists again waits watch_retry_backoff.
+    listed_at =
+        engine.now() + cost.watch_delivery_latency + cost.watch_retry_backoff;
+  }
+  engine.RunUntil(listed_at + Milliseconds(5));
+
+  ApiClient writer(engine, server, "writer", 1e6, 1e6);
+  writer.Delete(kKindDeployment, "d-1", [](Status s) { ASSERT_TRUE(s.ok()); });
+  ApiObject scaled = *server.Peek(kKindDeployment, "d-0");
+  model::SetReplicas(scaled, 7);
+  writer.Update(std::move(scaled),
+                [](StatusOr<ApiObject> r) { ASSERT_TRUE(r.ok()); });
+  engine.RunFor(Seconds(5));
+
+  EXPECT_EQ(informer.resyncs(), relist ? 1u : 0u);
+  EXPECT_EQ(cache.Get("Deployment/d-1"), nullptr);
+  const ApiObject* d0 = cache.Get("Deployment/d-0");
+  ASSERT_NE(d0, nullptr);
+  EXPECT_EQ(model::GetReplicas(*d0), 7);
+  EXPECT_EQ(d0->resource_version,
+            server.Peek(kKindDeployment, "d-0")->resource_version);
+  ExpectCacheMatchesServer(cache, server);
+}
+
+TEST(OutageRelistTest, LateListKeepsNewerWatchState) {
+  {
+    SCOPED_TRACE("initial sync");
+    RunLateList(/*relist=*/false);
+  }
+  {
+    SCOPED_TRACE("relist after a watch break");
+    RunLateList(/*relist=*/true);
+  }
+}
+
+// The server crashes while the first List is on the wire: the sync
+// completes through the recovery relist, and `done` fires once.
+TEST(OutageRelistTest, CrashDuringInitialSyncCompletesOnce) {
+  sim::Engine engine;
+  ApiServer server(engine, CostModel::Default());
+  ApiClient client(engine, server, "informer", 1e6, 1e6);
+  runtime::ObjectCache cache;
+  runtime::Informer informer(client, server, cache, nullptr);
+  SeedLargeDeployments(server);
+  int done_calls = 0;
+  informer.Start(kKindDeployment, [&done_calls] { ++done_calls; });
+  engine.RunFor(Milliseconds(5));
+
+  server.Crash();
+  engine.RunFor(Milliseconds(100));
+  server.Restart();
+  server.SeedObject(Deploy("late", 2));
+  engine.RunFor(Seconds(60));
+
+  EXPECT_EQ(done_calls, 1);
+  EXPECT_TRUE(informer.synced());
+  EXPECT_EQ(informer.resyncs(), 1u);
+  ExpectCacheMatchesServer(cache, server);
 }
 
 // --- field-selector informer relist -----------------------------------

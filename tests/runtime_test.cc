@@ -244,8 +244,10 @@ TEST(ObjectCacheTest, RandomWalkMatchesOrderedReference) {
     });
     std::uint64_t next_version = 1;
     for (int step = 0; step < 300; ++step) {
-      const std::string kind = kWalkKinds[rng.UniformInt(std::size(kWalkKinds))];
-      const std::string name = kWalkNames[rng.UniformInt(std::size(kWalkNames))];
+      const std::string kind =
+          kWalkKinds[rng.UniformInt(std::size(kWalkKinds))];
+      const std::string name =
+          kWalkNames[rng.UniformInt(std::size(kWalkNames))];
       const std::string key = ApiObject::MakeKey(kind, name);
       auto it = ref.find(key);
       const bool exists = it != ref.end();

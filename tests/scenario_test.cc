@@ -544,8 +544,8 @@ TEST(ScenarioRunnerTest, AutoscalerHoldsScaleDownAfterUpgradeBlip) {
   cluster.deployment_controller().Crash();
   engine.RunFor(Milliseconds(100));
   cluster.deployment_controller().Restart();
-  ASSERT_TRUE(cluster.RunUntil([&] { return cluster.autoscaler().link_ready(); },
-                               Seconds(10)));
+  ASSERT_TRUE(cluster.RunUntil(
+      [&] { return cluster.autoscaler().link_ready(); }, Seconds(10)));
 
   // A scale-down inside the window is deferred, not applied: this is
   // the distorted-demand whipsaw the hold exists to absorb.

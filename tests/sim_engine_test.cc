@@ -55,7 +55,8 @@ TEST(EngineTest, ScheduleAfterUsesCurrentTime) {
 TEST(EngineTest, PastTimesClampToNow) {
   Engine e;
   e.ScheduleAt(Milliseconds(10), [&] {
-    e.ScheduleAt(Milliseconds(1), [&] { EXPECT_EQ(e.now(), Milliseconds(10)); });
+    e.ScheduleAt(Milliseconds(1),
+                 [&] { EXPECT_EQ(e.now(), Milliseconds(10)); });
   });
   e.Run();
   EXPECT_EQ(e.now(), Milliseconds(10));

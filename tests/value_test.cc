@@ -63,7 +63,9 @@ TEST(ValueTest, ObjectIndexing) {
   EXPECT_EQ(v["b"]["c"].as_string(), "deep");
   EXPECT_TRUE(v.contains("a"));
   EXPECT_FALSE(v.contains("z"));
-  EXPECT_TRUE(v["z"].is_null());  // const-access of missing key via mutable [] inserts; check const path
+  // The mutable [] inserts a missing key; the const path is checked
+  // below.
+  EXPECT_TRUE(v["z"].is_null());
 }
 
 TEST(ValueTest, ConstIndexMissingKeyIsNull) {
