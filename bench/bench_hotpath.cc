@@ -2,10 +2,8 @@
 // three paths every figure bench and test grinds through:
 //
 //   sched    — raw event throughput: K self-rescheduling actors drive
-//              the engine's schedule/fire cycle (no cancellations);
-//   cancel   — schedule+cancel churn: the RPC-timeout pattern (arm a
-//              timeout, complete, cancel the timeout) that the API
-//              server, network, and controllers all use;
+//              the engine's schedule/fire cycle, each delay drawn from
+//              the classes the simulator arms its own events with;
 //   fanout   — watch fan-out: one ~17 KB pod updated U times with W
 //              watchers subscribed; every delivery copies the object
 //              and charges its SerializedSize();
@@ -38,6 +36,36 @@ double SecondsSince(Clock::time_point start) {
 
 // --- sched: pure schedule/fire throughput ------------------------------
 
+// The delays the simulator arms its events with: each class's share, in
+// per mille, of the 649,529 events a seed-1 kn-kd-trace replay arms
+// (counted once with a throwaway counter in LaneQueue::Arm; DESIGN.md
+// §4b). A delay is uniform within its class.
+struct DelayClass {
+  std::uint64_t per_mille;
+  Duration lo;
+  Duration hi;  // inclusive
+};
+constexpr DelayClass kArmedDelays[] = {
+    {65, 0, 0},
+    {29, 1, Microseconds(10) - 1},
+    {374, Microseconds(10), Microseconds(100) - 1},
+    {241, Microseconds(100), Milliseconds(1) - 1},
+    {149, Milliseconds(1), Milliseconds(10) - 1},
+    {61, Milliseconds(10), Seconds(1) - 1},
+    {80, Seconds(1), Seconds(1000) - 1},
+};
+
+Duration DrawArmedDelay(Rng& rng) {
+  std::uint64_t total = 0;
+  for (const DelayClass& c : kArmedDelays) total += c.per_mille;
+  std::uint64_t roll = rng.UniformInt(total);
+  for (const DelayClass& c : kArmedDelays) {
+    if (roll < c.per_mille) return rng.UniformRange(c.lo, c.hi);
+    roll -= c.per_mille;
+  }
+  return 0;  // unreachable: the rolls cover the classes
+}
+
 double SchedulingEventsPerSec(int actors, std::uint64_t total_events) {
   sim::Engine engine;
   Rng rng(0xBEEF);
@@ -49,46 +77,14 @@ double SchedulingEventsPerSec(int actors, std::uint64_t total_events) {
     auto& self = behaviors[static_cast<std::size_t>(a)];
     self = [&engine, &rng, &self, &fired, total_events] {
       ++fired;
-      if (fired + 0 < total_events) {
-        engine.ScheduleAfter(
-            static_cast<Duration>(1 + rng.UniformInt(1000)),
-            [&self] { self(); });
+      if (fired < total_events) {
+        engine.ScheduleAfter(DrawArmedDelay(rng), [&self] { self(); });
       }
     };
-    engine.ScheduleAfter(static_cast<Duration>(rng.UniformInt(1000)),
-                         [&self] { self(); });
+    engine.ScheduleAfter(DrawArmedDelay(rng), [&self] { self(); });
   }
   engine.Run();
   return static_cast<double>(fired) / SecondsSince(start);
-}
-
-// --- cancel: the armed-timeout churn pattern ---------------------------
-
-double CancelChurnEventsPerSec(std::uint64_t total_ops) {
-  sim::Engine engine;
-  Rng rng(0xFACE);
-  std::uint64_t ops = 0;
-  std::function<void()> step;
-  step = [&] {
-    ++ops;
-    if (ops >= total_ops) return;
-    // Arm a timeout far in the future, complete shortly, cancel the
-    // timeout from the completion — the shape of every simulated RPC.
-    sim::EventId timeout =
-        engine.ScheduleAfter(Seconds(30) + static_cast<Duration>(
-                                               rng.UniformInt(1000)),
-                             [] {});
-    engine.ScheduleAfter(static_cast<Duration>(1 + rng.UniformInt(100)),
-                         [&engine, &step, timeout] {
-                           engine.Cancel(timeout);
-                           step();
-                         });
-  };
-  const auto start = Clock::now();
-  step();
-  engine.Run();
-  // Each op = 2 schedules + 1 fire + 1 cancel; report ops/sec.
-  return static_cast<double>(ops) / SecondsSince(start);
 }
 
 // --- fanout: watch broadcast of a realistic pod ------------------------
@@ -143,7 +139,6 @@ MScaleWall MScalabilityWall(int nodes, int pods) {
 
 struct HotpathReport {
   double sched_events_per_sec = 0;
-  double cancel_ops_per_sec = 0;
   double fanout_deliveries_per_sec = 0;
   MScaleWall m_scale;
   int m_nodes = 0;
@@ -158,7 +153,6 @@ void WriteJson(const HotpathReport& r, const char* path) {
   std::fprintf(f,
                "{\n"
                "  \"sched_events_per_sec\": %.0f,\n"
-               "  \"cancel_ops_per_sec\": %.0f,\n"
                "  \"fanout_deliveries_per_sec\": %.0f,\n"
                "  \"m_scalability\": {\n"
                "    \"nodes\": %d,\n"
@@ -169,9 +163,9 @@ void WriteJson(const HotpathReport& r, const char* path) {
                "    \"engine\": %s\n"
                "  }\n"
                "}\n",
-               r.sched_events_per_sec, r.cancel_ops_per_sec,
-               r.fanout_deliveries_per_sec, r.m_nodes, r.m_scale.wall_s,
-               r.m_scale.sim_s, r.m_scale.converged ? "true" : "false",
+               r.sched_events_per_sec, r.fanout_deliveries_per_sec,
+               r.m_nodes, r.m_scale.wall_s, r.m_scale.sim_s,
+               r.m_scale.converged ? "true" : "false",
                PhasesJson(r.m_scale.phases).c_str(),
                EngineStatsJson(r.m_scale.engine_events).c_str());
   std::fclose(f);
@@ -181,7 +175,6 @@ void WriteJson(const HotpathReport& r, const char* path) {
 int RunHotpath(bool smoke) {
   const int sched_actors = smoke ? 64 : 1000;
   const std::uint64_t sched_events = smoke ? 50'000 : 5'000'000;
-  const std::uint64_t cancel_ops = smoke ? 20'000 : 1'000'000;
   const int fanout_watchers = smoke ? 10 : 100;
   const int fanout_updates = smoke ? 20 : 200;
   const int m_nodes = smoke ? 40 : 4000;
@@ -190,7 +183,6 @@ int RunHotpath(bool smoke) {
   HotpathReport report;
   report.sched_events_per_sec =
       SchedulingEventsPerSec(sched_actors, sched_events);
-  report.cancel_ops_per_sec = CancelChurnEventsPerSec(cancel_ops);
   report.fanout_deliveries_per_sec =
       WatchFanoutDeliveriesPerSec(fanout_watchers, fanout_updates);
   report.m_scale = MScalabilityWall(m_nodes, m_pods);
@@ -200,8 +192,6 @@ int RunHotpath(bool smoke) {
               {"metric", "value"});
   PrintRow({"sched events/s",
             StrFormat("%.2fM", report.sched_events_per_sec / 1e6)});
-  PrintRow({"cancel ops/s",
-            StrFormat("%.2fM", report.cancel_ops_per_sec / 1e6)});
   PrintRow({"fanout deliveries/s",
             StrFormat("%.0fk", report.fanout_deliveries_per_sec / 1e3)});
   PrintRow({StrFormat("M=%d wall", m_nodes),

@@ -40,13 +40,14 @@ void TokenBucket::Pump() {
     fn();
   }
   if (waiting_.empty()) return;
-  if (pending_timer_ != sim::kInvalidEventId) return;
+  if (pending_timer_) return;
   // Sleep exactly until the next token matures.
   const double deficit = 1.0 - tokens_;
   // +1ns: avoid rounding short.
   const Duration wait = SecondsF(deficit / qps_) + 1;
-  pending_timer_ = engine_.ScheduleAfter(wait, [this] {
-    pending_timer_ = sim::kInvalidEventId;
+  pending_timer_ = true;
+  engine_.ScheduleAfter(wait, [this] {
+    pending_timer_ = false;
     Pump();
   });
 }

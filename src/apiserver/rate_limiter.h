@@ -34,7 +34,7 @@ class TokenBucket {
   double tokens_;
   Time last_refill_ = 0;
   std::deque<std::function<void()>> waiting_;
-  sim::EventId pending_timer_ = sim::kInvalidEventId;
+  bool pending_timer_ = false;
 };
 
 }  // namespace kd::apiserver

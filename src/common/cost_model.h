@@ -1,8 +1,11 @@
 // Central cost model for the simulation.
 //
 // Every latency constant the reproduction depends on lives here, with
-// the paper (or Kubernetes documentation) reference that motivates it.
-// Benches vary these to run ablations; tests pin them for determinism.
+// the paper (or Kubernetes documentation) reference that motivates it,
+// apart from the simulated network's link latency, bandwidth and
+// keepalive timeout, which are constants in net/network.h. Benches
+// vary the fields below to run ablations; tests pin them for
+// determinism.
 //
 // Calibration targets from the paper:
 //   - a standard Kubernetes API call takes 10-35 ms end-to-end (§6.3);

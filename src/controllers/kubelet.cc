@@ -336,22 +336,16 @@ void Kubelet::Publish(const ApiObject& pod) {
   harness_.api().Update(pod, [this, key, on_done](StatusOr<ApiObject> result) {
     if (!result.ok() && !harness_.crashed() &&
         result.status().code() == StatusCode::kConflict) {
-      // Stale version: re-read then retry once the informer catches up.
+      // Stale version: re-read, then retry with the same completion.
       harness_.api().Get(
           kKindPod, key.substr(key.find('/') + 1),
-          [this, key](StatusOr<ApiObject> fresh) {
+          [this, key, on_done](StatusOr<ApiObject> fresh) {
             if (!fresh.ok() || harness_.crashed()) return;
             const ApiObject* local = cache_.Get(key);
             if (local == nullptr) return;
             ApiObject merged = *fresh;
             merged.status = local->status;
-            harness_.api().Update(merged, [this, key](StatusOr<ApiObject> r2) {
-              if (r2.ok()) {
-                published_.insert(key);
-                pods_published_.Add();
-                span_.MarkStop(env_.engine.now());
-              }
-            });
+            harness_.api().Update(merged, on_done);
           });
       return;
     }

@@ -36,12 +36,9 @@ class Connection : public std::enable_shared_from_this<Connection> {
       return UnavailableError("connection closed");
     }
     network_.AccountSend(payload);
-    const NetworkConfig& cfg = network_.config();
-    Duration wire = cfg.latency;
-    if (cfg.bytes_per_second > 0) {
-      wire += SecondsF(static_cast<double>(payload.bytes()) /
-                       cfg.bytes_per_second);
-    }
+    const Duration wire =
+        kLinkLatency +
+        SecondsF(static_cast<double>(payload.bytes()) / kLinkBytesPerSecond);
     sim::Engine& engine = network_.engine();
     Side& to = sides_[1 - from_side];
     Time deliver_at = engine.now() + wire;
@@ -92,11 +89,10 @@ class Connection : public std::enable_shared_from_this<Connection> {
   // Active close by `side`: that side observes the close immediately,
   // the peer after one-way latency (FIN propagation).
   void CloseFrom(int side) {
-    const Duration peer_delay = network_.config().latency;
     if (side == 0) {
-      Close(/*side0=*/0, /*side1=*/peer_delay);
+      Close(/*side0=*/0, /*side1=*/kLinkLatency);
     } else {
-      Close(/*side0=*/peer_delay, /*side1=*/0);
+      Close(/*side0=*/kLinkLatency, /*side1=*/0);
     }
   }
 
@@ -163,8 +159,7 @@ void ConnHandle::Close() {
 
 // --- Network ---------------------------------------------------------
 
-Network::Network(sim::Engine& engine, NetworkConfig config)
-    : engine_(engine), config_(config) {}
+Network::Network(sim::Engine& engine) : engine_(engine) {}
 
 void Network::Register(Endpoint* endpoint) {
   auto [it, added] = slot_of_.try_emplace(endpoint->address(), slots_.size());
@@ -205,8 +200,7 @@ void Network::Partition(const std::string& a, const std::string& b) {
     const bool matches = (conn->address(0) == a && conn->address(1) == b) ||
                          (conn->address(0) == b && conn->address(1) == a);
     if (matches && conn->open()) {
-      conn->Close(config_.disconnect_detect_delay,
-                  config_.disconnect_detect_delay);
+      conn->Close(kDisconnectDetectDelay, kDisconnectDetectDelay);
     }
     ++it;
   }
@@ -233,12 +227,10 @@ void Network::CrashEndpoint(const std::string& address) {
         (conn->address(0) == address || conn->address(1) == address)) {
       // The crashed side is never notified (its process is gone); the
       // survivor notices after the keepalive timeout.
-      const Duration d0 = conn->address(0) == address
-                              ? Duration{-1}
-                              : config_.disconnect_detect_delay;
-      const Duration d1 = conn->address(1) == address
-                              ? Duration{-1}
-                              : config_.disconnect_detect_delay;
+      const Duration d0 =
+          conn->address(0) == address ? Duration{-1} : kDisconnectDetectDelay;
+      const Duration d1 =
+          conn->address(1) == address ? Duration{-1} : kDisconnectDetectDelay;
       conn->Close(d0, d1);
     }
     ++it;
@@ -274,7 +266,7 @@ void Endpoint::Connect(const std::string& to,
   const std::uint64_t to_epoch = net.crash_epoch(to);
   // The SYN resolves its target on arrival; the accept runs in the
   // target's lane, and each report back in the connector's.
-  net.engine_.ScheduleAfter(net.config_.latency,
+  net.engine_.ScheduleAfter(kLinkLatency,
                             [&net, from, from_slot, to, from_epoch, to_epoch,
                              done = std::move(done)]() {
     if (net.crash_epoch(from) != from_epoch) return;  // connector died
@@ -283,7 +275,7 @@ void Endpoint::Connect(const std::string& to,
         !net.Reachable(from, to) || net.crash_epoch(to) != to_epoch) {
       // Connect-timeout report travels back to the connector.
       net.engine_.ScheduleAfter(
-          net.config_.disconnect_detect_delay,
+          kDisconnectDetectDelay,
           [&net, done = std::move(done), from, from_slot, from_epoch, to] {
             if (net.crash_epoch(from) != from_epoch) return;
             sim::LaneScope lane_scope(net.engine_.lane_checker(),
@@ -301,7 +293,7 @@ void Endpoint::Connect(const std::string& to,
       target->on_accept_(server_handle);
     }
     // SYN-ACK: back to the connector after one-way latency.
-    net.engine_.ScheduleAfter(net.config_.latency,
+    net.engine_.ScheduleAfter(kLinkLatency,
                               [&net, conn, from, from_slot, from_epoch, to,
                                done = std::move(done)]() {
       if (net.crash_epoch(from) != from_epoch) return;  // connector died

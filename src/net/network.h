@@ -108,22 +108,19 @@ class KD_LANE_SEAM ConnHandle {
 
 using ConnHandlePtr = std::shared_ptr<ConnHandle>;
 
-struct NetworkConfig {
-  // One-way propagation latency between any two endpoints.
-  Duration latency = Microseconds(50);
-  // Serialization onto the wire; 0 disables the bandwidth model.
-  double bytes_per_second = 1.25e9;  // 10 Gbps
-  // How long the survivor of a partition / remote crash takes to notice
-  // the connection died (keepalive timeout).
-  Duration disconnect_detect_delay = Milliseconds(5);
-};
+// One-way propagation latency between any two endpoints.
+inline constexpr Duration kLinkLatency = Microseconds(50);
+// Serialization onto the wire: 10 Gbps.
+inline constexpr double kLinkBytesPerSecond = 1.25e9;
+// How long the survivor of a partition / remote crash takes to notice
+// the connection died (keepalive timeout).
+inline constexpr Duration kDisconnectDetectDelay = Milliseconds(5);
 
 class KD_LANE_SEAM Network {
  public:
-  Network(sim::Engine& engine, NetworkConfig config = {});
+  explicit Network(sim::Engine& engine);
 
   sim::Engine& engine() { return engine_; }
-  const NetworkConfig& config() const { return config_; }
 
   // Endpoint registration (done by Endpoint's constructor/destructor).
   void Register(Endpoint* endpoint);
@@ -132,7 +129,7 @@ class KD_LANE_SEAM Network {
 
   // --- Failure injection -------------------------------------------
   // Severs connectivity between the two addresses: existing connections
-  // close (each side notified after disconnect_detect_delay) and new
+  // close (each side notified after kDisconnectDetectDelay) and new
   // Connect attempts fail until Heal().
   void Partition(const std::string& a, const std::string& b);
   void Heal(const std::string& a, const std::string& b);
@@ -176,7 +173,6 @@ class KD_LANE_SEAM Network {
   LaneId LaneOf(std::size_t slot) const;
 
   sim::Engine& engine_;
-  NetworkConfig config_;
   // One slot per address ever registered, holding the endpoint now
   // registered there (null after it unregisters). An address keeps its
   // slot, so a connection resolves its two ends once, when it is made,

@@ -10,27 +10,10 @@ constexpr std::uint64_t kDefaultRngSeed = 0x9E3779B97F4A7C15ULL;
 
 Engine::Engine() : rng_(kDefaultRngSeed) {}
 
-bool Engine::Cancel(EventId id) {
-  if (id == kInvalidEventId) return false;
-  const std::uint32_t index = static_cast<std::uint32_t>(id >> 32) - 1;
-  const std::uint32_t generation = static_cast<std::uint32_t>(id);
-  if (!queue_.has_slot(index)) return false;
-  LaneQueue::Slot& slot = queue_.SlotAt(index);
-  // Generation mismatch: the event already fired (slot recycled or
-  // generation bumped). Disarmed: it was already cancelled.
-  if (slot.generation != generation || !slot.armed) return false;
-  slot.armed = false;
-  LaneQueue::DestroyClosure(slot);  // drop captures now; entry skims lazily
-  queue_.NoteCancelledQueued();
-  return true;
-}
-
 void Engine::Fire(const LaneQueue::Fired& fired) {
   LaneQueue::Slot& slot = queue_.SlotAt(fired.slot);
   ++processed_;
-  if (trace_hook_) {
-    trace_hook_(now(), fired.seq, MakeEventId(fired.slot, fired.generation));
-  }
+  if (trace_hook_) trace_hook_(now(), fired.seq, fired.seq);
   // Restore the event's lane for the lane checker; the guard resets it
   // when the closure unwinds (normally or by throw) so no lane leaks
   // into engine-internal code between events.

@@ -8,12 +8,14 @@
 // load. That determinism is what lets the property tests replay exact
 // failure interleavings from a seed.
 //
-// The event store (one LaneQueue, see sim/lane_queue.h) is a
-// slot/generation arena plus one 4-ary (time, seq) min-heap: closures
-// constructed in place in 64-byte slots, heap entries that name them.
-// EventId encodes slot+generation, so Cancel is O(1) (the heap entry
-// skims when it reaches the top) and stale ids (fired, cancelled,
-// recycled) safely return false.
+// The event store (one LaneQueue, see sim/lane_queue.h) is a slot
+// arena plus one 4-ary (time, seq) min-heap: closures constructed in
+// place in 64-byte slots, heap entries that name them. The engine only
+// schedules and fires: an event cannot be cancelled. A component that
+// changes its mind lets the event fire and drops it through a captured
+// session, epoch or generation (e.g. ControlLoop::EnqueueAfter). A
+// closure's captures are destroyed right after it fires, or with the
+// engine if it is still pending then.
 //
 // Every event is tagged with the lane of the context that scheduled it
 // (see common/lane.h and sim/lane_checker.h); a seam's LaneScope moves
@@ -34,6 +36,11 @@
 
 namespace kd::sim {
 
+// The trace hook's third parameter, which is the event's seq. Kept only
+// because perfbench/kdbench.cc, which is frozen, names it in its hook
+// lambda.
+using EventId = std::uint64_t;
+
 class Engine {
  public:
   Engine();
@@ -48,25 +55,19 @@ class Engine {
   // of the scheduling context, so lane membership flows through
   // closure chains (see sim/lane_checker.h).
   template <class F>
-  EventId ScheduleAt(Time t, F&& fn) {
+  void ScheduleAt(Time t, F&& fn) {
     const std::uint32_t index = queue_.AcquireSlot();
     LaneQueue::Slot& slot = queue_.SlotAt(index);
     slot.lane = lane_checker_.current_lane();
     LaneQueue::EmplaceClosure(slot, std::forward<F>(fn));
     queue_.Arm(index, t < now() ? now() : t, next_seq_++);
-    return MakeEventId(index, slot.generation);
   }
 
   // Schedules `fn` after `delay` from now (negative delays clamp to 0).
   template <class F>
-  EventId ScheduleAfter(Duration delay, F&& fn) {
-    return ScheduleAt(now() + (delay < 0 ? 0 : delay),
-                      std::forward<F>(fn));
+  void ScheduleAfter(Duration delay, F&& fn) {
+    ScheduleAt(now() + (delay < 0 ? 0 : delay), std::forward<F>(fn));
   }
-
-  // Cancels a pending event. Returns false if it already fired or was
-  // already cancelled. Safe to call with kInvalidEventId.
-  bool Cancel(EventId id);
 
   // Runs one event; returns false when the queue is empty.
   bool Step();
@@ -85,7 +86,7 @@ class Engine {
   void Stop() { stop_flag_ = true; }
 
   bool empty() const { return pending_events() == 0; }
-  std::size_t pending_events() const { return queue_.live_events(); }
+  std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t processed_events() const { return processed_; }
 
   // Hard cap on total events processed per Run*/Step sequence; guards
@@ -100,8 +101,9 @@ class Engine {
   void SeedRng(std::uint64_t seed) { rng_.Seed(seed); }
 
   // Observer invoked as each event fires: (virtual time, scheduling
-  // sequence number, event id). The determinism-replay regression test
-  // fingerprints whole runs with it; it is unset (free) in normal use.
+  // sequence number, the same sequence number as an EventId). The
+  // determinism-replay regression test fingerprints whole runs with
+  // it; it is unset (free) in normal use.
   using TraceHook = std::function<void(Time, std::uint64_t, EventId)>;
   void set_trace_hook(TraceHook hook) { trace_hook_ = std::move(hook); }
 
@@ -110,12 +112,6 @@ class Engine {
   LaneChecker& lane_checker() { return lane_checker_; }
 
  private:
-  // EventId layout: slot+1 (high 32 bits) | generation (low 32 bits).
-  // slot+1 keeps 0 == kInvalidEventId.
-  static EventId MakeEventId(std::uint32_t slot, std::uint32_t generation) {
-    return (static_cast<EventId>(slot + 1) << 32) | generation;
-  }
-
   // Pops and fires events due by `limit` until the queue runs dry,
   // Stop() is called, or the event limit trips (shared by Run and
   // RunUntil). Returns the number fired.

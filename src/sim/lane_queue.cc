@@ -3,20 +3,16 @@
 namespace kd::sim {
 
 LaneQueue::~LaneQueue() {
-  // Destroy captures of still-pending events. Cancelled slots already
-  // dropped theirs (destroy == nullptr after DestroyClosure).
-  for (std::size_t i = 0; i < slot_count_; ++i) {
-    Slot& slot = SlotAt(static_cast<std::uint32_t>(i));
-    if (slot.destroy != nullptr) slot.destroy(slot.closure);
-  }
+  // Destroy the captures of still-pending events: a fired event's are
+  // gone already, and the heap holds exactly the pending ones.
+  for (const HeapEntry& entry : heap_) DestroyClosure(SlotAt(entry.slot));
 }
 
 void LaneQueue::Arm(std::uint32_t index, Time t, std::uint64_t seq) {
-  assert(SlotAt(index).armed);
+  assert(SlotAt(index).invoke != nullptr);
   assert(t >= now_);
   heap_.push_back({t, seq, index});
   SiftUp(heap_.size() - 1);
-  ++live_events_;
 }
 
 // The heap is 4-ary: each sift level is a dependent cache access, so
@@ -66,32 +62,16 @@ void LaneQueue::PopTop() {
 }
 
 bool LaneQueue::PopDue(Time limit, Fired& out) {
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.front();
-    Slot& slot = SlotAt(top.slot);
-    if (!slot.armed) {  // cancelled: its closure is gone, recycle it
-      PopTop();
-      ReleaseSlot(top.slot);
-      continue;
-    }
-    if (top.time > limit) return false;
-    PopTop();
-    now_ = top.time;
-    // Disarm and bump the generation here, before the caller invokes,
-    // so a Cancel(id) or stale-id probe from inside the closure sees
-    // "already fired". The slot is not on the free list yet, so
-    // nothing the closure schedules can recycle it mid-invocation, and
-    // chunked storage keeps its address stable while the arena grows.
-    out.slot = top.slot;
-    out.seq = top.seq;
-    out.generation = slot.generation;
-    slot.armed = false;
-    ++slot.generation;
-    assert(live_events_ > 0);
-    --live_events_;
-    return true;
-  }
-  return false;
+  if (heap_.empty() || heap_.front().time > limit) return false;
+  const HeapEntry top = heap_.front();
+  PopTop();
+  now_ = top.time;
+  // The slot is not on the free list until the caller frees it, so
+  // nothing the closure schedules can recycle it mid-invocation, and
+  // chunked storage keeps its address stable while the arena grows.
+  out.slot = top.slot;
+  out.seq = top.seq;
+  return true;
 }
 
 }  // namespace kd::sim

@@ -1,13 +1,12 @@
-// The Engine's event queue: a slot/generation arena plus one 4-ary
-// (time, seq) min-heap. Each slot also carries the lane tag the lane
-// checker reads (sim/lane_checker.h).
+// The Engine's event queue: a slot arena plus one 4-ary (time, seq)
+// min-heap. Each slot also carries the lane tag the lane checker reads
+// (sim/lane_checker.h).
 //
 // The data structure (which the file comment in engine.h documents):
 // closures stored in place in 64-byte slots that live in
-// address-stable chunks, and a heap of (time, seq, slot) entries.
-// Cancelled entries stay in the heap and are skimmed when they reach
-// the top. Fire order is exactly sorted (time, seq) for the seq values
-// the caller arms events with; the Engine assigns them.
+// address-stable chunks, and a heap of (time, seq, slot) entries, one
+// per pending event. Fire order is exactly sorted (time, seq) for the
+// seq values the caller arms events with; the Engine assigns them.
 #pragma once
 
 #include <cassert>
@@ -24,9 +23,6 @@
 
 namespace kd::sim {
 
-using EventId = std::uint64_t;
-constexpr EventId kInvalidEventId = 0;
-
 class LaneQueue {
  public:
   static constexpr std::size_t kInlineClosureBytes = 64;
@@ -42,21 +38,16 @@ class LaneQueue {
     // nullptr when the captures are trivially destructible — the
     // common case pays no indirect call to drop them.
     void (*destroy)(void*) = nullptr;
-    std::uint32_t generation = 1;
     LaneId lane = kNoLane;  // lane of the scheduling context
-    bool armed = false;
   };
 
-  // A fired event, handed back for the caller to invoke: the slot is
-  // disarmed and its generation already bumped (so a Cancel or stale-id
-  // probe from inside the closure sees "already fired"), but the
-  // closure is NOT yet destroyed and the slot NOT yet recycled — the
-  // caller invokes `SlotAt(slot).invoke(...)` and then must call
-  // `DestroyClosure` + `FreeSlot`.
+  // A fired event, handed back for the caller to invoke: its heap entry
+  // is gone, but the closure is NOT yet destroyed and the slot NOT yet
+  // recycled — the caller invokes `SlotAt(slot).invoke(...)` and then
+  // must call `DestroyClosure` + `FreeSlot`.
   struct Fired {
     std::uint32_t slot = 0;
     std::uint64_t seq = 0;
-    std::uint32_t generation = 0;  // pre-bump value, for the EventId
   };
 
   LaneQueue() = default;
@@ -65,8 +56,7 @@ class LaneQueue {
   LaneQueue& operator=(const LaneQueue&) = delete;
 
   Time now() const { return now_; }
-  std::size_t live_events() const { return live_events_; }
-  bool has_slot(std::uint32_t i) const { return i < slot_count_; }
+  std::size_t size() const { return heap_.size(); }
 
   Slot& SlotAt(std::uint32_t i) {
     return chunks_[i >> kSlotChunkShift][i & (kSlotChunkSize - 1)];
@@ -85,7 +75,7 @@ class LaneQueue {
   }
 
   // Type-erases `fn` into the slot's inline buffer (heap box only for
-  // oversized/overaligned captures) and marks the slot armed.
+  // oversized/overaligned captures).
   template <class F>
   static void EmplaceClosure(Slot& slot, F&& fn) {
     using Fn = std::decay_t<F>;
@@ -104,7 +94,6 @@ class LaneQueue {
       slot.invoke = [](void* c) { (**static_cast<Fn**>(c))(); };
       slot.destroy = [](void* c) { delete *static_cast<Fn**>(c); };
     }
-    slot.armed = true;
   }
 
   static void DestroyClosure(Slot& slot) {
@@ -113,28 +102,12 @@ class LaneQueue {
     slot.destroy = nullptr;
   }
 
-  // Recycles a slot whose closure is already gone (fired or cancelled),
-  // invalidating any outstanding EventId.
-  void ReleaseSlot(std::uint32_t index) {
-    Slot& slot = SlotAt(index);
-    ++slot.generation;
-    free_slots_.push_back(index);
-  }
-
-  // Recycles a fired slot WITHOUT bumping the generation again (the
-  // fire already bumped it).
+  // Recycles a fired slot whose closure is already destroyed.
   void FreeSlot(std::uint32_t index) { free_slots_.push_back(index); }
 
-  // Inserts the queue entry for an armed, closure-populated slot with
-  // the caller-assigned sequence number. t must be >= now().
+  // Inserts the queue entry for a closure-populated slot with the
+  // caller-assigned sequence number. t must be >= now().
   void Arm(std::uint32_t index, Time t, std::uint64_t seq);
-
-  // Accounts for a cancelled (disarmed) event: drops the live-event
-  // count; its queue entry skims lazily.
-  void NoteCancelledQueued() {
-    assert(live_events_ > 0);
-    --live_events_;
-  }
 
   // Moves the clock to t with no event fired. No queued event may be
   // due before t.
@@ -144,10 +117,9 @@ class LaneQueue {
     now_ = t;
   }
 
-  // Pops the next live event with time <= limit, advancing the clock
-  // to its time, and recycles the cancelled entries it skims on the
-  // way. A false return means no live event is due by `limit`; the
-  // clock has not moved. See Fired for the post-conditions.
+  // Pops the next event with time <= limit, advancing the clock to its
+  // time. A false return means no event is due by `limit`; the clock
+  // has not moved. See Fired for the post-conditions.
   bool PopDue(Time limit, Fired& out);
 
  private:
@@ -165,7 +137,6 @@ class LaneQueue {
   void PopTop();
 
   Time now_ = 0;
-  std::size_t live_events_ = 0;
   std::size_t slot_count_ = 0;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_slots_;

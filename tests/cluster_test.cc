@@ -152,6 +152,42 @@ INSTANTIATE_TEST_SUITE_P(Modes, ClusterTest,
                            return controllers::ModeName(param_info.param);
                          });
 
+// --- K8s-specific behaviour -------------------------------------------
+
+TEST(ClusterK8sTest, ConflictedPublishRetriesWithTheSameCompletion) {
+  // A Kubelet's status update that hits a Conflict is re-read and
+  // retried; the retry completes like a first-try publish, so every
+  // published pod also records its kubelet_pod_latency sample.
+  sim::Engine engine;
+  ClusterConfig config = ClusterConfig::K8s(2);
+  config.realistic_pod_template = false;
+  Cluster cluster(engine, std::move(config));
+  int conflicts = 0;
+  cluster.apiserver().AddAdmissionHook(
+      [&conflicts](apiserver::AdmissionOp op, const model::ApiObject*,
+                   const model::ApiObject* incoming) {
+        if (op == apiserver::AdmissionOp::kUpdate && conflicts == 0 &&
+            incoming->kind == model::kKindPod &&
+            model::GetPodPhase(*incoming) == model::PodPhase::kRunning) {
+          ++conflicts;
+          return ConflictError("injected");
+        }
+        return OkStatus();
+      });
+  cluster.Boot();
+  cluster.RegisterFunction("fn");
+  cluster.ScaleTo("fn", 4);
+  const MetricsRecorder& metrics = cluster.metrics();
+  ASSERT_TRUE(cluster.RunUntil(
+      [&] {
+        return cluster.ReadyPodCount("fn") == 4 &&
+               metrics.GetCount("pods_published") == 4;
+      },
+      Seconds(120)));
+  EXPECT_EQ(conflicts, 1);
+  EXPECT_EQ(metrics.GetSample("kubelet_pod_latency").count(), 4u);
+}
+
 // --- Kd-specific behaviour --------------------------------------------
 
 TEST(ClusterKdTest, KdFasterThanK8sOnBurst) {

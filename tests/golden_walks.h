@@ -30,7 +30,7 @@ inline void AttachRecorder(sim::Engine& engine, std::string& trace) {
 // A short but full-fidelity Kd cluster scenario: boot, register two
 // functions, scale both up, let one converge, then scale one down.
 // Exercises informers, watch fan-out, schedulers, kubelets, network
-// timers (schedule+cancel churn) — every event source in the tree.
+// timers — every event source in the tree.
 inline std::string KdClusterTrace(
     net::Network::SendObserver observer = nullptr) {
   sim::Engine engine;

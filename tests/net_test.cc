@@ -339,15 +339,13 @@ TEST_F(NetTest, TargetCrashWithSynInFlightTimesOutInsteadOfHalfOpen) {
   // The crash lands after the SYN left but before it arrives; the
   // listening flag is untouched (a restarted process may be back), so
   // only the crash epoch distinguishes the dead incarnation.
-  engine_.ScheduleAfter(network_.config().latency / 2,
-                        [&] { network_.CrashEndpoint("b"); });
+  engine_.ScheduleAfter(kLinkLatency / 2, [&] { network_.CrashEndpoint("b"); });
   engine_.Run();
   ASSERT_TRUE(done);  // must not hang half-open
   EXPECT_FALSE(accepted);
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
   // Failure is observed as a connect timeout, not instantly.
-  EXPECT_GE(done_at, network_.config().latency +
-                         network_.config().disconnect_detect_delay);
+  EXPECT_GE(done_at, kLinkLatency + kDisconnectDetectDelay);
 }
 
 TEST_F(NetTest, ConnectorCrashWithSynInFlightStaysSilent) {
@@ -357,8 +355,7 @@ TEST_F(NetTest, ConnectorCrashWithSynInFlightStaysSilent) {
   a.Connect("b", [&](StatusOr<ConnHandlePtr>) { called = true; });
   // The connector dies while its own SYN is on the wire: its process
   // is gone, so no completion callback may fire into it.
-  engine_.ScheduleAfter(network_.config().latency / 2,
-                        [&] { network_.CrashEndpoint("a"); });
+  engine_.ScheduleAfter(kLinkLatency / 2, [&] { network_.CrashEndpoint("a"); });
   engine_.Run();
   EXPECT_FALSE(called);
 }
@@ -373,7 +370,7 @@ TEST_F(NetTest, MidSetupPartitionFailsConnect) {
     done = true;
   });
   // Partition lands after the SYN but before setup completes.
-  engine_.ScheduleAfter(network_.config().latency + Microseconds(10),
+  engine_.ScheduleAfter(kLinkLatency + Microseconds(10),
                         [&] { network_.Partition("a", "b"); });
   engine_.Run();
   ASSERT_TRUE(done);

@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <set>
 #include <utility>
@@ -69,31 +69,6 @@ TEST(EngineTest, NegativeDelayClampsToZero) {
   e.Run();
   EXPECT_TRUE(fired);
   EXPECT_EQ(e.now(), 0);
-}
-
-TEST(EngineTest, CancelPreventsExecution) {
-  Engine e;
-  bool fired = false;
-  EventId id = e.ScheduleAt(Milliseconds(10), [&] { fired = true; });
-  EXPECT_TRUE(e.Cancel(id));
-  e.Run();
-  EXPECT_FALSE(fired);
-  EXPECT_TRUE(e.empty());
-}
-
-TEST(EngineTest, CancelTwiceReturnsFalse) {
-  Engine e;
-  EventId id = e.ScheduleAt(1, [] {});
-  EXPECT_TRUE(e.Cancel(id));
-  EXPECT_FALSE(e.Cancel(id));
-  EXPECT_FALSE(e.Cancel(kInvalidEventId));
-}
-
-TEST(EngineTest, CancelAfterFireReturnsFalse) {
-  Engine e;
-  EventId id = e.ScheduleAt(1, [] {});
-  e.Run();
-  EXPECT_FALSE(e.Cancel(id));
 }
 
 TEST(EngineTest, RunUntilAdvancesClockWithoutEvents) {
@@ -174,29 +149,46 @@ TEST(EngineTest, StepProcessesOneEvent) {
   EXPECT_FALSE(e.Step());
 }
 
-TEST(EngineTest, CancelledEventsDontBlockRunUntil) {
-  Engine e;
-  EventId id = e.ScheduleAt(Milliseconds(1), [] {});
-  bool fired = false;
-  e.ScheduleAt(Milliseconds(2), [&] { fired = true; });
-  e.Cancel(id);
-  e.RunUntil(Milliseconds(5));
-  EXPECT_TRUE(fired);
-}
+// Counts its live copies, so a test sees when the engine destroys the
+// captures of a closure that holds one.
+class LiveCopies {
+ public:
+  explicit LiveCopies(int* live) : live_(live) { ++*live_; }
+  LiveCopies(const LiveCopies& other) : live_(other.live_) { ++*live_; }
+  LiveCopies& operator=(const LiveCopies&) = delete;
+  ~LiveCopies() { --*live_; }
 
-TEST(EngineTest, PendingEventsCountsLiveOnly) {
-  Engine e;
-  EventId a = e.ScheduleAt(1, [] {});
-  e.ScheduleAt(2, [] {});
-  EXPECT_EQ(e.pending_events(), 2u);
-  e.Cancel(a);
-  EXPECT_EQ(e.pending_events(), 1u);
+ private:
+  int* live_;
+};
+
+// A closure's captures die right after it fires, or with the engine if
+// it is still pending then, whether it sits in its slot or is boxed.
+TEST(EngineTest, DestroysClosuresAfterFiringOrWithTheEngine) {
+  int live = 0;
+  {
+    Engine e;
+    for (int i = 0; i < 4; ++i) {
+      e.ScheduleAt(Milliseconds(1), [copy = LiveCopies(&live)] {});
+      auto boxed = [copy = LiveCopies(&live),
+                    pad = std::array<char, LaneQueue::kInlineClosureBytes>{}] {
+        static_cast<void>(pad);
+      };
+      static_assert(sizeof(boxed) > LaneQueue::kInlineClosureBytes);
+      e.ScheduleAt(Milliseconds(10), std::move(boxed));
+    }
+    EXPECT_EQ(live, 8);
+    e.RunUntil(Milliseconds(5));
+    EXPECT_EQ(e.processed_events(), 4u);
+    EXPECT_EQ(live, 4);
+  }
+  EXPECT_EQ(live, 0);
 }
 
 // Fire-order oracle. A seeded walk drives the engine through
-// schedules, cancels (some from inside firing events), Step, RunUntil
-// and Stop. The reference is the sorted set of live (time, seq) pairs:
-// every fired event must be its minimum, and after every call
+// schedules (many from inside firing events), Step, RunUntil and Stop.
+// The reference is the sorted set of pending (time, seq) pairs: every
+// fired event must be its minimum, and after every call
 // pending_events() and now() must agree with it. Delays are drawn from
 // the four classes the simulator's traffic has: zero, under 8.2 us,
 // 10 us to 50 ms, and 1 to 60 s.
@@ -216,20 +208,14 @@ class FireOrderWalk {
       EXPECT_EQ(engine_.processed_events(), fired_total_) << "step " << i;
       if (::testing::Test::HasFailure()) return;
     }
-    // Not vacuous: events fired, some were cancelled while pending,
-    // and the walk ended calls both ways (drained and stopped).
+    // Not vacuous: events fired, and the walk ended calls both ways
+    // (drained and stopped).
     EXPECT_GT(fired_total_, 1000u);
-    EXPECT_GT(cancelled_, 100u);
     EXPECT_GT(stops_, 10u);
   }
 
  private:
   using Key = std::pair<Time, std::uint64_t>;  // (time, seq)
-
-  struct Event {
-    Time time;
-    EventId id;
-  };
 
   Duration DrawDelay() {
     switch (rng_.UniformInt(4)) {
@@ -246,36 +232,17 @@ class FireOrderWalk {
 
   void Schedule() {
     const Duration delay = DrawDelay();
-    const std::uint64_t seq = events_.size();  // the engine counts from 1
+    const std::uint64_t seq = times_.size();  // the engine counts from 1
     const auto fire = [this, seq] { OnEvent(seq); };
     // One in eight asks for a time in the past, which clamps to now.
     const bool past = rng_.UniformInt(8) == 0;
-    const EventId id = past ? engine_.ScheduleAt(engine_.now() - delay, fire)
-                            : engine_.ScheduleAfter(delay, fire);
-    events_.push_back({engine_.now() + (past ? 0 : delay), id});
-    live_.emplace(events_.back().time, seq);
-  }
-
-  // Cancels a live event or, half the time, any event ever scheduled;
-  // Cancel must succeed exactly when the reference holds it.
-  void CancelOne() {
-    if (events_.size() == 1) return;
-    std::uint64_t seq;
-    if (!live_.empty() && rng_.UniformInt(2) == 0) {
-      auto it = live_.begin();
-      std::advance(it, static_cast<std::ptrdiff_t>(
-                           rng_.UniformInt(live_.size())));
-      seq = it->second;
+    if (past) {
+      engine_.ScheduleAt(engine_.now() - delay, fire);
     } else {
-      seq = 1 + rng_.UniformInt(events_.size() - 1);
+      engine_.ScheduleAfter(delay, fire);
     }
-    const Key key{events_[seq].time, seq};
-    const bool expected = live_.count(key) != 0;
-    EXPECT_EQ(engine_.Cancel(events_[seq].id), expected) << "seq " << seq;
-    if (expected) {
-      live_.erase(key);
-      ++cancelled_;
-    }
+    times_.push_back(engine_.now() + (past ? 0 : delay));
+    live_.emplace(times_.back(), seq);
   }
 
   void OnFire(Time t, std::uint64_t seq, EventId id) {
@@ -283,7 +250,7 @@ class FireOrderWalk {
     EXPECT_EQ(Key(t, seq), *live_.begin());
     EXPECT_LE(t, limit_);
     EXPECT_EQ(t, engine_.now());
-    EXPECT_EQ(id, events_[seq].id);
+    EXPECT_EQ(id, seq);
     live_.erase(Key(t, seq));
     last_fire_ = t;
     ++fired_in_call_;
@@ -291,13 +258,11 @@ class FireOrderWalk {
   }
 
   void OnEvent(std::uint64_t seq) {
-    EXPECT_EQ(engine_.now(), events_[seq].time);
-    EXPECT_FALSE(engine_.Cancel(events_[seq].id)) << "own id, seq " << seq;
+    EXPECT_EQ(engine_.now(), times_[seq]);
     // Children: 0.55 on average, so a cascade dies out.
     const std::uint64_t roll = rng_.UniformInt(20);
     const int children = roll < 9 ? 0 : roll < 18 ? 1 : 2;
     for (int c = 0; c < children; ++c) Schedule();
-    if (rng_.UniformInt(4) == 0) CancelOne();
     if (rng_.UniformInt(40) == 0) {
       engine_.Stop();
       stopped_ = true;
@@ -308,7 +273,7 @@ class FireOrderWalk {
     const Time before = engine_.now();
     fired_in_call_ = 0;
     stopped_ = false;
-    switch (rng_.UniformInt(8)) {
+    switch (rng_.UniformInt(7)) {
       case 0:
       case 1:
       case 2: {
@@ -316,13 +281,7 @@ class FireOrderWalk {
         for (std::uint64_t i = 0; i < n; ++i) Schedule();
         break;
       }
-      case 3:
-        CancelOne();
-        if (rng_.UniformInt(8) == 0) {
-          EXPECT_FALSE(engine_.Cancel(kInvalidEventId));
-        }
-        break;
-      case 4: {
+      case 3: {
         limit_ = std::numeric_limits<Time>::max();
         const bool had_live = !live_.empty();
         const bool ran = engine_.Step();
@@ -360,20 +319,20 @@ class FireOrderWalk {
 
   Time LatestArmed(Time floor) const {
     Time latest = floor;
-    for (const Event& e : events_) latest = std::max(latest, e.time);
+    for (const Time t : times_) latest = std::max(latest, t);
     return latest;
   }
 
   Engine engine_;
   Rng rng_;
-  // Indexed by seq; entry 0 stands for the engine's unused seq 0.
-  std::vector<Event> events_{{0, kInvalidEventId}};
+  // Each event's time, indexed by seq; entry 0 stands for the engine's
+  // unused seq 0.
+  std::vector<Time> times_{0};
   std::set<Key> live_;
   Time limit_ = 0;
   Time last_fire_ = 0;
   std::uint64_t fired_in_call_ = 0;
   std::uint64_t fired_total_ = 0;
-  std::uint64_t cancelled_ = 0;
   std::uint64_t stops_ = 0;
   bool stopped_ = false;
 };

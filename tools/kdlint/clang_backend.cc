@@ -529,7 +529,7 @@ CXChildVisitResult Visit(CXCursor cursor, CXCursor, CXClientData data) {
                      "' captures by blanket reference [&] - locals it "
                      "captures are dead by the time the event fires; "
                      "capture explicitly by value (guard re-entrancy "
-                     "with an epoch or EventId)");
+                     "with an epoch or generation capture)");
       }
       if (scan.copy_this_lambda) {
         ctx->Add(scan.copy_lambda_line, "R4",
@@ -537,7 +537,7 @@ CXChildVisitResult Visit(CXCursor cursor, CXCursor, CXClientData data) {
                      "' uses a blanket [=] capture that implicitly "
                      "copies the raw `this` pointer - capture `this` "
                      "explicitly and guard re-entrancy with an epoch "
-                     "or EventId");
+                     "or generation capture");
       }
     }
     if (ctx->Want("R5") && CacheMutators().count(name) > 0) {

@@ -346,7 +346,7 @@ void RunR4(const std::string& path, const Tokens& t,
                    "' captures by blanket reference [&] - locals it "
                    "captures are dead by the time the event fires; "
                    "capture explicitly by value (guard re-entrancy with "
-                   "an epoch or EventId)",
+                   "an epoch or generation capture)",
                false,
                ""});
           break;
@@ -374,7 +374,7 @@ void RunR4(const std::string& path, const Tokens& t,
                    "' uses a blanket [=] capture that implicitly copies "
                    "the raw `this` pointer (body touches '" + t[k].text +
                    "') - capture `this` explicitly and guard re-entrancy "
-                   "with an epoch or EventId",
+                   "with an epoch or generation capture",
                false,
                ""});
           break;
