@@ -105,7 +105,7 @@ void Autoscaler::SendScale(const std::string& deployment_name,
     msg.obj_key = ApiObject::MakeKey(kKindDeployment, deployment_name);
     msg.attrs.emplace("spec.replicas",
                       kubedirect::KdValue::Literal(replicas));
-    downstream->SendUpsert(msg);
+    downstream->SendUpsert(std::move(msg));
     last_sent_[deployment_name] = replicas;
     last_applied_[deployment_name] = replicas;
     span_.MarkStop(env_.engine.now());

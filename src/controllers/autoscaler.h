@@ -18,6 +18,7 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
 
 #include "common/lane.h"
 #include "controllers/types.h"
@@ -84,14 +85,15 @@ class KD_LANE_OWNED(autoscaler) Autoscaler {
   // value successfully handed downstream. The forward link to the
   // Deployment controller is level-triggered and carries no handshake
   // state (Fig. 15's "negligible overhead"): re-forwarding happens in
-  // the next scaling call.
+  // the next scaling call. desired_ is sorted because on_ready enqueues
+  // in its order; the maps below are only looked up, so they hash.
   std::map<std::string, std::int64_t> desired_;
-  std::map<std::string, std::int64_t> last_sent_;
+  std::unordered_map<std::string, std::int64_t> last_sent_;
   // Highest value ever handed downstream per deployment — unlike
   // last_sent_ it survives link churn (cleared only by a crash), so
   // the hold window knows what "down" means right after a re-handshake
   // wiped last_sent_.
-  std::map<std::string, std::int64_t> last_applied_;
+  std::unordered_map<std::string, std::int64_t> last_applied_;
   // Start of the current steady period: the later of our last restart
   // and the downstream link's last re-handshake. Scale-downs wait
   // until steady_since_ + scale_down_hold.

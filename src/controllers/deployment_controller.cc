@@ -127,7 +127,7 @@ Duration DeploymentController::Reconcile(const std::string& deployment_name) {
     kubedirect::KdMessage msg;
     msg.obj_key = rs_key;
     msg.attrs.emplace("spec.replicas", kubedirect::KdValue::Literal(desired));
-    downstream->SendUpsert(msg);
+    downstream->SendUpsert(std::move(msg));
     last_sent_[rs_key] = desired;
     span_.MarkStop(env_.engine.now());
     return 0;

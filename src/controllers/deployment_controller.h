@@ -18,6 +18,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 
 #include "common/lane.h"
 #include "controllers/types.h"
@@ -58,14 +59,17 @@ class KD_LANE_OWNED(deployment) DeploymentController {
   MetricsRecorder::Span span_ = env_.metrics.ResolveSpan("deployment");
   // Owner index: Deployment name -> keys of the visible ReplicaSets it
   // owns, kept in step with cache_ by its change handler and reset on
-  // crash (the cache's Clear fires no handlers). Sorted, so
+  // crash (the cache's Clear fires no handlers). Only looked up by
+  // name, so the outer map hashes; each key set is sorted, so
   // FindReplicaSet visits them in the key order of a List scan.
-  std::map<std::string, std::set<std::string>> owned_rs_;
+  std::unordered_map<std::string, std::set<std::string>> owned_rs_;
 
   // Kd mode: the authoritative desired replicas per Deployment (fed by
-  // direct messages; the API-server copy is guarded and stale).
+  // direct messages; the API-server copy is guarded and stale). Sorted:
+  // on_ready enqueues in its order.
   std::map<std::string, std::int64_t> desired_;
-  std::map<std::string, std::int64_t> last_sent_;  // per ReplicaSet key
+  // Per ReplicaSet key; only looked up, so it hashes.
+  std::unordered_map<std::string, std::int64_t> last_sent_;
 };
 
 }  // namespace kd::controllers

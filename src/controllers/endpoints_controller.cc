@@ -243,7 +243,7 @@ Duration EndpointsController::Reconcile(const std::string& service_name) {
     kubedirect::KdMessage msg;
     msg.obj_key = ApiObject::MakeKey(kKindEndpoints, service_name);
     msg.attrs.emplace("spec.addresses", kubedirect::KdValue::Literal(list));
-    downstream->SendUpsert(msg);
+    downstream->SendUpsert(std::move(msg));
     last_sent_[service_name] = std::move(list);
     span_.MarkStop(env_.engine.now());
     return 0;

@@ -24,6 +24,7 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -78,12 +79,12 @@ class KD_LANE_OWNED(endpoints) EndpointsController {
 
   // service -> sorted array of ready pod IPs, maintained incrementally
   // by the pod change handlers (reconcile publishes, it never re-scans
-  // pods).
-  std::map<std::string, model::Value> addresses_;
+  // pods). Only looked up by service, so it hashes, like last_sent_.
+  std::unordered_map<std::string, model::Value> addresses_;
   // Kd: the list handle last streamed per service (level-triggered
   // resend after link resets). Equal to addresses_'s entry, usually
   // by sharing it, when there is nothing new to send.
-  std::map<std::string, model::Value> last_sent_;
+  std::unordered_map<std::string, model::Value> last_sent_;
 
   // Direct-stream bookkeeping: node -> pod key -> (service, ip). A
   // node's entries are dropped wholesale on its "reset" (new kubelet

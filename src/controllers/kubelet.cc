@@ -1,5 +1,7 @@
 #include "controllers/kubelet.h"
 
+#include <utility>
+
 #include "common/strings.h"
 #include "kubedirect/materialize.h"
 #include "model/objects.h"
@@ -42,8 +44,8 @@ Kubelet::Kubelet(runtime::Env& env, Mode mode, std::string node_name,
     }
     // kdlint: allow(R5) kubelet-local pod table: the sandboxes, fed by the bound-pod watch (K8s) / ingress (Kd), not an API mirror
     cache_.Remove(key);
-    starting_.erase(key);
-    published_.erase(key);
+    ClearFlag(key, &PodRecord::starting);
+    ClearFlag(key, &PodRecord::published);
   });
 
   // Kd mode: ReplicaSet templates for dynamic materialization.
@@ -54,7 +56,7 @@ Kubelet::Kubelet(runtime::Env& env, Mode mode, std::string node_name,
       watch_cache_, kKindNode,
       [me](const ApiObject& node) { return node.name == me; },
       runtime::ControllerHarness::When::kKdOnly);
-  harness_.WatchFiltered(
+  bound_pods_ = harness_.WatchFiltered(
       watch_cache_, kKindPod,
       [me](const ApiObject& pod) { return model::GetNodeName(pod) == me; },
       runtime::ControllerHarness::When::kK8sOnly);
@@ -81,10 +83,18 @@ Kubelet::Kubelet(runtime::Env& env, Mode mode, std::string node_name,
     if (mode_ == Mode::kKd) {
       harness_.api().Get(kKindNode, node_name_,
                          [this](StatusOr<ApiObject> result) {
-                           if (result.ok() && !harness_.crashed()) {
-                             // kdlint: allow(R5) field-selector watch cache: its owner seeds it, the server has no filtered List
-                             watch_cache_.Upsert(std::move(*result));
+                           if (!result.ok() || harness_.crashed()) return;
+                           // The Node watch may have delivered a newer
+                           // copy while the Get was in flight.
+                           const ApiObject* seen =
+                               watch_cache_.Get(result->Key());
+                           if (seen != nullptr &&
+                               seen->resource_version >=
+                                   result->resource_version) {
+                             return;
                            }
+                           // kdlint: allow(R5) field-selector watch cache: its owner seeds it, the server has no filtered List
+                           watch_cache_.Upsert(std::move(*result));
                          });
     }
     AdoptBoundPods();
@@ -92,12 +102,8 @@ Kubelet::Kubelet(runtime::Env& env, Mode mode, std::string node_name,
 
   harness_.OnCrash([this] {
     sandbox_queue_.clear();
-    starting_.clear();
-    start_times_.clear();
     active_starts_ = 0;
-    published_.clear();
-    materializing_.clear();
-    condemned_.clear();
+    records_.clear();
     ep_stream_.reset();
     ep_stream_connecting_ = false;
     ep_announced_.clear();
@@ -113,11 +119,15 @@ void Kubelet::AdoptBoundPods() {
   // survivors. K8s: the watch only carries what changes after it is
   // armed, so pods bound earlier arrive through this list.
   const std::uint64_t session = harness_.session();
+  if (bound_pods_ != nullptr) bound_pods_->BeginOwnerList();
   harness_.api().List(
       kKindPod,
       [this, session](StatusOr<std::vector<ApiObject>> result,
                       std::uint64_t) {
         if (harness_.crashed() || harness_.session() != session) return;
+        const std::map<std::string, std::uint64_t> deleted =
+            bound_pods_ != nullptr ? bound_pods_->EndOwnerList()
+                                   : std::map<std::string, std::uint64_t>{};
         if (!result.ok()) {
           // API outage outlasted the client's retry budget: the adopt
           // is a correctness gate, so keep trying for as long as the
@@ -134,17 +144,26 @@ void Kubelet::AdoptBoundPods() {
         }
         for (auto& pod : *result) {
           if (model::GetNodeName(pod) != node_name_) continue;
+          auto gone = deleted.find(pod.Key());
+          if (gone != deleted.end() && gone->second > pod.resource_version) {
+            continue;  // deleted after the snapshot
+          }
           // Kd lists only published pods. In K8s a published pod is a
           // Running one: adopted here (the watch seed below keeps its
           // own copy), it is already running when that seed reaches
           // OnPodBound, which then starts nothing.
           if (mode_ == Mode::kKd ||
               model::GetPodPhase(pod) == model::PodPhase::kRunning) {
-            published_.insert(pod.Key());
+            records_[pod.Key()].published = true;
             // kdlint: allow(R5) kubelet-local pod table: the sandboxes, fed by the bound-pod watch (K8s) / ingress (Kd), not an API mirror
             cache_.Upsert(pod);
           }
           if (mode_ == Mode::kK8s) {
+            const ApiObject* seen = watch_cache_.Get(pod.Key());
+            if (seen != nullptr &&
+                seen->resource_version >= pod.resource_version) {
+              continue;  // the watch delivered this version or a newer one
+            }
             // kdlint: allow(R5) field-selector watch cache: its owner seeds it, the server has no filtered List
             watch_cache_.Upsert(std::move(pod));
           }
@@ -154,8 +173,22 @@ void Kubelet::AdoptBoundPods() {
       });
 }
 
+const Kubelet::PodRecord* Kubelet::FindRecord(
+    const std::string& pod_key) const {
+  auto it = records_.find(pod_key);
+  return it == records_.end() ? nullptr : &it->second;
+}
+
+bool Kubelet::ClearFlag(const std::string& pod_key, bool PodRecord::*flag) {
+  auto it = records_.find(pod_key);
+  if (it == records_.end() || !(it->second.*flag)) return false;
+  it->second.*flag = false;
+  if (it->second.empty()) records_.erase(it);
+  return true;
+}
+
 void Kubelet::OnPodMessage(const kubedirect::KdMessage& msg) {
-  materializing_.insert(msg.obj_key);
+  records_[msg.obj_key].materializing = true;
   StatusOr<ApiObject> pod = kubedirect::Materialize(msg, cache_);
   if (!pod.ok()) {
     // Dangling ReplicaSet pointer: informer lag; retry shortly.
@@ -170,8 +203,8 @@ void Kubelet::OnPodMessage(const kubedirect::KdMessage& msg) {
       [this, pod = std::move(*pod)]() mutable {
         if (harness_.crashed()) return;
         const std::string key = pod.Key();
-        materializing_.erase(key);
-        if (condemned_.erase(key) > 0) {
+        ClearFlag(key, &PodRecord::materializing);
+        if (ClearFlag(key, &PodRecord::condemned)) {
           // Tombstoned while materializing: never start it; answer the
           // (idempotent) termination.
           if (harness_.upstream()) harness_.upstream()->SendRemoveNow(key);
@@ -192,14 +225,16 @@ void Kubelet::OnPodBound(ApiObject pod) {
   if (model::IsTerminating(pod)) return;
   // kdlint: allow(R5) kubelet-local pod table: the sandboxes, fed by the bound-pod watch (K8s) / ingress (Kd), not an API mirror
   cache_.Upsert(std::move(pod));
-  if (starting_.count(key)) return;
+  const PodRecord* record = FindRecord(key);
+  if (record != nullptr && record->starting) return;
   StartSandbox(key);
 }
 
 void Kubelet::StartSandbox(const std::string& pod_key) {
-  starting_.insert(pod_key);
+  PodRecord& record = records_[pod_key];
+  record.starting = true;
+  record.started_at = env_.engine.now();
   sandbox_queue_.push_back(pod_key);
-  start_times_[pod_key] = env_.engine.now();
   span_.MarkStart(env_.engine.now());
   PumpSandboxQueue();
 }
@@ -208,12 +243,12 @@ void Kubelet::PumpSandboxQueue() {
   while (active_starts_ < sandbox_.concurrency && !sandbox_queue_.empty()) {
     const std::string key = sandbox_queue_.front();
     sandbox_queue_.pop_front();
-    if (!starting_.count(key)) continue;  // cancelled while queued
+    const PodRecord* record = FindRecord(key);
+    if (record == nullptr || !record->starting) continue;  // cancelled
     ++active_starts_;
     env_.engine.ScheduleAfter(sandbox_.cold_start, [this, key] {
       --active_starts_;
-      if (!harness_.crashed() && starting_.count(key)) {
-        starting_.erase(key);
+      if (!harness_.crashed() && ClearFlag(key, &PodRecord::starting)) {
         OnSandboxReady(key);
       }
       if (!harness_.crashed()) PumpSandboxQueue();
@@ -242,13 +277,13 @@ void Kubelet::OnSandboxReady(const std::string& pod_key) {
   // kdlint: allow(R5) kubelet-local pod table: the sandboxes, fed by the bound-pod watch (K8s) / ingress (Kd), not an API mirror
   cache_.Upsert(running);
   sandboxes_started_.Add();
-  auto started = start_times_.find(pod_key);
-  if (started != start_times_.end()) {
+  const PodRecord* record = FindRecord(pod_key);
+  if (record != nullptr && record->started_at.has_value()) {
     // Provisioning-level cold start (bind arrival -> container up),
     // independent of the API publish — the sandbox keeps serving even
     // when the publish stalls against a down API server.
     sandbox_ready_latency_.RecordDuration(env_.engine.now() -
-                                          started->second);
+                                          *record->started_at);
   }
   AnnounceEndpointUp(running);
 
@@ -261,7 +296,7 @@ void Kubelet::OnSandboxReady(const std::string& pod_key) {
     delta.attrs.emplace("status.podIP",
                         kubedirect::KdValue::Literal(
                             model::GetPodIp(running)));
-    harness_.upstream()->SendSoftInvalidate(delta);
+    harness_.upstream()->SendSoftInvalidate(std::move(delta));
   }
   Publish(running);
 }
@@ -279,15 +314,15 @@ void Kubelet::Publish(const ApiObject& pod) {
       DeletePublished(key);
       return;
     }
-    published_.insert(key);
+    PodRecord& record = records_[key];
+    record.published = true;
     pods_published_.Add();
     span_.MarkStop(env_.engine.now());
-    auto started = start_times_.find(key);
-    if (started != start_times_.end()) {
+    if (record.started_at.has_value()) {
       // Per-pod sandbox-manager latency (bind arrival -> published):
       // the isolated Fig. 9d measurement — immune to upstream lag.
-      pod_latency_.RecordDuration(env_.engine.now() - started->second);
-      start_times_.erase(started);
+      pod_latency_.RecordDuration(env_.engine.now() - *record.started_at);
+      record.started_at.reset();
     }
   };
   if (mode_ == Mode::kKd) {
@@ -355,12 +390,27 @@ void Kubelet::Publish(const ApiObject& pod) {
 
 void Kubelet::Terminate(const std::string& pod_key, bool notify_upstream) {
   const ApiObject* pod = cache_.Get(pod_key);
-  starting_.erase(pod_key);  // cancels a queued/in-flight sandbox start
-  if (pod == nullptr) {
-    if (materializing_.count(pod_key)) {
+  bool deferred = false;
+  bool was_published = false;
+  if (auto it = records_.find(pod_key); it != records_.end()) {
+    PodRecord& record = it->second;
+    // Cancels a queued/in-flight sandbox start; nothing reads the start
+    // time after this. materializing stays set: a later Terminate of a
+    // pod still materializing must defer as well.
+    record.starting = false;
+    record.started_at.reset();
+    if (pod == nullptr) {
       // The pod's forward message is mid-materialization; defer.
-      condemned_.insert(pod_key);
-    } else if (notify_upstream && mode_ == Mode::kKd && harness_.upstream()) {
+      deferred = record.materializing;
+      if (deferred) record.condemned = true;
+    } else {
+      was_published = std::exchange(record.published, false);
+    }
+    if (record.empty()) records_.erase(it);
+  }
+  if (pod == nullptr) {
+    if (!deferred && notify_upstream && mode_ == Mode::kKd &&
+        harness_.upstream()) {
       // Unknown pod: the forward message was dropped in flight.
       // Termination is idempotent — answer with the removal signal so
       // the upstream settles (§4.3).
@@ -371,7 +421,6 @@ void Kubelet::Terminate(const std::string& pod_key, bool notify_upstream) {
   pods_terminated_.Add();
   // kdlint: allow(R5) kubelet-local pod table: the sandboxes, fed by the bound-pod watch (K8s) / ingress (Kd), not an API mirror
   cache_.Remove(pod_key);
-  const bool was_published = published_.erase(pod_key) > 0;
   // The container takes kubelet_terminate to actually die; only then do
   // the API delete and the upstream invalidation signal go out (§4.3).
   env_.engine.ScheduleAfter(

@@ -17,8 +17,9 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
+#include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "common/lane.h"
 #include "controllers/types.h"
@@ -62,8 +63,33 @@ class KD_LANE_OWNED(kubelet) Kubelet {
   // Observability.
   std::size_t running_pods() const;
   const runtime::ObjectCache& cache() const { return cache_; }
+  // Pods with per-pod bookkeeping still held (PodRecord below).
+  std::size_t pod_records() const { return records_.size(); }
 
  private:
+  // What the Kubelet remembers about one pod besides its cache entry.
+  // A record with nothing set is erased.
+  struct PodRecord {
+    bool starting = false;   // sandbox start queued or in flight
+    bool published = false;  // created/updated in the API
+    // Between the Upsert's arrival and the end of kd_materialize; a
+    // tombstone landing then condemns the pod instead of being answered
+    // as unknown.
+    bool materializing = false;
+    bool condemned = false;
+    std::optional<Time> started_at;  // bind arrival, until published
+
+    bool empty() const {
+      return !starting && !published && !materializing && !condemned &&
+             !started_at.has_value();
+    }
+  };
+  // The pod's record, or nullptr.
+  const PodRecord* FindRecord(const std::string& pod_key) const;
+  // Clears `flag` in the pod's record, erasing the record if that left
+  // it empty; returns whether the flag was set.
+  bool ClearFlag(const std::string& pod_key, bool PodRecord::*flag);
+
   void OnPodMessage(const kubedirect::KdMessage& msg);
   void OnPodBound(model::ApiObject pod);
   void StartSandbox(const std::string& pod_key);
@@ -83,6 +109,10 @@ class KD_LANE_OWNED(kubelet) Kubelet {
   // upstream server. Serving a handshake before the adopt completes
   // would show the Scheduler an empty version map and make it
   // invalidate pods that are in fact still running here.
+  // The watches are armed before the List, so its snapshot can be
+  // older than what they delivered: a listed pod that a watch event
+  // deleted meanwhile is skipped, and a seed never replaces a copy the
+  // watch cache holds at the same or a newer version.
   void AdoptBoundPods();
   std::string AssignIp();
 
@@ -123,16 +153,14 @@ class KD_LANE_OWNED(kubelet) Kubelet {
 
   // Sandbox startup pipeline: bounded concurrency, FIFO admission.
   std::deque<std::string> sandbox_queue_;
-  std::set<std::string> starting_;
-  std::map<std::string, Time> start_times_;  // bind arrival -> publish
   int active_starts_ = 0;
 
-  std::set<std::string> published_;  // pod keys created/updated in the API
-  // Materialization-window bookkeeping: tombstones arriving while the
-  // pod's Upsert is being materialized are deferred, not answered as
-  // unknown.
-  std::set<std::string> materializing_;
-  std::set<std::string> condemned_;
+  // Per-pod records by pod key: one table, only looked up by key, so it
+  // hashes (1,500 Kubelets keep one bucket array each, not five).
+  std::unordered_map<std::string, PodRecord> records_;
+  // K8s: the field-selector informer of the pods bound here; it
+  // remembers watch deletes while the adopt List is in flight.
+  runtime::Informer* bound_pods_ = nullptr;
   std::uint32_t ip_counter_ = 0;
 
   // Direct endpoint stream state: announced pods (key -> service, ip)

@@ -269,7 +269,7 @@ void ReplicaSetController::CreatePods(const ApiObject& rs,
               : kubedirect::PodCreateMessage(pod, rs_key);
       // kdlint: allow(R5) §3.1 egress: the local cache is populated first, then the message forwards
       pod_cache_.Upsert(std::move(pod));
-      harness_.downstream()->SendUpsert(msg);
+      harness_.downstream()->SendUpsert(std::move(msg));
       continue;
     }
     ++pending_creates_[rs_key];

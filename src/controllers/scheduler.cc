@@ -153,6 +153,7 @@ void Scheduler::EnsureKubeletLink(const std::string& node_name) {
       [this](const kubedirect::KdMessage& delta) {
         // Relay the Kubelet's progress (Running phase, pod IP) further
         // upstream so the whole chain converges on one representation.
+        // The delta lives in the Kubelet's shared batch, so this copies.
         if (harness_.upstream()) harness_.upstream()->SendSoftInvalidate(delta);
       };
   spec.callbacks.on_connect_failed = [this, node_name] {
@@ -441,14 +442,14 @@ Duration Scheduler::Reconcile(const std::string& pod_key) {
         msg = kubedirect::PodCreateMessage(bound, rs_key);
         msg.attrs.emplace("spec.nodeName", kubedirect::KdValue::Literal(node));
       }
-      client->SendUpsert(msg);
+      client->SendUpsert(std::move(msg));
     }
     // Soft-invalidate the upstream with the binding (§4.2).
     if (harness_.upstream()) {
       kubedirect::KdMessage delta;
       delta.obj_key = pod_key;
       delta.attrs.emplace("spec.nodeName", kubedirect::KdValue::Literal(node));
-      harness_.upstream()->SendSoftInvalidate(delta);
+      harness_.upstream()->SendSoftInvalidate(std::move(delta));
     }
     span_.MarkStop(env_.engine.now() + cost);
     return cost;

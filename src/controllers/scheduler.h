@@ -24,6 +24,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -150,8 +151,8 @@ class KD_LANE_OWNED(scheduler) Scheduler {
   std::set<std::pair<std::int64_t, std::string>> by_allocation_;
   // Pods whose Upsert is between arrival and cache insertion (the
   // kd_materialize window); tombstones for them are deferred, not
-  // answered as unknown.
-  std::set<std::string> materializing_;
+  // answered as unknown. Only looked up, so it hashes.
+  std::unordered_set<std::string> materializing_;
   std::map<std::string, std::function<void(Status)>> pending_preemptions_;
 };
 

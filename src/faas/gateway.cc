@@ -13,6 +13,7 @@ Gateway::FunctionId Gateway::RegisterFunction(const FunctionSpec& spec) {
   if (added) {
     state.id = by_id_.size();
     by_id_.push_back(&state);
+    by_name_.emplace(spec.name, &state);
   }
   state.spec = spec;
   return state.id;
@@ -23,11 +24,22 @@ const Gateway::FunctionState& Gateway::State(FunctionId function) const {
   return *by_id_[function];
 }
 
+Gateway::FunctionState* Gateway::Find(const std::string& function) {
+  auto it = by_name_.find(function);
+  return it == by_name_.end() ? nullptr : it->second;
+}
+
+const Gateway::FunctionState* Gateway::Find(
+    const std::string& function) const {
+  auto it = by_name_.find(function);
+  return it == by_name_.end() ? nullptr : it->second;
+}
+
 void Gateway::UpdateEndpoints(const std::string& function,
                               const std::vector<std::string>& addresses) {
-  auto it = functions_.find(function);
-  if (it == functions_.end()) return;
-  FunctionState& state = it->second;
+  FunctionState* found = Find(function);
+  if (found == nullptr) return;
+  FunctionState& state = *found;
 
   std::set<std::string> fresh(addresses.begin(), addresses.end());
   // Retire instances that disappeared (they drain in-flight work).
@@ -64,10 +76,10 @@ std::string Gateway::FindFreeInstance(const FunctionState& state) const {
 }
 
 void Gateway::Invoke(Invocation inv) {
-  auto it = functions_.find(inv.function);
-  KD_CHECK(it != functions_.end(), "Invoke of unregistered function");
+  FunctionState* found = Find(inv.function);
+  KD_CHECK(found != nullptr, "Invoke of unregistered function");
   ++total_invocations_;
-  FunctionState& state = it->second;
+  FunctionState& state = *found;
   const std::string address = FindFreeInstance(state);
   if (!address.empty() && state.queue.empty()) {
     StartOn(state, address, std::move(inv), /*was_queued=*/false);
@@ -151,10 +163,9 @@ void Gateway::Dispatch(FunctionState& state) {
 }
 
 std::int64_t Gateway::Demand(const std::string& function) const {
-  auto it = functions_.find(function);
-  if (it == functions_.end()) return 0;
-  return it->second.executing +
-         static_cast<std::int64_t>(it->second.queue.size());
+  const FunctionState* state = Find(function);
+  if (state == nullptr) return 0;
+  return state->executing + static_cast<std::int64_t>(state->queue.size());
 }
 
 std::int64_t Gateway::Queued(FunctionId function) const {
@@ -167,19 +178,19 @@ std::int64_t Gateway::Executing(FunctionId function) const {
 
 std::vector<std::string> Gateway::Endpoints(const std::string& function) const {
   std::vector<std::string> out;
-  auto it = functions_.find(function);
-  if (it == functions_.end()) return out;
-  for (const auto& [address, instance] : it->second.instances) {
+  const FunctionState* state = Find(function);
+  if (state == nullptr) return out;
+  for (const auto& [address, instance] : state->instances) {
     if (!instance.retired) out.push_back(address);
   }
   return out;
 }
 
 std::size_t Gateway::EndpointCount(const std::string& function) const {
-  auto it = functions_.find(function);
-  if (it == functions_.end()) return 0;
+  const FunctionState* state = Find(function);
+  if (state == nullptr) return 0;
   std::size_t n = 0;
-  for (const auto& [address, instance] : it->second.instances) {
+  for (const auto& [address, instance] : state->instances) {
     if (!instance.retired) ++n;
   }
   return n;

@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/lane.h"
@@ -104,14 +105,20 @@ class KD_LANE_OWNED(faas) Gateway {
                Invocation inv, bool was_queued);
   std::string FindFreeInstance(const FunctionState& state) const;
   const FunctionState& State(FunctionId function) const;
+  // The named function's state, or nullptr if it is not registered.
+  FunctionState* Find(const std::string& function);
+  const FunctionState* Find(const std::string& function) const;
 
   sim::Engine& engine_;
   Duration route_latency_;
   std::function<void(const std::string&)> on_queued_;
   // By name, in name order (the order FailInstances walks). Map nodes
-  // never move, so by_id_ and the completion timers point into it.
+  // never move, so by_id_, by_name_ and the completion timers point
+  // into it.
   std::map<std::string, FunctionState> functions_;
   std::vector<FunctionState*> by_id_;
+  // The by-name calls' index: hashed, never iterated.
+  std::unordered_map<std::string, FunctionState*> by_name_;
   std::vector<RequestRecord> records_;
   std::uint64_t total_invocations_ = 0;
   std::uint64_t queued_starts_ = 0;

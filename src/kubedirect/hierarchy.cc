@@ -86,7 +86,7 @@ void HierarchyClient::Connect() {
 
 void HierarchyClient::OnConnected(net::ConnHandlePtr conn) {
   link_ = std::make_shared<KdLink>(engine_, cost_, std::move(conn), metrics_);
-  link_->Bind([this](WireMessage msg) { OnMessage(std::move(msg)); },
+  link_->Bind([this](const WireMessage& msg) { OnMessage(msg); },
               [this] { OnDisconnect(); });
   // Server speaks first (StateVersions); we wait.
   handshake_started_ = engine_.now();
@@ -149,10 +149,12 @@ void HierarchyClient::HandleStateVersions(const WireMessage& msg) {
   link_->SendNow(std::move(request));
 }
 
-void HierarchyClient::HandleStateSnapshot(WireMessage msg) {
-  for (auto& obj : msg.objects) {
+void HierarchyClient::HandleStateSnapshot(const WireMessage& msg) {
+  // The batch is shared, so each object is copied into the cache; only
+  // handshakes take this path.
+  for (const model::ApiObject& obj : msg.objects) {
     pending_changes_.updated.push_back(obj.Key());
-    cache_.Upsert(std::move(obj));
+    cache_.Upsert(obj);
   }
   awaiting_snapshot_ = false;
   FinishHandshake();
@@ -167,7 +169,7 @@ void HierarchyClient::FinishHandshake() {
   pending_changes_ = {};
 }
 
-void HierarchyClient::OnMessage(WireMessage msg) {
+void HierarchyClient::OnMessage(const WireMessage& msg) {
   // Numbered-message crash seam: an armed index surprise-shuts the
   // owning controller down mid-receive; the message dies with it.
   if (fault_ != nullptr && fault_->Tick()) return;
@@ -176,7 +178,7 @@ void HierarchyClient::OnMessage(WireMessage msg) {
       HandleStateVersions(msg);
       break;
     case WireMessage::Type::kStateSnapshot:
-      if (awaiting_snapshot_) HandleStateSnapshot(std::move(msg));
+      if (awaiting_snapshot_) HandleStateSnapshot(msg);
       break;
     case WireMessage::Type::kRemove:
       // Live invalidation from the source of truth.
@@ -218,11 +220,11 @@ void HierarchyClient::OnMessage(WireMessage msg) {
   }
 }
 
-bool HierarchyClient::SendUpsert(const KdMessage& msg) {
+bool HierarchyClient::SendUpsert(KdMessage msg) {
   if (!ready_ || !link_) return false;
   WireMessage wire;
   wire.type = WireMessage::Type::kUpsert;
-  wire.message = msg;
+  wire.message = std::move(msg);
   link_->Send(std::move(wire));
   return true;
 }
@@ -290,8 +292,7 @@ void HierarchyServer::OnAccept(net::ConnHandlePtr conn) {
   // A new upstream (e.g. restarted) supersedes the old connection.
   if (link_) link_->Close();
   link_ = std::make_shared<KdLink>(engine_, cost_, std::move(conn), metrics_);
-  link_->Bind([this](WireMessage msg) { OnMessage(std::move(msg)); },
-              [this] {});
+  link_->Bind([this](const WireMessage& msg) { OnMessage(msg); }, [this] {});
   // Server side of Fig. 6: respond immediately with our state — the
   // version map (round one of the two-round optimization).
   WireMessage versions;
@@ -305,7 +306,7 @@ void HierarchyServer::OnAccept(net::ConnHandlePtr conn) {
   if (callbacks_.on_upstream_connected) callbacks_.on_upstream_connected();
 }
 
-void HierarchyServer::OnMessage(WireMessage msg) {
+void HierarchyServer::OnMessage(const WireMessage& msg) {
   // Numbered-message crash seam (see HierarchyClient::OnMessage).
   if (fault_ != nullptr && fault_->Tick()) return;
   switch (msg.type) {
@@ -353,11 +354,11 @@ bool HierarchyServer::SendRemoveNow(const std::string& key) {
   return true;
 }
 
-bool HierarchyServer::SendSoftInvalidate(const KdMessage& msg) {
+bool HierarchyServer::SendSoftInvalidate(KdMessage msg) {
   if (!upstream_connected()) return false;
   WireMessage wire;
   wire.type = WireMessage::Type::kSoftInvalidate;
-  wire.message = msg;
+  wire.message = std::move(msg);
   link_->Send(std::move(wire));
   return true;
 }

@@ -98,8 +98,9 @@ class KD_LANE_SEAM HierarchyClient {
 
   // Opportunistic forwarding. Returns false (and drops) when the link
   // is not ready — the reconcile loop re-forwards after the next
-  // handshake, so drops are safe (§4.1).
-  bool SendUpsert(const KdMessage& msg);
+  // handshake, so drops are safe (§4.1). A caller that is done with
+  // its message moves it in.
+  bool SendUpsert(KdMessage msg);
   bool SendTombstone(const std::string& key);
   // Acknowledges a Remove received from this downstream.
   bool SendAck(const std::string& key);
@@ -112,10 +113,10 @@ class KD_LANE_SEAM HierarchyClient {
  private:
   void Connect();
   void OnConnected(net::ConnHandlePtr conn);
-  void OnMessage(WireMessage msg);
+  void OnMessage(const WireMessage& msg);
   void OnDisconnect();
   void HandleStateVersions(const WireMessage& msg);
-  void HandleStateSnapshot(WireMessage msg);
+  void HandleStateSnapshot(const WireMessage& msg);
   void FinishHandshake();
   bool InScope(const model::ApiObject& obj) const;
 
@@ -188,13 +189,13 @@ class KD_LANE_SEAM HierarchyServer {
   // Backward signals (returns false if no upstream is connected —
   // the next handshake will carry the information instead).
   bool SendRemove(const std::string& key);
-  bool SendSoftInvalidate(const KdMessage& msg);
+  bool SendSoftInvalidate(KdMessage msg);
   // Immediate-flush removal used to answer synchronous termination.
   bool SendRemoveNow(const std::string& key);
 
  private:
   void OnAccept(net::ConnHandlePtr conn);
-  void OnMessage(WireMessage msg);
+  void OnMessage(const WireMessage& msg);
 
   sim::Engine& engine_;
   const CostModel& cost_;

@@ -13,7 +13,7 @@ KdLink::KdLink(sim::Engine& engine, const CostModel& cost,
   }
 }
 
-void KdLink::Bind(std::function<void(WireMessage)> on_message,
+void KdLink::Bind(std::function<void(const WireMessage&)> on_message,
                   std::function<void()> on_disconnect) {
   on_message_ = std::move(on_message);
   on_disconnect_ = std::move(on_disconnect);
@@ -118,6 +118,8 @@ void KdLink::DeliverNext() {
       self->delivering_ = false;
       return;
     }
+    // `next` keeps the batch alive while the handler reads the message,
+    // even if the handler closes this link and drops inbound_.
     const Inbound next = std::move(self->inbound_.front());
     self->inbound_.pop_front();
     if (self->on_message_) self->on_message_((*next.batch)[next.index]);

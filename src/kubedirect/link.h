@@ -36,7 +36,7 @@ class KD_LANE_SEAM KdLink : public std::enable_shared_from_this<KdLink> {
   // Installs receive callbacks and begins delivering messages. Must be
   // called once right after construction (two-phase so the owner can
   // capture a shared_ptr).
-  void Bind(std::function<void(WireMessage)> on_message,
+  void Bind(std::function<void(const WireMessage&)> on_message,
             std::function<void()> on_disconnect);
 
   bool connected() const { return conn_ && conn_->connected(); }
@@ -63,7 +63,7 @@ class KD_LANE_SEAM KdLink : public std::enable_shared_from_this<KdLink> {
   MetricsRecorder::Counter messages_sent_;  // "kd_messages_sent"
   MetricsRecorder::Counter bytes_sent_;     // "kd_bytes_sent"
 
-  std::function<void(WireMessage)> on_message_;
+  std::function<void(const WireMessage&)> on_message_;
   std::function<void()> on_disconnect_;
 
   Batch pending_;

@@ -8,10 +8,12 @@
 // (a crash clears them; the downstream state then drives recovery).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <set>
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "common/fault_point.h"
 
@@ -47,14 +49,19 @@ class TombstoneTracker {
   // Replays every live tombstone through `send`, in key order — used
   // right after a handshake to fast-forward termination intents (§4.3:
   // "Tombstones are subject to CR-style fast-forwarding in case
-  // controllers crashes or disconnects").
+  // controllers crashes or disconnects"). The order feeds sends, so it
+  // walks a sorted snapshot, never the hash table (kdlint R2).
   void ReplicateAll(const std::function<void(const std::string&)>& send) const {
-    for (const std::string& key : tombstones_) send(key);
+    std::vector<std::string> keys(tombstones_.begin(), tombstones_.end());
+    std::sort(keys.begin(), keys.end());
+    for (const std::string& key : keys) send(key);
   }
 
  private:
   FaultPoint* fault_ = nullptr;
-  std::set<std::string> tombstones_;
+  // Searched on every pod cache event of the ReplicaSet controller, so
+  // it hashes; only ReplicateAll walks it.
+  std::unordered_set<std::string> tombstones_;
 };
 
 }  // namespace kd::kubedirect

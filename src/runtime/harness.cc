@@ -51,15 +51,17 @@ void ControllerHarness::SyncKind(ObjectCache& cache, std::string kind,
                                                &env_.metrics)});
 }
 
-void ControllerHarness::WatchFiltered(ObjectCache& cache, std::string kind,
-                                      apiserver::WatchFilter filter,
-                                      When when) {
+Informer* ControllerHarness::WatchFiltered(ObjectCache& cache,
+                                           std::string kind,
+                                           apiserver::WatchFilter filter,
+                                           When when) {
   TrackCache(cache);
-  if (!ModeMatches(when)) return;
+  if (!ModeMatches(when)) return nullptr;
   syncs_.push_back({std::move(kind), nullptr,
                     std::make_unique<Informer>(api_, env_.apiserver, cache,
                                                &env_.metrics,
                                                std::move(filter))});
+  return syncs_.back().informer.get();
 }
 
 void ControllerHarness::SetReconciler(ControlLoop::Reconciler reconcile) {

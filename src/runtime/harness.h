@@ -99,9 +99,12 @@ class KD_LANE_SEAM ControllerHarness {
                 std::function<void()> on_synced = nullptr);
   // Field-selector informer (kubelet-style): feeds `cache` with the
   // objects of `kind` that `filter` admits. It runs no initial List;
-  // the policy seeds `cache` itself. Tracked like SyncKind's cache.
-  void WatchFiltered(ObjectCache& cache, std::string kind,
-                     apiserver::WatchFilter filter, When when = When::kBoth);
+  // the policy seeds `cache` itself, bracketing its List with the
+  // returned informer's BeginOwnerList/EndOwnerList (null when the
+  // mode does not match). Tracked like SyncKind's cache.
+  Informer* WatchFiltered(ObjectCache& cache, std::string kind,
+                          apiserver::WatchFilter filter,
+                          When when = When::kBoth);
   void SetReconciler(ControlLoop::Reconciler reconcile);
   void ServeUpstream(UpstreamSpec spec);
   void ConnectDownstream(DownstreamSpec spec);

@@ -41,6 +41,18 @@ void Informer::Stop() {
   running_ = false;
   ++session_;
   list_deletes_.reset();
+  owner_list_deletes_.reset();
+}
+
+void Informer::BeginOwnerList() {
+  owner_list_deletes_ =
+      std::make_unique<std::map<std::string, std::uint64_t>>();
+}
+
+std::map<std::string, std::uint64_t> Informer::EndOwnerList() {
+  const auto deleted = std::move(owner_list_deletes_);
+  return deleted != nullptr ? std::move(*deleted)
+                            : std::map<std::string, std::uint64_t>{};
 }
 
 void Informer::HandleEvent(const apiserver::WatchEvent& event) {
@@ -62,6 +74,10 @@ void Informer::HandleEvent(const apiserver::WatchEvent& event) {
     case apiserver::WatchEventType::kDeleted:
       if (list_deletes_ != nullptr) {
         (*list_deletes_)[event.object.Key()] = event.object.resource_version;
+      }
+      if (owner_list_deletes_ != nullptr) {
+        (*owner_list_deletes_)[event.object.Key()] =
+            event.object.resource_version;
       }
       cache_.Remove(event.object.Key());
       break;

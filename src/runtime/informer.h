@@ -34,7 +34,10 @@
 // object that left scope during an outage surfaces as a Deleted. The
 // server has no filtered List and a full List per subscriber would
 // cost O(cluster), so a filtered informer lists only to recover: its
-// owner seeds the cache.
+// owner seeds the cache. While the owner's List is in flight
+// (BeginOwnerList to EndOwnerList) the informer remembers watch
+// deletes for it, as for a list of its own, so the owner can drop
+// what its snapshot holds of objects deleted since.
 //
 // Crash safety: Stop() invalidates the session, and a watch event or
 // break still in flight from the stopped session is dropped, so a
@@ -81,6 +84,11 @@ class KD_LANE_SEAM Informer {
 
   void Stop();
 
+  // Filtered informers: brackets the owner's seeding List. EndOwnerList
+  // returns the key -> revision of each watch delete seen in between.
+  void BeginOwnerList();
+  std::map<std::string, std::uint64_t> EndOwnerList();
+
   // A list has landed since Start().
   bool synced() const { return synced_; }
   // Watch-break recoveries completed (relist + diff applied).
@@ -113,6 +121,9 @@ class KD_LANE_SEAM Informer {
   // Key -> revision of each watch delete seen while a list is in
   // flight; null while none is.
   std::unique_ptr<std::map<std::string, std::uint64_t>> list_deletes_;
+  // The same for the owner's list; kept apart, since a recovery relist
+  // can run while it is in flight.
+  std::unique_ptr<std::map<std::string, std::uint64_t>> owner_list_deletes_;
   bool synced_ = false;
   bool running_ = false;
   std::function<void()> done_;

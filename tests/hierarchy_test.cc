@@ -56,8 +56,9 @@ TEST_F(KdLinkTest, DeliversMessagesInOrder) {
   net::Endpoint a(network_, "a"), b(network_, "b");
   auto [client, server] = MakeLinkPair(a, b);
   std::vector<std::string> received;
-  server->Bind([&](WireMessage m) { received.push_back(m.key); }, [] {});
-  client->Bind([](WireMessage) {}, [] {});
+  server->Bind([&](const WireMessage& m) { received.push_back(m.key); },
+               [] {});
+  client->Bind([](const WireMessage&) {}, [] {});
   for (int i = 0; i < 10; ++i) {
     WireMessage msg;
     msg.type = WireMessage::Type::kTombstone;
@@ -75,8 +76,8 @@ TEST_F(KdLinkTest, BatchesWithinWindow) {
   net::Endpoint a(network_, "a"), b(network_, "b");
   auto [client, server] = MakeLinkPair(a, b);
   int delivered = 0;
-  server->Bind([&delivered](WireMessage) { ++delivered; }, [] {});
-  client->Bind([](WireMessage) {}, [] {});
+  server->Bind([&delivered](const WireMessage&) { ++delivered; }, [] {});
+  client->Bind([](const WireMessage&) {}, [] {});
   const std::uint64_t before = network_.total_messages();
   for (int i = 0; i < 10; ++i) {
     WireMessage msg;
@@ -94,8 +95,8 @@ TEST_F(KdLinkTest, FullBatchFlushesImmediately) {
   cost_.kd_batch = 4;
   net::Endpoint a(network_, "a"), b(network_, "b");
   auto [client, server] = MakeLinkPair(a, b);
-  server->Bind([](WireMessage) {}, [] {});
-  client->Bind([](WireMessage) {}, [] {});
+  server->Bind([](const WireMessage&) {}, [] {});
+  client->Bind([](const WireMessage&) {}, [] {});
   const std::uint64_t before = network_.total_messages();
   for (int i = 0; i < 8; ++i) {
     WireMessage msg;
@@ -111,8 +112,9 @@ TEST_F(KdLinkTest, SendNowBypassesBatchWindow) {
   net::Endpoint a(network_, "a"), b(network_, "b");
   auto [client, server] = MakeLinkPair(a, b);
   Time received_at = -1;
-  server->Bind([&](WireMessage) { received_at = engine_.now(); }, [] {});
-  client->Bind([](WireMessage) {}, [] {});
+  server->Bind([&](const WireMessage&) { received_at = engine_.now(); },
+               [] {});
+  client->Bind([](const WireMessage&) {}, [] {});
   const Time start = engine_.now();
   WireMessage msg;
   msg.type = WireMessage::Type::kAck;
@@ -129,9 +131,9 @@ TEST_F(KdLinkTest, DisconnectDropsPendingAndNotifies) {
   auto [client, server] = MakeLinkPair(a, b);
   int received = 0;
   bool server_down = false;
-  server->Bind([&](WireMessage) { ++received; },
+  server->Bind([&](const WireMessage&) { ++received; },
                [&] { server_down = true; });
-  client->Bind([](WireMessage) {}, [] {});
+  client->Bind([](const WireMessage&) {}, [] {});
   WireMessage msg;
   msg.type = WireMessage::Type::kAck;
   msg.key = "k";
@@ -401,6 +403,63 @@ TEST_F(HierarchyTest, StopPreventsReconnect) {
   engine_.RunFor(Seconds(5));
   EXPECT_FALSE(client->ready());
   EXPECT_EQ(client->handshakes_completed(), 1u);
+}
+
+// Delivery hands a handler a reference into the received batch. A
+// handler that stops its own link still reads the message it holds
+// (the delivery keeps the batch alive), and the rest of the batch is
+// not delivered. Under ASan, a reference that outlived its batch fails
+// here.
+TEST_F(HierarchyTest, ServerHandlerThatStopsItsLinkStillReadsItsMessage) {
+  std::unique_ptr<HierarchyServer> server;
+  std::vector<std::string> seen;
+  server = MakeServer({.on_upsert = [&](const KdMessage& msg) {
+    server->Stop();
+    seen.push_back(msg.obj_key);
+    for (const auto& [path, value] : msg.attrs) {
+      seen.push_back(path + "=" + value.literal().as_string());
+    }
+  }});
+  auto client = MakeClient();
+  engine_.Run();
+  ASSERT_TRUE(client->ready());
+  for (int i = 0; i < 3; ++i) {  // one batch of three
+    KdMessage msg;
+    msg.obj_key = "Pod/p" + std::to_string(i);
+    msg.attrs.emplace("spec.nodeName",
+                      KdValue::Literal("n" + std::to_string(i)));
+    msg.attrs.emplace("status.phase", KdValue::Literal("Pending"));
+    ASSERT_TRUE(client->SendUpsert(std::move(msg)));
+  }
+  engine_.RunFor(Milliseconds(50));
+  client->Stop();  // it would redial the stopped server forever
+  engine_.Run();
+  EXPECT_EQ(seen, (std::vector<std::string>{"Pod/p0", "spec.nodeName=n0",
+                                            "status.phase=Pending"}));
+}
+
+// The same on the client side: an on_remove that stops the client
+// still reads the key it was handed, and the batch's later removals
+// are not delivered.
+TEST_F(HierarchyTest, ClientHandlerThatStopsItsLinkStillReadsItsKey) {
+  for (int i = 0; i < 3; ++i) {
+    down_cache_.Upsert(Pod("p" + std::to_string(i), "n1"));
+  }
+  auto server = MakeServer();
+  std::unique_ptr<HierarchyClient> client;
+  std::vector<std::string> removed;
+  client = MakeClient({.on_remove = [&](const std::string& key) {
+    client->Stop();
+    removed.push_back(key);
+  }});
+  engine_.Run();
+  ASSERT_TRUE(client->ready());
+  for (int i = 0; i < 3; ++i) {  // one batch of three
+    ASSERT_TRUE(server->SendRemove("Pod/p" + std::to_string(i)));
+  }
+  engine_.Run();
+  EXPECT_EQ(removed, std::vector<std::string>{"Pod/p0"});
+  EXPECT_FALSE(client->ready());
 }
 
 // --- TombstoneTracker ----------------------------------------------------
